@@ -7,6 +7,7 @@ from .errors import (
     InfiniteJumpIntensity,
     InvalidScaling,
     InvalidStep,
+    InvariantViolation,
     ModelError,
     NonConvergenceWarning,
     NonFiniteIntegrand,

@@ -18,13 +18,15 @@ never discarded.  Rate tables are memoized per state.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .errors import NonConvergenceWarning, StateExplosionGuard
+from .errors import (InvariantViolation, NonConvergenceWarning,
+                     StateExplosionGuard)
 from .measures import sum_distribution
 from .params import LimitParams
 from .rngstreams import batches, parallel_map, pooled_mean_se, stream
@@ -60,7 +62,7 @@ class RateTable:
             self.branch_rates, [self.branch_tail], self.coalesce_rates
         ])
         if (rates < 0).any():
-            raise AssertionError("negative jump rate")
+            raise InvariantViolation("negative jump rate")
         self.outcomes = outcomes
         self.cum_rates = np.cumsum(rates)
         self.total = float(self.cum_rates[-1]) if rates.size else 0.0
@@ -117,25 +119,35 @@ def jump_rates(params: LimitParams, n: int, k_max: int | None = None) -> RateTab
             k_max *= 2
     branch_total = br.sum() + tail
     bound = n * (params.alpha_s + params.w) + 1e-9 * (1.0 + branch_total)
-    assert branch_total <= bound, "branch rate exceeds the Markov bound"
+    if branch_total > bound:
+        raise InvariantViolation("branch rate exceeds the Markov bound")
     return RateTable(n, br, tail, coal)
 
 
 class RateCache:
-    """Memoized rate tables keyed by state, with a simple capacity bound."""
+    """Memoized rate tables keyed by state, with a simple capacity bound.
+
+    Safe to share between the threads of ``parallel_map``: a table is a pure
+    function of (params, n), and a miss builds, inserts and evicts under a
+    lock, so each state is built once while it stays cached.
+    """
 
     def __init__(self, params: LimitParams, capacity: int = 4096):
         self.params = params
         self.capacity = capacity
         self._tables: dict[int, RateTable] = {}
+        self._lock = threading.Lock()
 
     def get(self, n: int) -> RateTable:
         table = self._tables.get(n)
         if table is None:
-            table = jump_rates(self.params, n)
-            if len(self._tables) >= self.capacity:
-                self._tables.pop(next(iter(self._tables)))
-            self._tables[n] = table
+            with self._lock:
+                table = self._tables.get(n)
+                if table is None:
+                    table = jump_rates(self.params, n)
+                    if len(self._tables) >= self.capacity:
+                        self._tables.pop(next(iter(self._tables)))
+                    self._tables[n] = table
         return table
 
 
@@ -248,11 +260,11 @@ def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
         raise ValueError("x must lie in [0,1]")
     if t == 0:
         return x**n0, 0.0
+    cache = RateCache(params)
 
     def run(batch):
         idx, size = batch
         rng = stream(seed, idx)
-        cache = RateCache(params)
         vals = np.empty(size)
         for i in range(size):
             z = final_state(params, n0, t, rng, cache, ceiling)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bcre, fvwrs, thresholds
-from .errors import RegimeMismatch, StateExplosionGuard
+from .errors import InvariantViolation, RegimeMismatch, StateExplosionGuard
 from .params import LimitParams
 from .rngstreams import batches, parallel_map, stream
 
@@ -67,9 +67,10 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
     nu = bcre.stationary_estimate(params, 1, burn_in, T_stat,
                                   stream(seed, STAT_STREAM))
     predicted = np.asarray(nu.pgf(x_grid))
-    assert (np.diff(nu.pgf(np.linspace(0, 1, 21))) >= -1e-12).all(), \
-        "stationary pgf must be nondecreasing"
-    assert abs(nu.pgf(1.0) - 1.0) < 1e-9, "stationary pgf must be 1 at x=1"
+    if not (np.diff(nu.pgf(np.linspace(0, 1, 21))) >= -1e-12).all():
+        raise InvariantViolation("stationary pgf must be nondecreasing")
+    if abs(nu.pgf(1.0) - 1.0) >= 1e-9:
+        raise InvariantViolation("stationary pgf must be 1 at x=1")
 
     sims = np.empty(x_grid.size)
     ses = np.empty(x_grid.size)
@@ -116,11 +117,11 @@ def _dual_small_prob(params: LimitParams, n0: int, T: float, M0: int, M: int,
     would be quadratic in the peak state.
     """
     escape = max(1000, 100 * M0)
+    cache = bcre.RateCache(params)
 
     def run(batch):
         idx, size = batch
         rng = stream(seed, idx)
-        cache = bcre.RateCache(params)
         hits = 0
         for _ in range(size):
             try:

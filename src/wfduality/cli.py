@@ -145,11 +145,11 @@ def _run_simulate_z(cfg: dict, workers: int):
     T = float(cfg["T"])
     M = int(cfg.get("replicates", 10000))
     seed = int(cfg["seed"])
+    cache = bcre.RateCache(limit)
 
     def run(batch):
         idx, size = batch
         rng = stream(seed, idx)
-        cache = bcre.RateCache(limit)
         return [bcre.final_state(limit, n0, T, rng, cache)
                 for _ in range(size)]
 

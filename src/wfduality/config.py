@@ -19,11 +19,18 @@ from .errors import ConfigError
 from .measures import FiniteMeasure, SelectionKernel
 from .params import FiniteModelParams, LimitParams
 
-EXPERIMENTS = [
-    "simulate-x", "simulate-z", "simulate-finite",
-    "duality-quenched", "duality-annealed", "duality-moment",
-    "thresholds", "fixation", "convergence",
-]
+#: Keys each experiment reads without a default.
+REQUIRED_KEYS = {
+    "simulate-x": ["limit", "x0", "T"],
+    "simulate-z": ["limit", "T"],
+    "simulate-finite": ["finite", "x0", "generations"],
+    "duality-quenched": ["finite", "env", "x", "n"],
+    "duality-annealed": ["finite", "horizon", "x", "n"],
+    "duality-moment": ["limit", "x", "n", "t"],
+    "thresholds": ["limit"],
+    "fixation": ["limit", "x_grid"],
+    "convergence": ["limit", "N_list", "x", "n", "t"],
+}
 
 _MEASURE_SCHEMA = {
     "type": "object",
@@ -102,7 +109,7 @@ _FINITE_SCHEMA = {
 SCHEMA = {
     "type": "object",
     "properties": {
-        "experiment": {"enum": EXPERIMENTS},
+        "experiment": {"enum": list(REQUIRED_KEYS)},
         "seed": {"type": "integer", "minimum": 0},
         "replicates": {"type": "integer", "minimum": 1},
         "workers": {"type": "integer", "minimum": 1},
@@ -139,6 +146,11 @@ SCHEMA = {
     },
     "required": ["experiment", "seed"],
     "additionalProperties": False,
+    "allOf": [
+        {"if": {"properties": {"experiment": {"const": kind}}},
+         "then": {"required": keys}}
+        for kind, keys in REQUIRED_KEYS.items()
+    ],
 }
 
 

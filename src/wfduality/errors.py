@@ -31,6 +31,12 @@ class StateExplosionGuard(WfdualityError):
     """
 
 
+class InvariantViolation(WfdualityError):
+    """A runtime invariant of a simulator or estimator failed, e.g. a jump
+    left [0,1] or a rate exceeded its Markov bound.  Signals a defect in
+    the model code, never a statistical outcome."""
+
+
 class RegimeMismatch(WfdualityError):
     """The requested analysis needs the opposite long-term regime."""
 

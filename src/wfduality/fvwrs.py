@@ -1,4 +1,4 @@
-"""Jump-diffusion simulation of the weak-allele frequency limit process.
+"""Simulation of the weak-allele frequency limit process.
 
 The process lives on [0,1] and combines four mechanisms:
 
@@ -9,9 +9,12 @@ The process lives on [0,1] and combines four mechanisms:
 * weak-selection drift -w x(1-x) dt,
 * neutral diffusion sqrt(sigma x(1-x)) dB.
 
-Both jump intensities are finite, so jumps are placed exactly; drift and
-diffusion are Euler-stepped on a uniform dt grid, with jumps applied after
-the cell's Euler move.  0 and 1 are absorbing.
+Both jump intensities are finite and constant in the state, so jumps are
+placed exactly.  With sigma = 0 the motion between jumps is the closed-form
+logistic flow of the drift, so paths are sampled exactly from exponential
+event gaps (as in Gillespie's algorithm) with no time grid.  With sigma > 0
+drift and diffusion are Euler-stepped on a uniform dt grid, with jumps
+applied after the cell's Euler move.  0 and 1 are absorbing.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep
-from .measures import pgf, pgf_many
+from .errors import InvalidStep, InvariantViolation
+from .measures import pgf_many
 from .params import LimitParams
 from .rngstreams import batches, parallel_map, pooled_mean_se, stream
 
-#: Snap-to-boundary tolerance: Euler noise may overshoot [0,1] slightly, so
-#: a state this close to a boundary is treated as exactly absorbed.
+#: Snap-to-boundary tolerance: Euler noise may overshoot [0,1] slightly, and
+#: jumps and the flow approach a boundary without reaching it, so a state
+#: this close to a boundary is treated as exactly absorbed.
 ABSORB_EPS = 1e-12
 
 
@@ -50,113 +54,158 @@ def _grid(T: float, dt: float) -> np.ndarray:
     return times
 
 
-def _snap(x: float) -> float:
-    if x <= ABSORB_EPS:
-        return 0.0
-    if x >= 1.0 - ABSORB_EPS:
-        return 1.0
+def _snap(x: np.ndarray) -> np.ndarray:
+    """Clip into [0,1] and absorb states within ABSORB_EPS of a boundary."""
+    x = np.clip(x, 0.0, 1.0)
+    x[x <= ABSORB_EPS] = 0.0
+    x[x >= 1.0 - ABSORB_EPS] = 1.0
     return x
 
 
-def _jump_times(rate: float, T: float, rng: np.random.Generator) -> list[float]:
-    out = []
-    if rate <= 0:
-        return out
-    t = rng.exponential(1.0 / rate)
-    while t < T:
-        out.append(t)
-        t += rng.exponential(1.0 / rate)
-    return out
+def _flow(x, w: float, h):
+    """Solution at time h of dx/dt = -w x(1-x) started at x (broadcasts)."""
+    if w == 0:
+        return x
+    em1 = np.expm1(-w * h)  # e^{-wh} - 1, accurate for small wh
+    return x * (1.0 + em1) / (1.0 + x * em1)
+
+
+def _move(params: LimitParams, x: np.ndarray, h: float,
+          rng: np.random.Generator) -> np.ndarray:
+    """Motion between jumps over time h: the exact flow when sigma = 0,
+    else one Euler step of drift and diffusion."""
+    if params.sigma == 0:
+        return _snap(_flow(x, params.w, h))
+    inner = x * (1.0 - x)
+    x = x - params.w * inner * h + np.sqrt(
+        np.maximum(params.sigma * inner * h, 0.0)) * rng.standard_normal(x.size)
+    return _snap(x)
+
+
+def _jump(params: LimitParams, x: np.ndarray, selection,
+          rng: np.random.Generator) -> np.ndarray:
+    """One jump per entry of x: a selection jump where ``selection`` holds
+    (a boolean mask or scalar), a coalescence jump elsewhere.
+
+    The jump laws are the module's; they raise InvariantViolation if a
+    selection jump raises the frequency or a coalescence jump leaves [0,1].
+    """
+    selection = np.broadcast_to(selection, x.shape)
+    out = np.empty_like(x)
+    sel = np.flatnonzero(selection)
+    if sel.size:
+        pre = x[sel]
+        post = pgf_many(params.kernel, params.mu.sample(sel.size, rng), pre)
+        if (post > pre + 1e-12).any():
+            raise InvariantViolation("selection jump increased the frequency")
+        out[sel] = post
+    coal = np.flatnonzero(~selection)
+    if coal.size:
+        pre = x[coal]
+        z = params.merger_law.sample(coal.size, rng)
+        post = pre * (1.0 - z) + z * (rng.random(coal.size) < pre)
+        if ((post < -1e-12) | (post > 1.0 + 1e-12)).any():
+            raise InvariantViolation("coalescence jump left [0,1]")
+        out[coal] = post
+    return _snap(out)
 
 
 def simulate_path(params: LimitParams, x0: float, T: float, dt: float,
                   rng: np.random.Generator) -> PathX:
-    """One path of the limit process on the dt grid, jumps placed exactly."""
+    """One path of the limit process recorded on the dt grid.
+
+    Jumps come at the events of a rate-R Poisson process, R the total jump
+    rate, each a selection jump with probability |mu| / R.  The motion
+    between consecutive event and grid times is the exact flow when
+    sigma = 0, else one Euler step.
+    """
     if not 0.0 <= x0 <= 1.0:
         raise InvalidStep("x0 must lie in [0,1]")
     times = _grid(T, dt)
-    mu = params.mu
-    mu_mass = mu.total_mass
-    lam_c = params.coalescence_rate
-    events = [(t, "selection") for t in _jump_times(mu_mass, T, rng)]
-    events += [(t, "coalescence") for t in _jump_times(lam_c, T, rng)]
-    events.sort()
-    ev = 0
+    mu_mass = params.mu_mass
+    rate = mu_mass + params.coalescence_rate
+    t_ev = rng.exponential(1.0 / rate) if rate > 0 else math.inf
 
-    x = _snap(x0)
+    x = _snap(np.array([float(x0)]))
+    t = 0.0
     values = np.empty(times.size)
-    values[0] = x
+    values[0] = x[0]
     jumps = []
     for i in range(1, times.size):
-        t0, t1 = times[i - 1], times[i]
-        if 0.0 < x < 1.0:
-            h = t1 - t0
-            x = x - params.w * x * (1.0 - x) * h
-            if params.sigma > 0:
-                x += math.sqrt(max(params.sigma * x * (1.0 - x) * h, 0.0)) \
-                    * rng.standard_normal()
-            x = _snap(min(max(x, 0.0), 1.0))
-        while ev < len(events) and events[ev][0] <= t1:
-            t_ev, kind = events[ev]
-            ev += 1
-            pre = x
-            if kind == "selection":
-                y = float(mu.sample(1, rng)[0])
-                x = pgf(params.kernel, y, x)
-                assert x <= pre + 1e-12, "selection jump increased the frequency"
-            else:
-                z = float(params.merger_law.sample(1, rng)[0])
-                x = x * (1.0 - z) + (z if rng.random() < x else 0.0)
-                assert -1e-12 <= x <= 1.0 + 1e-12, "coalescence jump left [0,1]"
-            x = _snap(min(max(x, 0.0), 1.0))
-            if x != pre:
-                jumps.append((float(t_ev), kind, pre, x))
-        values[i] = x
+        t1 = times[i]
+        while t_ev <= t1:
+            x = _move(params, x, t_ev - t, rng)
+            t = t_ev
+            pre = float(x[0])
+            selection = rng.random() * rate < mu_mass
+            x = _jump(params, x, selection, rng)
+            if x[0] != pre:
+                kind = "selection" if selection else "coalescence"
+                jumps.append((t, kind, pre, float(x[0])))
+            t_ev += rng.exponential(1.0 / rate)
+        x = _move(params, x, t1 - t, rng)
+        t = t1
+        values[i] = x[0]
     return PathX(times, values, jumps)
 
 
 # ---------------------------------------------------------------------------
-# Vectorised ensemble engine
+# Vectorised ensemble engines
 # ---------------------------------------------------------------------------
+
+
+def _exact_batch(params: LimitParams, x0: float, ts: np.ndarray, size: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """States at the sorted distinct times ``ts`` of ``size`` paths, sigma = 0.
+
+    Each round draws one Exp(R) gap per active path, R the total jump rate,
+    records the flowed state at every requested time inside the gap, flows
+    to the gap's end and applies one jump there, selection with probability
+    |mu| / R.  A path leaves the active set once it is absorbed or has passed
+    the last requested time; an absorbed path holds its state thereafter.
+    """
+    mu_mass = params.mu_mass
+    rate = mu_mass + params.coalescence_rate
+    out = np.empty((ts.size, size))
+    x = _snap(np.full(size, float(x0)))
+    nxt = np.zeros(size, dtype=np.intp)  # next unrecorded time, per path
+    ids = np.arange(size) if ts.size and 0.0 < x[0] < 1.0 else np.arange(0)
+    xa, ta, ka = x[ids], np.zeros(ids.size), nxt[ids]
+    last = ts.size - 1
+    while ids.size:
+        if rate > 0:
+            t_ev = ta + rng.exponential(1.0 / rate, ids.size)
+        else:
+            t_ev = np.full(ids.size, np.inf)
+        while True:
+            due = np.flatnonzero((ka <= last) & (ts[np.minimum(ka, last)] < t_ev))
+            if due.size == 0:
+                break
+            k = ka[due]
+            out[k, ids[due]] = _snap(_flow(xa[due], params.w, ts[k] - ta[due]))
+            ka[due] += 1
+        go = np.flatnonzero(ka <= last)
+        xg = _snap(_flow(xa[go], params.w, t_ev[go] - ta[go]))
+        xa[go] = _jump(params, xg, rng.random(go.size) * rate < mu_mass, rng)
+        ta = t_ev
+        gone = (ka > last) | (xa == 0.0) | (xa == 1.0)
+        x[ids[gone]] = xa[gone]
+        nxt[ids[gone]] = ka[gone]
+        keep = ~gone
+        ids, xa, ta, ka = ids[keep], xa[keep], ta[keep], ka[keep]
+    return np.where(np.arange(ts.size)[:, None] < nxt, out, x)
 
 
 def _step_cell(params: LimitParams, x: np.ndarray, h: float,
                rng: np.random.Generator, mu_mass: float, lam_c: float) -> np.ndarray:
     """Advance every replicate by one dt cell: Euler move, then jumps."""
-    inner = x * (1.0 - x)
-    if params.w > 0:
-        x = x - params.w * inner * h
-    if params.sigma > 0:
-        x = x + np.sqrt(np.maximum(params.sigma * inner * h, 0.0)) \
-            * rng.standard_normal(x.size)
-    np.clip(x, 0.0, 1.0, out=x)
-    x[x <= ABSORB_EPS] = 0.0
-    x[x >= 1.0 - ABSORB_EPS] = 1.0
-
-    if mu_mass > 0:
-        k = rng.poisson(mu_mass * h, x.size)
-        while True:
-            hit = k > 0
-            n_hit = int(hit.sum())
-            if n_hit == 0:
-                break
-            y = params.mu.sample(n_hit, rng)
-            x[hit] = pgf_many(params.kernel, y, x[hit])
-            k[hit] -= 1
-    if lam_c > 0:
-        law = params.merger_law
-        k = rng.poisson(lam_c * h, x.size)
-        while True:
-            hit = k > 0
-            n_hit = int(hit.sum())
-            if n_hit == 0:
-                break
-            z = law.sample(n_hit, rng)
-            up = rng.random(n_hit) < x[hit]
-            x[hit] = x[hit] * (1.0 - z) + z * up
-            k[hit] -= 1
-    x[x <= ABSORB_EPS] = 0.0
-    x[x >= 1.0 - ABSORB_EPS] = 1.0
+    x = _move(params, x, h, rng)
+    for selection, rate in ((True, mu_mass), (False, lam_c)):
+        if rate > 0:
+            k = rng.poisson(rate * h, x.size)
+            while (hit := np.flatnonzero(k)).size:
+                x[hit] = _jump(params, x[hit], selection, rng)
+                k[hit] -= 1
     return x
 
 
@@ -164,35 +213,48 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
                     seed: int, workers: int = 1) -> np.ndarray:
     """States of M independent paths at each requested time.
 
-    Returns an array of shape (len(times), M).  Each requested time is
-    snapped to the nearest dt-cell boundary.  Replicates are split into
-    fixed-size batches with one counter-based stream per batch, so results
-    do not depend on worker count.
+    Returns an array of shape (len(times), M).  Requested times may come in
+    any order and repeat.  With sigma = 0 paths are simulated exactly from
+    their events and each requested time is used as given; dt is then only
+    checked.  With sigma > 0 paths are Euler-stepped on the dt grid and each
+    requested time is snapped to the nearest dt-cell boundary.  Replicates
+    are split into fixed-size batches with one counter-based stream per
+    batch, so results do not depend on worker count.
     """
     if dt <= 0:
         raise InvalidStep("dt must be positive")
     if not 0.0 <= x0 <= 1.0:
         raise InvalidStep("x0 must lie in [0,1]")
     times = np.asarray(times, dtype=float)
-    record = {}
-    for pos, t in enumerate(times):
-        record.setdefault(int(round(t / dt)), []).append(pos)
-    n_cells = max(record) if record else 0
-    mu_mass = params.mu.total_mass
-    lam_c = params.coalescence_rate
+    if (times < 0).any():
+        raise InvalidStep("requested times must be nonnegative")
 
-    def run(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
-        x = np.full(size, _snap(x0))
-        out = np.empty((times.size, size))
-        for pos in record.get(0, []):
-            out[pos] = x
-        for cell in range(1, n_cells + 1):
-            x = _step_cell(params, x, dt, rng, mu_mass, lam_c)
-            for pos in record.get(cell, []):
+    if params.sigma == 0:
+        ts, inverse = np.unique(times, return_inverse=True)
+
+        def run(batch):
+            idx, size = batch
+            return _exact_batch(params, x0, ts, size, stream(seed, idx))[inverse]
+    else:
+        record = {}
+        for pos, t in enumerate(times):
+            record.setdefault(int(round(t / dt)), []).append(pos)
+        n_cells = max(record) if record else 0
+        mu_mass = params.mu_mass
+        lam_c = params.coalescence_rate
+
+        def run(batch):
+            idx, size = batch
+            rng = stream(seed, idx)
+            x = _snap(np.full(size, float(x0)))
+            out = np.empty((times.size, size))
+            for pos in record.get(0, []):
                 out[pos] = x
-        return out
+            for cell in range(1, n_cells + 1):
+                x = _step_cell(params, x, dt, rng, mu_mass, lam_c)
+                for pos in record.get(cell, []):
+                    out[pos] = x
+            return out
 
     parts = parallel_map(run, batches(M), workers)
     return np.concatenate(parts, axis=1)

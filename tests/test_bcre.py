@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from wfduality import (
     simulate,
     stationary_estimate,
 )
+from wfduality import bcre
 from wfduality.bcre import RateCache, final_state
 
 from conftest import rng
@@ -128,6 +131,56 @@ class TestDualMoment:
         a = dual_moment(baseline_params, 0.5, 2, 1.0, 4000, seed=3, workers=1)
         b = dual_moment(baseline_params, 0.5, 2, 1.0, 4000, seed=3, workers=4)
         assert a == b
+
+    def test_one_rate_build_per_state_per_call(self, baseline_params,
+                                               monkeypatch):
+        # the batches of one call share a cache, so each state visited is
+        # built once, whatever the worker count
+        built = []
+        build = bcre.jump_rates
+
+        def counting(params, n, *args):
+            built.append(n)
+            return build(params, n, *args)
+
+        monkeypatch.setattr(bcre, "jump_rates", counting)
+        for workers in (1, 4):
+            built.clear()
+            dual_moment(baseline_params, 0.5, 2, 1.0, 4000, seed=3,
+                        workers=workers)
+            assert len(built) == len(set(built))
+
+
+class TestRateCache:
+    def test_shared_between_threads(self, baseline_params, monkeypatch):
+        built = []
+        build = bcre.jump_rates
+
+        def counting(params, n, *args):
+            built.append(n)
+            return build(params, n, *args)
+
+        monkeypatch.setattr(bcre, "jump_rates", counting)
+        states = list(range(1, 41))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for capacity in (4096, 8):
+                built.clear()
+                cache = RateCache(baseline_params, capacity=capacity)
+
+                def visit(seed):
+                    order = rng(seed).permutation(states * 5)
+                    return all(cache.get(int(n)).n == n for n in order)
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    ok = list(pool.map(visit, range(16), timeout=60))
+                assert all(ok)
+                assert len(cache._tables) <= capacity
+                if capacity > len(states):
+                    assert sorted(built) == states
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def birth_death_stationary_oracle(w: float, sigma: float, n_max: int = 200):

@@ -127,6 +127,18 @@ class TestValidateCommand:
         assert "ConfigError" in res.output
 
 
+    def test_missing_experiment_keys_rejected(self, tmp_path):
+        cfg = {"experiment": "duality-moment", "seed": 11,
+               "limit": BASELINE_LIMIT, "n": 2, "t": 0.5}  # no x
+        path = write_cfg(tmp_path, cfg)
+        for args in (["validate", path],
+                     ["run", path, "--out", str(tmp_path / "o")]):
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code == 1
+            assert "ConfigError" in res.output and "'x'" in res.output
+        assert not (tmp_path / "o").exists()
+
+
 class TestRunCommand:
     def test_thresholds_run(self, tmp_path):
         out = tmp_path / "out"

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from wfduality import (
     FiniteMeasure,
     InvalidStep,
+    InvariantViolation,
     LimitParams,
     SelectionKernel,
     absorption_scan,
     moment_estimate,
     simulate_path,
 )
+from wfduality import fvwrs
 from wfduality.fvwrs import ensemble_states
 
 from conftest import rng
@@ -48,6 +51,79 @@ class TestSimulatePath:
             simulate_path(baseline_params, 0.5, 1.0, 0.0, rng(2))
         with pytest.raises(InvalidStep):
             moment_estimate(baseline_params, 0.5, 1, 1.0, 100, -1e-3, 0)
+
+    def test_jump_count_matches_total_rate(self, baseline_params):
+        # with selection at y=0.5 and mergers of strength 0.5 every jump
+        # moves an interior state, so the logged jumps are Poisson(R*T)
+        R = baseline_params.mu_mass + baseline_params.coalescence_rate
+        T, paths = 2.0, 400
+        counts = [len(simulate_path(baseline_params, 0.5, T, 0.1,
+                                    rng(100 + i)).jumps)
+                  for i in range(paths)]
+        assert abs(np.mean(counts) - R * T) < 4 * math.sqrt(R * T / paths)
+
+
+class TestExactEngine:
+    def test_logistic_flow_matches_ode_solve(self):
+        w, hs = 0.7, np.linspace(0.0, 5.0, 11)
+        for x0 in (0.05, 0.5, 0.95):
+            sol = solve_ivp(lambda t, x: -w * x * (1.0 - x), (0.0, 5.0), [x0],
+                            method="DOP853", t_eval=hs, rtol=1e-13,
+                            atol=1e-16)
+            np.testing.assert_allclose(fvwrs._flow(x0, w, hs), sol.y[0],
+                                       rtol=1e-10)
+
+    def test_pure_drift_follows_the_flow(self):
+        params = diffusion_only(0.0, w=0.5)
+        out = ensemble_states(params, 0.3, [1.0, 2.0], 1e-3, 50, seed=20)
+        np.testing.assert_array_equal(
+            out, np.repeat(fvwrs._flow(0.3, 0.5, np.array([[1.0], [2.0]])),
+                           50, axis=1))
+
+    def test_dt_has_no_effect(self, baseline_params):
+        a = ensemble_states(baseline_params, 0.3, [0.25, 1.0], 1e-3, 2000,
+                            seed=21)
+        b = ensemble_states(baseline_params, 0.3, [0.25, 1.0], 1e-2, 2000,
+                            seed=21)
+        assert (a == b).all()
+        with pytest.raises(InvalidStep):
+            ensemble_states(baseline_params, 0.3, [1.0], 0.0, 10, seed=21)
+
+    def test_unsorted_repeated_and_zero_times(self, baseline_params):
+        ts = [1.0, 0.0, 0.5, 1.0, 0.25]
+        out = ensemble_states(baseline_params, 0.5, ts, 1e-3, 1500, seed=22)
+        assert out.shape == (5, 1500)
+        assert (out[1] == 0.5).all()
+        sorted_out = ensemble_states(baseline_params, 0.5, [0.25, 0.5, 1.0],
+                                     1e-3, 1500, seed=22)
+        np.testing.assert_array_equal(out[[4, 2, 0]], sorted_out)
+        np.testing.assert_array_equal(out[3], out[0])
+        final = ensemble_states(baseline_params, 0.5, [1.0], 1e-3, 1500,
+                                seed=22)
+        np.testing.assert_array_equal(final[0], out[0])
+        with pytest.raises(InvalidStep):
+            ensemble_states(baseline_params, 0.5, [-0.1], 1e-3, 10, seed=22)
+
+    def test_boundary_starts_hold(self, baseline_params):
+        for x0 in (0.0, 1.0):
+            out = ensemble_states(baseline_params, x0, [2.0, 0.0, 1.0], 1e-3,
+                                  1500, seed=23)
+            assert (out == x0).all()
+
+    def test_absorbed_paths_hold_their_state(self, extinction_params):
+        out = ensemble_states(extinction_params, 0.5, [1.0, 4.0, 8.0], 1e-3,
+                              2000, seed=24)
+        for i in range(2):
+            for b in (0.0, 1.0):
+                assert (out[i + 1][out[i] == b] == b).all()
+        assert (out[-1] == 0.0).mean() > 0.9
+
+    def test_selection_increasing_the_frequency_raises(self, baseline_params,
+                                                       monkeypatch):
+        monkeypatch.setattr(fvwrs, "pgf_many",
+                            lambda kernel, y, x: np.minimum(x + 0.1, 1.0))
+        with pytest.raises(InvariantViolation):
+            ensemble_states(baseline_params, 0.5, [2.0], 1e-3, 100, seed=25)
 
 
 class TestMomentEstimate:
