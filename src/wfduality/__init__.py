@@ -5,6 +5,7 @@ from .errors import (
     ConfigError,
     DegenerateKernelAtAtom,
     InfiniteJumpIntensity,
+    InvalidArgument,
     InvalidScaling,
     InvalidStep,
     InvariantViolation,
@@ -35,6 +36,7 @@ from .wf_graph import (
     simulate_ancestry,
     simulate_frequency,
     step_ancestry,
+    step_ancestry_many,
     step_frequency,
 )
 from .fvwrs import absorption_scan, moment_estimate, simulate_path

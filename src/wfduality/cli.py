@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bcre, bridge, duality, fvwrs, thresholds
 from .config import (build_finite_params, build_limit_params, load_config)
-from .errors import SigmaNotZero, WfdualityError
+from .errors import ConfigError, SigmaNotZero, WfdualityError
 from .rngstreams import batches, parallel_map, stream
 from .wf_graph import EnvSequence
 
@@ -260,6 +260,10 @@ def _semantic_validate(cfg: dict) -> list[str]:
     if "finite" in cfg:
         finite = build_finite_params(cfg["finite"])
         lines.append(f"finite model valid, N={finite.N}")
+        if (kind in ("duality-quenched", "duality-annealed")
+                and not 1 <= cfg["n"] <= finite.N):
+            raise ConfigError(
+                f"sample size n={cfg['n']} must lie in [1, N={finite.N}]")
     lines.append("OK")
     return lines
 
@@ -284,9 +288,7 @@ def run(config_path, out, workers, seed):
     """Execute the experiment described by CONFIG_PATH."""
     t_start = time.monotonic()
     try:
-        cfg = load_config(config_path)
-        if seed is not None:
-            cfg["seed"] = seed
+        cfg = load_config(config_path, seed)
         n_workers = _resolve_workers(workers, cfg)
         _semantic_validate(cfg)
         results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg, n_workers)

@@ -32,6 +32,11 @@ REQUIRED_KEYS = {
     "convergence": ["limit", "N_list", "x", "n", "t"],
 }
 
+#: Largest config seed.  Experiments derive stream seeds by adding offsets
+#: of at most 2**41 plus a grid index, or (j+1)*2**33 for the j-th of a few
+#: population sizes, so every derived seed stays below 2**64.
+MAX_SEED = 2**63 - 1
+
 _MEASURE_SCHEMA = {
     "type": "object",
     "oneOf": [
@@ -110,7 +115,7 @@ SCHEMA = {
     "type": "object",
     "properties": {
         "experiment": {"enum": list(REQUIRED_KEYS)},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": MAX_SEED},
         "replicates": {"type": "integer", "minimum": 1},
         "workers": {"type": "integer", "minimum": 1},
         "z_threshold": {"type": "number", "exclusiveMinimum": 0},
@@ -154,13 +159,19 @@ SCHEMA = {
 }
 
 
-def load_config(path: str) -> dict:
-    """Parse and schema-validate a config file."""
+def load_config(path: str, seed: int | None = None) -> dict:
+    """Parse and schema-validate a config file.
+
+    A ``seed`` replaces the file's seed before the schema check, so an
+    override is held to the same range.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     try:
         jsonschema.validate(raw, SCHEMA)
     except jsonschema.ValidationError as exc:

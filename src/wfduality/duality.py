@@ -74,8 +74,11 @@ def eval_H_mu(kernel: SelectionKernel, env_law: FiniteMeasure, x: float,
 
 
 def _merger_score_many(params: FiniteModelParams, y: float, fs: np.ndarray,
-                       m: int) -> np.ndarray:
+                       m) -> np.ndarray:
     """P(m sampled children under env y are all weak | parent frequency fs).
+
+    ``fs`` and ``m`` broadcast: many frequencies at one sample size, or one
+    frequency at many sample sizes.
 
     Averages over the sampled generation's merger event: with probability
     c_N the picks are redirected to a shared central parent with strength V,
@@ -96,23 +99,12 @@ def _merger_score_many(params: FiniteModelParams, y: float, fs: np.ndarray,
     return out
 
 
-def _merger_score_powers(params: FiniteModelParams, y: float, x: float):
-    """Per-exponent evaluator z -> score(x, z, y) for scalar frequency x."""
-    phi0 = pgf(params.kernel, y, x)
-    law = params.merger_strength_law
-    if params.c_N <= 0 or law is None:
-        return lambda z: phi0**z
-    vs = law.locations.astype(float)
-    wts = law.weights.astype(float)
-    weak = np.array([pgf(params.kernel, y, v + (1.0 - v) * x) for v in vs])
-    strong = np.array([pgf(params.kernel, y, (1.0 - v) * x) for v in vs])
-    c = params.c_N
-
-    def score(z: int) -> float:
-        mix = float(np.dot(wts, x * weak**z + (1.0 - x) * strong**z))
-        return (1.0 - c) * phi0**z + c * mix
-
-    return score
+def _score_blocks(params: FiniteModelParams, ys, wts, x: float,
+                  z: np.ndarray) -> np.ndarray:
+    """Backward-side statistic of block counts z: the wts-weighted sum over
+    environments ys of the merger-averaged score of z lineages at x."""
+    return sum(float(w) * _merger_score_many(params, float(y), x, z)
+               for y, w in zip(ys, wts))
 
 
 def _batch_stats(vals: np.ndarray) -> tuple[int, float, float]:
@@ -146,7 +138,7 @@ def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
     y_vals = env.values
     fwd_env = y_vals[:-1]
     y_score = float(y_vals[-1])
-    bwd_env = EnvSequence(y_vals[1:])
+    bwd_env = y_vals[1:]
 
     def lhs_batch(batch):
         idx, size = batch
@@ -156,16 +148,12 @@ def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
             xs = step_frequency_many(params, xs, float(y), rng)
         return _batch_stats(_merger_score_many(params, y_score, xs, n))
 
-    score0 = _merger_score_powers(params, float(y_vals[0]), x)
-
     def rhs_batch(batch):
         idx, size = batch
         rng = stream(seed, RHS_STREAM_OFFSET + idx)
-        vals = np.empty(size)
-        for i in range(size):
-            path = simulate_ancestry(params, n, bwd_env, rng)
-            vals[i] = score0(int(path.values[-1]))
-        return _batch_stats(vals)
+        env = EnvSequence(np.broadcast_to(bwd_env, (size, bwd_env.size)))
+        z = simulate_ancestry(params, n, env, rng).values[:, -1]
+        return _batch_stats(_score_blocks(params, y_vals[:1], [1.0], x, z))
 
     lhs, lhs_se = _pool(parallel_map(lhs_batch, batches(M), workers))
     rhs, rhs_se = _pool(parallel_map(rhs_batch, batches(M), workers))
@@ -201,17 +189,12 @@ def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
             vals += wgt * _merger_score_many(params, float(y), xs, n)
         return _batch_stats(vals)
 
-    scores = [_merger_score_powers(params, float(y), x) for y in locs]
-
     def rhs_batch(batch):
         idx, size = batch
         rng = stream(seed, RHS_STREAM_OFFSET + idx)
-        vals = np.empty(size)
-        for i in range(size):
-            env = EnvSequence(law.sample(horizon, rng))
-            z = int(simulate_ancestry(params, n, env, rng).values[-1])
-            vals[i] = float(np.dot(wts, [s(z) for s in scores]))
-        return _batch_stats(vals)
+        env = law.sample(size * horizon, rng).reshape(size, horizon)
+        z = simulate_ancestry(params, n, EnvSequence(env), rng).values[:, -1]
+        return _batch_stats(_score_blocks(params, locs, wts, x, z))
 
     lhs, lhs_se = _pool(parallel_map(lhs_batch, batches(M), workers))
     rhs, rhs_se = _pool(parallel_map(rhs_batch, batches(M), workers))

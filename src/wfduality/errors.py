@@ -31,6 +31,11 @@ class StateExplosionGuard(WfdualityError):
     """
 
 
+class InvalidArgument(WfdualityError, ValueError):
+    """An argument lies outside its domain, e.g. a sample size outside
+    [1, N] or a seed outside [0, 2**64)."""
+
+
 class InvariantViolation(WfdualityError):
     """A runtime invariant of a simulator or estimator failed, e.g. a jump
     left [0,1] or a rate exceeded its Markov bound.  Signals a defect in

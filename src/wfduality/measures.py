@@ -88,24 +88,31 @@ class SelectionKernel:
             return 0.0
         return y * self.table_inf_mass
 
-    def sample(self, y: float, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw parent counts; infinite draws are returned as INF_K."""
-        if self.variant == "geometric":
-            if y >= 1.0:
-                return np.full(size, INF_K, dtype=np.int64)
-            if y <= 0.0:
-                return np.ones(size, dtype=np.int64)
-            return rng.geometric(1.0 - y, size=size).astype(np.int64)
-        if self.variant == "binary":
-            return (1 + (rng.random(size) < y)).astype(np.int64)
-        # table: mixture (1-y) d_1 + y base
+    def sample(self, y, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``size`` parent counts; infinite draws are returned as INF_K.
+
+        ``y`` is one environment value or one per draw.  As in ``pgf``, a
+        value y < 0 encodes weak selection: geometric with parameter -y,
+        whatever the variant.
+        """
+        y = np.broadcast_to(np.asarray(y, dtype=float), (size,))
         out = np.ones(size, dtype=np.int64)
-        hit = rng.random(size) < y
-        n_hit = int(hit.sum())
-        if n_hit:
-            vals = np.array(self.table_values + (INF_K,), dtype=np.int64)
-            probs = np.array(self.table_probs + (self.table_inf_mass,))
-            out[hit] = rng.choice(vals, size=n_hit, p=probs / probs.sum())
+        if self.variant == "geometric":
+            q = np.abs(y)
+        else:
+            q = np.maximum(-y, 0.0)
+            hit = rng.random(size) < y  # never where y < 0
+            if self.variant == "binary":
+                out[hit] = 2
+            elif hit.any():  # table: mixture (1-y) d_1 + y base
+                vals = np.array(self.table_values + (INF_K,), dtype=np.int64)
+                probs = np.array(self.table_probs + (self.table_inf_mass,))
+                out[hit] = rng.choice(vals, size=int(hit.sum()),
+                                      p=probs / probs.sum())
+        out[q >= 1.0] = INF_K
+        mid = (q > 0.0) & (q < 1.0)
+        if mid.any():
+            out[mid] = rng.geometric(1.0 - q[mid])
         return out
 
 

@@ -13,13 +13,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 #: Replicates per stream. Fixed so the (seed, batch) -> draws map is stable.
 BATCH_SIZE = 1024
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for (seed, index); pure function of its inputs."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index]))
+    """Independent generator for (seed, index); pure function of its inputs.
+
+    Raises ``InvalidArgument`` for a seed outside [0, 2**64), which would
+    otherwise alias another seed's stream.  The key is passed as uint64:
+    numpy rounds a list key of 2**63 or more through float64.
+    """
+    if not 0 <= seed < 2**64:
+        raise InvalidArgument(f"seed {seed} must lie in [0, 2**64)")
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def batches(total: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:

@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from wfduality import ConfigError
+from wfduality import ConfigError, InvalidArgument
 from wfduality.cli import main
 from wfduality.config import (
     build_kernel,
@@ -12,6 +12,7 @@ from wfduality.config import (
     build_measure,
     load_config,
 )
+from wfduality.rngstreams import stream
 
 BASELINE_LIMIT = {
     "kernel": {"variant": "geometric"},
@@ -224,3 +225,82 @@ class TestDeterminism:
         a = self.run_into(tmp_path, "w1", 1)
         b = self.run_into(tmp_path, "w4", 4)
         assert a == b
+
+
+ANNEALED_CFG = {
+    "experiment": "duality-annealed", "seed": 17,
+    "finite": {
+        "N": 100,
+        "kernel": {"variant": "geometric"},
+        "env_law": {"atoms": [[0.0, 0.9], [0.5, 0.1]]},
+        "c_N": 0.1,
+        "lambda_c": {"atoms": [[0.5, 1.0]]},
+    },
+    "horizon": 5, "x": 0.5, "n": 5, "replicates": 3000,
+}
+
+QUENCHED_CFG = {
+    "experiment": "duality-quenched", "seed": 18,
+    "finite": dict(ANNEALED_CFG["finite"], N=20),
+    "env": [0.5, 0.0, 0.3, 0.0, 0.2], "x": 0.4, "n": 3,
+    "replicates": 3000,
+}
+
+
+class TestSampleSize:
+    @pytest.mark.parametrize("cfg", [ANNEALED_CFG, QUENCHED_CFG])
+    @pytest.mark.parametrize("n", [0, 150])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_outside_one_to_N_rejected(self, tmp_path, cfg, n, command):
+        path = write_cfg(tmp_path, dict(cfg, n=n))
+        args = [command, path]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output
+        assert "sample size" in res.output
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**65 - 1])
+    def test_override_checked_like_file_seed(self, tmp_path, seed):
+        path = write_cfg(tmp_path, THRESHOLDS_CFG)
+        res = CliRunner().invoke(main, [
+            "run", path, "--out", str(tmp_path / "o"), "--seed", str(seed)])
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+    def test_file_seed_bounded(self, tmp_path, seed):
+        path = write_cfg(tmp_path, dict(THRESHOLDS_CFG, seed=seed))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_largest_seed_accepted(self, tmp_path):
+        path = write_cfg(tmp_path, dict(THRESHOLDS_CFG, seed=2**63 - 1))
+        assert load_config(path)["seed"] == 2**63 - 1
+
+    def test_stream_rejects_instead_of_aliasing(self):
+        for seed in (-1, 2**64, 2**65 - 1):
+            with pytest.raises(InvalidArgument):
+                stream(seed, 0)
+        # seeds at and above 2**63 keep distinct streams
+        draws = [stream(s, 0).random(4).tobytes()
+                 for s in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+        assert len(set(draws)) == 4
+
+
+class TestFiniteDualityDeterminism:
+    @pytest.mark.parametrize("cfg", [ANNEALED_CFG, QUENCHED_CFG])
+    def test_worker_count_invariant(self, tmp_path, cfg):
+        payloads = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            res = CliRunner().invoke(main, [
+                "run", write_cfg(tmp_path, cfg), "--out", str(out),
+                "--workers", str(workers)])
+            assert res.exit_code == 0
+            payloads.append((out / "result.json").read_bytes())
+        assert payloads[0] == payloads[1] == payloads[2]

@@ -200,6 +200,17 @@ class TestAnnealedDuality:
         report = annealed_check(params, 3, 0.4, 2, M=50_000, seed=26)
         assert abs(report.z) < 4.0
 
+    @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
+                                        SelectionKernel.binary()])
+    def test_weak_selection_encoding(self, kernel):
+        # y < 0 means geometric with parameter -y on both sides, whatever
+        # the kernel variant
+        law = FiniteMeasure(np.array([-0.4, 0.0]), np.array([0.5, 0.5]),
+                            _allow_negative=True)
+        params = FiniteModelParams(N=20, kernel=kernel, env_law=law)
+        report = annealed_check(params, 3, 0.5, 2, M=50_000, seed=29)
+        assert abs(report.z) < 4.0
+
 
 class TestMomentDuality:
     def test_time_zero_exact(self, baseline_params):

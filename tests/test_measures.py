@@ -219,6 +219,20 @@ class TestKernelSampling:
         b = binary.sample(0.5, 1000, rng(4))
         assert set(np.unique(b)) <= {1, 2}
 
+    def test_per_draw_environment(self, geo, binary):
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        assert geo.sample(y, 4, rng(6)).tolist() == [1, INF_K, 1, INF_K]
+        assert binary.sample(y, 4, rng(7)).tolist() == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("k", [SelectionKernel.geometric(),
+                                   SelectionKernel.binary(),
+                                   SelectionKernel.table({3: 1.0})])
+    def test_negative_y_is_weak_geometric(self, k):
+        # y = -0.5 is geometric with parameter 0.5: mean 2, as in pgf
+        draws = k.sample(-0.5, 40000, rng(8))
+        assert draws.min() >= 1
+        assert draws.mean() == pytest.approx(2.0, abs=0.05)
+
     def test_table_mixture(self):
         k = SelectionKernel.table({3: 1.0})
         draws = k.sample(0.25, 20000, rng(5))

@@ -1,18 +1,26 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from wfduality import (
     EnvSequence,
     FiniteMeasure,
     FiniteModelParams,
+    InvalidArgument,
     SelectionKernel,
     draw_env,
     simulate_ancestry,
     simulate_frequency,
     step_ancestry,
+    step_ancestry_many,
     step_frequency,
 )
+from wfduality import wf_graph
 from wfduality.measures import pgf
 from wfduality.wf_graph import step_frequency_many
 
@@ -194,3 +202,169 @@ class TestSimulateAncestry:
         path = simulate_ancestry(params, 2, env, rng(9))
         assert path.values[-1] == 10
         assert path.saturations == 1
+
+
+def occupancy_pmf(m: int, N: int) -> np.ndarray:
+    """Law of the distinct labels among m uniform picks from N, by the
+    recursion P_{m+1}(d) = P_m(d) d/N + P_m(d-1) (N-d+1)/N."""
+    p = np.zeros(N + 1)
+    p[0] = 1.0
+    d = np.arange(N + 1)
+    for _ in range(m):
+        nxt = p * d / N
+        nxt[1:] += p[:-1] * (N - d[1:] + 1) / N
+        p = nxt
+    return p
+
+
+def enumerated_step_pmf(params: FiniteModelParams, n: int, y: float):
+    """Law of one backward step from n lineages, binary kernel, by full
+    enumeration of parent counts, merger event, pick channels and labels."""
+    N = params.N
+    law = params.merger_strength_law
+    mergers = [(1.0 - params.c_N, 0.0)] + [
+        (params.c_N * float(w), float(v))
+        for v, w in zip(law.locations, law.weights)]
+    pmf = np.zeros(N + 1)
+    for ks in itertools.product((1, 2), repeat=n):
+        p_k = math.prod(y if k == 2 else 1.0 - y for k in ks)
+        total = sum(ks)
+        for p_m, v in mergers:
+            for chans in itertools.product((0, 1), repeat=total):
+                p_c = math.prod(v if ch else 1.0 - v for ch in chans)
+                if p_c == 0.0:
+                    continue
+                uniform = total - sum(chans)
+                for central in range(N):
+                    for labs in itertools.product(range(N), repeat=uniform):
+                        labels = set(labs)
+                        if sum(chans):
+                            labels.add(central)
+                        pmf[len(labels)] += (p_k * p_m * p_c
+                                             / N ** (uniform + 1))
+    return pmf
+
+
+class TestStepAncestryMany:
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    def test_neutral_occupancy_law(self, n):
+        # y = 0 and no merger: each lineage picks one uniform parent label
+        N, M = 10, 40000
+        params = neutral_model(N)
+        counts, sat = step_ancestry_many(params, np.full(M, n), 0.0, rng(n))
+        assert not sat.any()
+        expected = occupancy_pmf(n, N) * M
+        support = expected > 0
+        observed = np.bincount(counts, minlength=N + 1)
+        assert observed[~support].sum() == 0
+        _, p = stats.chisquare(observed[support], expected[support])
+        assert p > 0.001
+
+    def test_rows_are_independent_segments(self):
+        # mixed lineage counts in one batch: each row follows its own law
+        N = 10
+        n = np.resize(np.arange(1, N + 1), 50000)
+        counts, _ = step_ancestry_many(neutral_model(N), n, 0.0, rng(11))
+        for m in (2, 5, 9):
+            got = counts[n == m]
+            expected = occupancy_pmf(m, N) * got.size
+            support = expected > 0
+            observed = np.bincount(got, minlength=N + 1)[support]
+            _, p = stats.chisquare(observed, expected[support])
+            assert p > 0.001
+
+    @pytest.mark.parametrize("N,n", [(2, 1), (2, 2), (3, 2)])
+    def test_mergers_match_enumeration(self, N, n):
+        params = FiniteModelParams(
+            N=N, kernel=SelectionKernel.binary(),
+            env_law=FiniteMeasure.point_mass(0.0), c_N=0.6,
+            lambda_c=FiniteMeasure.atomic([(0.3, 1.0), (0.8, 1.0)]))
+        y, M = 0.4, 60000
+        exact = enumerated_step_pmf(params, n, y)
+        assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+        counts, _ = step_ancestry_many(params, np.full(M, n), y, rng(20 + N))
+        support = exact > 0
+        observed = np.bincount(counts, minlength=N + 1)
+        assert observed[~support].sum() == 0
+        _, p = stats.chisquare(observed[support], exact[support] * M)
+        assert p > 0.001
+
+    def test_large_population_needs_no_per_label_memory(self):
+        # distinct labels are counted from the picks alone, so N = 10**9
+        # costs no more than N = 10; collisions there are vanishingly rare
+        N, M, n = 10**9, 2048, 7
+        counts, sat = step_ancestry_many(neutral_model(N), np.full(M, n),
+                                         0.0, rng(15))
+        assert not sat.any()
+        assert (counts == n).all()
+
+    def test_per_replicate_environment(self):
+        # geometric y = 1 saturates its replicate; y = 0 keeps one lineage
+        params = neutral_model(10)
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        counts, sat = step_ancestry_many(params, np.ones(4, int), y, rng(12))
+        assert counts.tolist() == [1, 10, 1, 10]
+        assert sat.tolist() == [False, True, False, True]
+
+    def test_cap_is_inclusive(self):
+        # a lineage drawing exactly K_CAP_FACTOR * N parents saturates;
+        # one fewer does not
+        N = 2
+        cap = wf_graph.K_CAP_FACTOR * N
+        for k, expect in ((cap, True), (cap - 1, False)):
+            params = FiniteModelParams(
+                N=N, kernel=SelectionKernel.table({k: 1.0}),
+                env_law=FiniteMeasure.point_mass(0.0))
+            _, sat = step_ancestry_many(params, np.ones(50, int), 1.0, rng(k))
+            assert (sat == expect).all()
+
+    def test_sample_size_error_is_package_error(self):
+        params = neutral_model(8)
+        for n0 in (0, 9):
+            with pytest.raises(InvalidArgument):
+                simulate_ancestry(params, n0, EnvSequence(np.zeros(3)),
+                                  rng(13))
+
+    def test_batched_env_gives_one_row_per_replicate(self):
+        params = neutral_model(10)
+        env = EnvSequence(np.zeros((5, 4)))
+        path = simulate_ancestry(params, 3, env, rng(14))
+        assert len(env) == 4
+        assert path.values.shape == (5, 5)
+        assert (path.values[:, 0] == 3).all()
+        assert (np.diff(path.values, axis=1) <= 0).all()
+
+
+KERNELS = [SelectionKernel.geometric(), SelectionKernel.binary(),
+           SelectionKernel.table({2: 0.5, 4: 0.3}, inf_mass=0.2)]
+
+
+@st.composite
+def ancestry_batches(draw):
+    N = draw(st.integers(2, 30))
+    reps = draw(st.integers(1, 12))
+    n = draw(st.lists(st.integers(1, N), min_size=reps, max_size=reps))
+    y = draw(st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.0]) | st.floats(0, 1),
+                      min_size=reps, max_size=reps))
+    c_N = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    return N, np.array(n), np.array(y), c_N
+
+
+class TestStepAncestryProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel=st.sampled_from(KERNELS), batch=ancestry_batches(),
+           v=st.floats(0.05, 1.0), seed=st.integers(0, 2**32))
+    def test_invariants(self, kernel, batch, v, seed):
+        N, n, y, c_N = batch
+        params = FiniteModelParams(
+            N=N, kernel=kernel, env_law=FiniteMeasure.point_mass(0.0),
+            c_N=c_N, lambda_c=FiniteMeasure.point_mass(v))
+        counts, sat = step_ancestry_many(params, n, y, rng(seed))
+        assert ((counts >= 1) & (counts <= N)).all()
+        assert (counts[sat] == N).all()
+        neutral = FiniteModelParams(N=N, kernel=kernel,
+                                    env_law=FiniteMeasure.point_mass(0.0))
+        still, sat0 = step_ancestry_many(neutral, n, 0.0, rng(seed))
+        assert not sat0.any()
+        assert (still <= n).all()
+        assert (still[n == 1] == 1).all()
