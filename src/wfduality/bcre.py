@@ -13,6 +13,11 @@ and coalesces to n-k at rate
 Branch rates are truncated at an adaptive k_max with the lumped tail kept as
 an explicit rate; a tail draw is resolved exactly by conditional sampling,
 never discarded.  Rate tables are memoized per state.
+
+One Gillespie loop, ``holding_intervals``, simulates every path; paths,
+final states, moments and occupation-time estimates consume its holding
+intervals.  ``final_states`` runs M paths batch by batch, one substream per
+batch, for every caller that needs many final states.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import (InvariantViolation, NonConvergenceWarning,
-                     StateExplosionGuard)
+from .errors import (InvalidArgument, InvariantViolation,
+                     NonConvergenceWarning, StateExplosionGuard)
 from .measures import sum_distribution
 from .params import LimitParams
-from .rngstreams import batches, parallel_map, pooled_mean_se, stream
+from .rngstreams import BATCH_SIZE, batch_mean_se, batches, substream
 
 #: Relative tail-rate threshold for the adaptive branch-table truncation.
 TAIL_REL = 1e-9
@@ -105,7 +110,7 @@ def _coalesce_rates(params: LimitParams, n: int) -> np.ndarray:
 def jump_rates(params: LimitParams, n: int, k_max: int | None = None) -> RateTable:
     """Rate table out of state n; k_max adaptive unless given."""
     if n < 1:
-        raise ValueError("state must be >= 1")
+        raise InvalidArgument("state must be >= 1")
     coal = _coalesce_rates(params, n)
     if k_max is not None:
         br, tail = _branch_rates(params, n, k_max)
@@ -127,9 +132,10 @@ def jump_rates(params: LimitParams, n: int, k_max: int | None = None) -> RateTab
 class RateCache:
     """Memoized rate tables keyed by state, with a simple capacity bound.
 
-    Safe to share between the threads of ``parallel_map``: a table is a pure
-    function of (params, n), and a miss builds, inserts and evicts under a
-    lock, so each state is built once while it stays cached.
+    The engines use a cache from one thread.  It is still safe to share
+    between threads: a table is a pure function of (params, n), and a miss
+    builds, inserts and evicts under a lock, so each state is built once
+    while it stays cached.
     """
 
     def __init__(self, params: LimitParams, capacity: int = 4096):
@@ -216,65 +222,87 @@ def _step(params: LimitParams, n: int, t: float, cache: RateCache,
     return n_next, t_next
 
 
-def simulate(params: LimitParams, n0: int, T: float, rng: np.random.Generator,
-             ceiling: int = DEFAULT_CEILING, cache: RateCache | None = None) -> PathZ:
-    """Exact path of the chain on [0, T]."""
+def holding_intervals(params: LimitParams, n0: int, T: float,
+                      rng: np.random.Generator, cache: RateCache,
+                      ceiling: int = DEFAULT_CEILING):
+    """The Gillespie loop: yield (n, t, t_next) per holding interval on [0, T].
+
+    The last interval ends at T; each earlier one ends with a jump out of n
+    into the state of the next interval.  A jump to a state above
+    ``ceiling`` raises ``StateExplosionGuard``.
+    """
     if n0 < 1:
-        raise ValueError("initial state must be >= 1")
-    cache = cache or RateCache(params)
+        raise InvalidArgument("initial state must be >= 1")
     n, t = n0, 0.0
-    events = []
     while True:
         n_next, t_next = _step(params, n, t, cache, rng)
         if t_next > T:
-            break
+            yield n, t, T
+            return
         if n_next > ceiling:
             raise StateExplosionGuard(
                 f"state {n_next} exceeded ceiling {ceiling} at t={t_next:.4g}"
             )
-        events.append((t_next, n, n_next))
+        yield n, t, t_next
         n, t = n_next, t_next
+
+
+def simulate(params: LimitParams, n0: int, T: float, rng: np.random.Generator,
+             ceiling: int = DEFAULT_CEILING, cache: RateCache | None = None) -> PathZ:
+    """Exact path of the chain on [0, T]."""
+    events = []
+    prev = None
+    for n, t, _ in holding_intervals(params, n0, T, rng,
+                                     cache or RateCache(params), ceiling):
+        if prev is not None:
+            events.append((t, prev, n))
+        prev = n
     return PathZ(n0, events)
 
 
 def final_state(params: LimitParams, n0: int, T: float,
-                 rng: np.random.Generator, cache: RateCache,
-                 ceiling: int = DEFAULT_CEILING) -> int:
-    n, t = n0, 0.0
-    while True:
-        n_next, t_next = _step(params, n, t, cache, rng)
-        if t_next > T:
-            return n
-        if n_next > ceiling:
-            raise StateExplosionGuard(
-                f"state {n_next} exceeded ceiling {ceiling} at t={t_next:.4g}"
-            )
-        n, t = n_next, t_next
+                rng: np.random.Generator, cache: RateCache,
+                ceiling: int = DEFAULT_CEILING) -> int:
+    """State of one exact path at time T."""
+    for n, _, _ in holding_intervals(params, n0, T, rng, cache, ceiling):
+        pass
+    return n
+
+
+def final_states(params: LimitParams, n0: int, T: float, M: int, seed: int,
+                 role: str = "lhs", sub: int = 0,
+                 ceiling: int = DEFAULT_CEILING,
+                 cut: bool = False) -> np.ndarray:
+    """States at time T of M independent paths from n0, in batch order.
+
+    Batch ``idx`` draws from ``substream(seed, role, idx, sub)`` and all
+    batches share one rate cache.  With ``cut`` a path that passes
+    ``ceiling`` stops there and reports ``ceiling + 1`` instead of raising.
+    """
+    cache = RateCache(params)
+    out = np.empty(M, dtype=np.int64)
+    for idx, size in batches(M):
+        rng = substream(seed, role, idx, sub)
+        for i in range(idx * BATCH_SIZE, idx * BATCH_SIZE + size):
+            try:
+                out[i] = final_state(params, n0, T, rng, cache, ceiling)
+            except StateExplosionGuard:
+                if not cut:
+                    raise
+                out[i] = ceiling + 1
+    return out
 
 
 def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
-                seed: int, workers: int = 1,
+                seed: int, role: str = "lhs",
                 ceiling: int = DEFAULT_CEILING) -> tuple[float, float]:
     """Monte Carlo mean and SE of x**Z(t) over M independent chain paths."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0,1]")
+        raise InvalidArgument("x must lie in [0,1]")
     if t == 0:
         return x**n0, 0.0
-    cache = RateCache(params)
-
-    def run(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
-        vals = np.empty(size)
-        for i in range(size):
-            z = final_state(params, n0, t, rng, cache, ceiling)
-            vals[i] = x**z if x > 0 else 0.0
-        m = float(vals.mean())
-        return size, m, float(((vals - m) ** 2).sum())
-
-    parts = parallel_map(run, batches(M), workers)
-    counts, means, m2s = zip(*parts)
-    return pooled_mean_se(counts, means, m2s)
+    zs = final_states(params, n0, t, M, seed, role, ceiling=ceiling)
+    return batch_mean_se([x**z for z in zs.tolist()])
 
 
 @dataclass
@@ -296,33 +324,6 @@ class StationaryEstimate:
         return float(vals) if vals.ndim == 0 else vals
 
 
-def _occupation_halves(params: LimitParams, n0: int, t_from: float, t_to: float,
-                       rng: np.random.Generator, cache: RateCache,
-                       ceiling: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupation times per state on the two halves of [t_from, t_to]."""
-    t_mid = t_from + (t_to - t_from) / 2.0
-    occ1 = np.zeros(64)
-    occ2 = np.zeros(64)
-    n, t = n0, 0.0
-    while t < t_to:
-        n_next, t_next = _step(params, n, t, cache, rng)
-        if n_next > ceiling:
-            raise StateExplosionGuard(
-                f"state {n_next} exceeded ceiling {ceiling} at t={t_next:.4g}"
-            )
-        if occ1.size <= n:
-            occ1 = np.concatenate([occ1, np.zeros(n + 1 - occ1.size)])
-            occ2 = np.concatenate([occ2, np.zeros(n + 1 - occ2.size)])
-        lo, hi = max(t, t_from), min(t_next, t_mid)
-        if hi > lo:
-            occ1[n] += hi - lo
-        lo, hi = max(t, t_mid), min(t_next, t_to)
-        if hi > lo:
-            occ2[n] += hi - lo
-        n, t = n_next, t_next
-    return occ1, occ2
-
-
 def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
                         rng: np.random.Generator, tv_threshold: float = 0.05,
                         ceiling: int = DEFAULT_CEILING) -> StationaryEstimate:
@@ -333,9 +334,21 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     occupation laws further apart than ``tv_threshold`` in total variation.
     """
     if T <= burn_in:
-        raise ValueError("T must exceed burn_in")
-    cache = RateCache(params)
-    occ1, occ2 = _occupation_halves(params, n0, burn_in, T, rng, cache, ceiling)
+        raise InvalidArgument("T must exceed burn_in")
+    t_mid = burn_in + (T - burn_in) / 2.0
+    occ1 = np.zeros(64)
+    occ2 = np.zeros(64)
+    for n, t, t_next in holding_intervals(params, n0, T, rng,
+                                          RateCache(params), ceiling):
+        if occ1.size <= n:
+            occ1 = np.concatenate([occ1, np.zeros(n + 1 - occ1.size)])
+            occ2 = np.concatenate([occ2, np.zeros(n + 1 - occ2.size)])
+        lo, hi = max(t, burn_in), min(t_next, t_mid)
+        if hi > lo:
+            occ1[n] += hi - lo
+        lo, hi = max(t, t_mid), t_next
+        if hi > lo:
+            occ2[n] += hi - lo
     occ = occ1 + occ2
     span = T - burn_in
     h1 = occ1 / max(occ1.sum(), 1e-300)

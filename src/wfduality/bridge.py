@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bcre, fvwrs, thresholds
-from .errors import InvariantViolation, RegimeMismatch, StateExplosionGuard
+from .errors import InvariantViolation, RegimeMismatch
 from .params import LimitParams
-from .rngstreams import batches, parallel_map, stream
-
-STAT_STREAM = 2**40  # stream index base for the stationary-law path
-SIM_STREAM = 2**41   # stream seed offset per grid point for forward runs
+from .rngstreams import substream
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,8 @@ class FixationReport:
 
 def fixation_via_duality(params: LimitParams, x_grid, seed: int,
                          M: int = 20000, T: float = 8.0, dt: float = 1e-3,
-                         burn_in: float = 50.0, T_stat: float = 5000.0,
-                         workers: int = 1) -> FixationReport:
+                         burn_in: float = 50.0,
+                         T_stat: float = 5000.0) -> FixationReport:
     """Predicted vs simulated fixation probabilities on a grid.
 
     Requires the survival regime; the prediction is the generating function
@@ -65,7 +62,7 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
         )
     x_grid = np.asarray(x_grid, dtype=float)
     nu = bcre.stationary_estimate(params, 1, burn_in, T_stat,
-                                  stream(seed, STAT_STREAM))
+                                  substream(seed, "stationary", 0))
     predicted = np.asarray(nu.pgf(x_grid))
     if not (np.diff(nu.pgf(np.linspace(0, 1, 21))) >= -1e-12).all():
         raise InvariantViolation("stationary pgf must be nondecreasing")
@@ -75,8 +72,8 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
     sims = np.empty(x_grid.size)
     ses = np.empty(x_grid.size)
     for i, x in enumerate(x_grid):
-        scan = fvwrs.absorption_scan(params, float(x), T, M, dt,
-                                     seed + SIM_STREAM + i, workers)
+        scan = fvwrs.absorption_scan(params, float(x), T, M, dt, seed,
+                                     "scan", i)
         sims[i] = scan.fraction_at_1
         ses[i] = scan.se_at_1()
     zs = np.where(ses > 0, (predicted - sims) / np.maximum(ses, 1e-300), 0.0)
@@ -108,8 +105,9 @@ class ExtinctionTable:
 
 
 def _dual_small_prob(params: LimitParams, n0: int, T: float, M0: int, M: int,
-                     seed: int, workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo of P(Z(T) <= M0) for the dual chain started at n0.
+                     seed: int, sub: int) -> tuple[float, float]:
+    """Monte Carlo of P(Z(T) <= M0) for the dual chain started at n0, drawn
+    from the ``scan`` substreams with sub-index ``sub``.
 
     In the extinction regime the chain is transient, so paths are cut off at
     an escape threshold well above M0 and counted as not small; the return
@@ -117,32 +115,16 @@ def _dual_small_prob(params: LimitParams, n0: int, T: float, M0: int, M: int,
     would be quadratic in the peak state.
     """
     escape = max(1000, 100 * M0)
-    cache = bcre.RateCache(params)
-
-    def run(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
-        hits = 0
-        for _ in range(size):
-            try:
-                if bcre.final_state(params, n0, T, rng, cache,
-                                    ceiling=escape) <= M0:
-                    hits += 1
-            except StateExplosionGuard:
-                pass
-        return size, hits
-
-    parts = parallel_map(run, batches(M), workers)
-    total = sum(s for s, _ in parts)
-    hits = sum(h for _, h in parts)
-    p = hits / total
-    return p, math.sqrt(p * (1.0 - p) / total)
+    finals = bcre.final_states(params, n0, T, M, seed, "scan", sub,
+                               ceiling=escape, cut=True)
+    p = float((finals <= M0).mean())
+    return p, math.sqrt(p * (1.0 - p) / M)
 
 
 def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,
                              seed: int, dt: float = 1e-3, M0: int = 10,
-                             n0: int = 1, dual_M: int = 2000,
-                             workers: int = 1) -> ExtinctionTable:
+                             n0: int = 1,
+                             dual_M: int = 2000) -> ExtinctionTable:
     """Absorption fractions at 0 across horizons, with the dual companion.
 
     Requires the extinction regime.  The forward fractions should increase
@@ -157,7 +139,7 @@ def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,
     horizons = np.asarray(sorted(T_list), dtype=float)
     fr = np.empty(horizons.size)
     fr_se = np.empty(horizons.size)
-    scans = fvwrs.ensemble_states(params, x, horizons, dt, M, seed, workers)
+    scans = fvwrs.ensemble_states(params, x, horizons, dt, M, seed)
     for i in range(horizons.size):
         p = float((scans[i] <= 1e-4).mean())
         fr[i] = p
@@ -166,7 +148,7 @@ def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,
     dz_se = np.empty(horizons.size)
     for i, T in enumerate(horizons):
         dz[i], dz_se[i] = _dual_small_prob(params, n0, float(T), M0, dual_M,
-                                           seed + SIM_STREAM + i, workers)
+                                           seed, i)
     return ExtinctionTable(horizons, fr, fr_se, dz, dz_se, M0,
                            {"x": x, "M": M, "dt": dt, "dual_M": dual_M,
                             "n0": n0})

@@ -5,7 +5,8 @@ the configured experiment and writes ``result.json`` (deterministic payload:
 config echo, build id, metrics, verdicts) plus data CSVs into the output
 directory.  Wall-clock timing goes to ``run_meta.json``, which is excluded
 from the determinism contract.  Exit codes: 0 success, 2 a statistical
-verdict failed, 1 error.
+verdict failed, 1 error.  ``--workers`` is accepted and ignored: batches
+always run in order.
 
 ``wfduality validate config.json`` dry-runs schema and model validation
 without simulating.
@@ -26,22 +27,12 @@ import numpy as np
 from . import bcre, bridge, duality, fvwrs, thresholds
 from .config import (build_finite_params, build_limit_params, load_config)
 from .errors import ConfigError, SigmaNotZero, WfdualityError
-from .rngstreams import batches, parallel_map, stream
 from .wf_graph import EnvSequence
 
 BUILD_ID = "wfduality-0.1.0"
 DEFAULT_Z_THRESHOLD = 4.0
-
-
-def _resolve_workers(cli_value: int | None, cfg: dict) -> int:
-    if cli_value is not None:
-        return cli_value
-    if "workers" in cfg:
-        return int(cfg["workers"])
-    env = os.environ.get("WFDUALITY_WORKERS")
-    if env:
-        return int(env)
-    return 1
+FIXATION_BURN_IN = 50.0
+FIXATION_T_STAT = 5000.0
 
 
 def _fmt(value) -> str:
@@ -63,67 +54,44 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_thresholds(cfg: dict, workers: int):
+def _run_thresholds(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     report = thresholds.classify(limit)
     return report.to_dict(), {}, {}
 
 
-def _run_duality_moment(cfg: dict, workers: int):
-    limit = build_limit_params(cfg["limit"])
-    rep = duality.moment_check(
-        limit, float(cfg["x"]), int(cfg["n"]), float(cfg["t"]),
-        int(cfg.get("replicates", 100000)), float(cfg.get("dt", 1e-3)),
-        int(cfg["seed"]), workers,
-    )
+def _run_duality(cfg: dict):
+    kind = cfg["experiment"].removeprefix("duality-")
+    x, n, seed = float(cfg["x"]), int(cfg["n"]), int(cfg["seed"])
+    M = int(cfg.get("replicates", 100000))
+    if kind == "moment":
+        rep = duality.moment_check(
+            build_limit_params(cfg["limit"]), x, n, float(cfg["t"]), M,
+            float(cfg.get("dt", 1e-3)), seed)
+    elif kind == "quenched":
+        env = EnvSequence(np.asarray(cfg["env"], dtype=float))
+        rep = duality.quenched_check(build_finite_params(cfg["finite"]), env,
+                                     x, n, M, seed)
+    else:
+        rep = duality.annealed_check(build_finite_params(cfg["finite"]),
+                                     int(cfg["horizon"]), x, n, M, seed)
     thr = float(cfg.get("z_threshold", DEFAULT_Z_THRESHOLD))
     verdicts = {"z_within_threshold": abs(rep.z) < thr}
     csvs = {"duality.csv": (
         ["check", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
-        [("moment", rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se, rep.z)],
+        [(kind, rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se, rep.z)],
     )}
     return rep.to_dict(), verdicts, csvs
 
 
-def _run_duality_quenched(cfg: dict, workers: int):
-    finite = build_finite_params(cfg["finite"])
-    env = EnvSequence(np.asarray(cfg["env"], dtype=float))
-    rep = duality.quenched_check(
-        finite, env, float(cfg["x"]), int(cfg["n"]),
-        int(cfg.get("replicates", 100000)), int(cfg["seed"]), workers,
-    )
-    thr = float(cfg.get("z_threshold", DEFAULT_Z_THRESHOLD))
-    verdicts = {"z_within_threshold": abs(rep.z) < thr}
-    csvs = {"duality.csv": (
-        ["check", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
-        [("quenched", rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se, rep.z)],
-    )}
-    return rep.to_dict(), verdicts, csvs
-
-
-def _run_duality_annealed(cfg: dict, workers: int):
-    finite = build_finite_params(cfg["finite"])
-    rep = duality.annealed_check(
-        finite, int(cfg["horizon"]), float(cfg["x"]), int(cfg["n"]),
-        int(cfg.get("replicates", 100000)), int(cfg["seed"]), workers,
-    )
-    thr = float(cfg.get("z_threshold", DEFAULT_Z_THRESHOLD))
-    verdicts = {"z_within_threshold": abs(rep.z) < thr}
-    csvs = {"duality.csv": (
-        ["check", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
-        [("annealed", rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se, rep.z)],
-    )}
-    return rep.to_dict(), verdicts, csvs
-
-
-def _run_simulate_x(cfg: dict, workers: int):
+def _run_simulate_x(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     x0 = float(cfg["x0"])
     T = float(cfg["T"])
     dt = float(cfg.get("dt", 1e-3))
     M = int(cfg.get("replicates", 10000))
     seed = int(cfg["seed"])
-    finals = fvwrs.ensemble_states(limit, x0, [T], dt, M, seed, workers)[0]
+    finals = fvwrs.ensemble_states(limit, x0, [T], dt, M, seed)[0]
     eps0 = float(cfg.get("eps0", 1e-4))
     results = {
         "mean": float(finals.mean()),
@@ -139,22 +107,12 @@ def _run_simulate_x(cfg: dict, workers: int):
     return results, {}, csvs
 
 
-def _run_simulate_z(cfg: dict, workers: int):
+def _run_simulate_z(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     n0 = int(cfg.get("n0", 1))
     T = float(cfg["T"])
     M = int(cfg.get("replicates", 10000))
-    seed = int(cfg["seed"])
-    cache = bcre.RateCache(limit)
-
-    def run(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
-        return [bcre.final_state(limit, n0, T, rng, cache)
-                for _ in range(size)]
-
-    parts = parallel_map(run, batches(M), workers)
-    finals = np.array([v for part in parts for v in part])
+    finals = bcre.final_states(limit, n0, T, M, int(cfg["seed"]))
     results = {
         "mean": float(finals.mean()),
         "se": float(finals.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
@@ -168,24 +126,24 @@ def _run_simulate_z(cfg: dict, workers: int):
     return results, {}, csvs
 
 
-def _run_simulate_finite(cfg: dict, workers: int):
+def _run_simulate_finite(cfg: dict):
     finite = build_finite_params(cfg["finite"])
     est, se = duality.finite_moment(
         finite, float(cfg["x0"]), int(cfg.get("n", 1)),
         int(cfg["generations"]), int(cfg.get("replicates", 10000)),
-        int(cfg["seed"]), workers,
+        int(cfg["seed"]),
     )
     return {"moment": est, "se": se}, {}, {}
 
 
-def _run_fixation(cfg: dict, workers: int):
+def _run_fixation(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     rep = bridge.fixation_via_duality(
         limit, cfg["x_grid"], int(cfg["seed"]),
         M=int(cfg.get("replicates", 20000)),
         T=float(cfg.get("T", 8.0)), dt=float(cfg.get("dt", 1e-3)),
-        burn_in=float(cfg.get("burn_in", 50.0)),
-        T_stat=float(cfg.get("T_stat", 5000.0)), workers=workers,
+        burn_in=float(cfg.get("burn_in", FIXATION_BURN_IN)),
+        T_stat=float(cfg.get("T_stat", FIXATION_T_STAT)),
     )
     thr = float(cfg.get("z_threshold", DEFAULT_Z_THRESHOLD))
     verdicts = {
@@ -201,13 +159,13 @@ def _run_fixation(cfg: dict, workers: int):
     return rep.to_dict(), verdicts, csvs
 
 
-def _run_convergence(cfg: dict, workers: int):
+def _run_convergence(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     scheme = duality.ScalingScheme(limit)
     rows = duality.convergence_experiment(
         limit, [int(N) for N in cfg["N_list"]], scheme, float(cfg["x"]),
         int(cfg["n"]), float(cfg["t"]), int(cfg.get("replicates", 100000)),
-        float(cfg.get("dt", 1e-3)), int(cfg["seed"]), workers,
+        float(cfg.get("dt", 1e-3)), int(cfg["seed"]),
     )
     first, last = rows[0], rows[-1]
     margin = 2.0 * math.hypot(first.gap_se, last.gap_se)
@@ -230,9 +188,9 @@ def _run_convergence(cfg: dict, workers: int):
 
 _DISPATCH = {
     "thresholds": _run_thresholds,
-    "duality-moment": _run_duality_moment,
-    "duality-quenched": _run_duality_quenched,
-    "duality-annealed": _run_duality_annealed,
+    "duality-moment": _run_duality,
+    "duality-quenched": _run_duality,
+    "duality-annealed": _run_duality,
     "simulate-x": _run_simulate_x,
     "simulate-z": _run_simulate_z,
     "simulate-finite": _run_simulate_finite,
@@ -252,6 +210,11 @@ def _semantic_validate(cfg: dict) -> list[str]:
         lines.append(f"coalescence jump rate {limit.coalescence_rate!r}")
         if kind in ("thresholds", "fixation") and limit.sigma > 0:
             raise SigmaNotZero("classification requires sigma = 0")
+        if kind == "fixation" and (cfg.get("burn_in", FIXATION_BURN_IN)
+                                   >= cfg.get("T_stat", FIXATION_T_STAT)):
+            raise ConfigError("T_stat must exceed burn_in")
+        if kind == "duality-moment" and cfg["n"] < 1:
+            raise ConfigError(f"moment order n={cfg['n']} must be >= 1")
         if kind == "convergence":
             scheme = duality.ScalingScheme(limit)
             for N in cfg.get("N_list", []):
@@ -282,16 +245,16 @@ def main():
 @main.command()
 @click.argument("config_path", type=click.Path(exists=False))
 @click.option("--out", default=".", type=click.Path(), help="output directory")
-@click.option("--workers", default=None, type=int, help="worker threads")
+@click.option("--workers", default=None, type=int,
+              help="accepted and ignored: batches always run in order")
 @click.option("--seed", default=None, type=int, help="override config seed")
 def run(config_path, out, workers, seed):
     """Execute the experiment described by CONFIG_PATH."""
     t_start = time.monotonic()
     try:
         cfg = load_config(config_path, seed)
-        n_workers = _resolve_workers(workers, cfg)
         _semantic_validate(cfg)
-        results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg, n_workers)
+        results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg)
     except WfdualityError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
@@ -310,7 +273,6 @@ def run(config_path, out, workers, seed):
     meta = {
         "wall_time_s": time.monotonic() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "workers": n_workers,
     }
     with open(os.path.join(out, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)

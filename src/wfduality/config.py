@@ -32,9 +32,9 @@ REQUIRED_KEYS = {
     "convergence": ["limit", "N_list", "x", "n", "t"],
 }
 
-#: Largest config seed.  Experiments derive stream seeds by adding offsets
-#: of at most 2**41 plus a grid index, or (j+1)*2**33 for the j-th of a few
-#: population sizes, so every derived seed stays below 2**64.
+#: Largest config seed: a signed 64-bit integer, which JSON readers agree
+#: on.  Streams are keyed by the config seed itself, never by a shifted
+#: seed (see ``rngstreams.substream``).
 MAX_SEED = 2**63 - 1
 
 _MEASURE_SCHEMA = {

@@ -22,15 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bcre, fvwrs
-from .errors import InvalidScaling
+from .errors import InvalidArgument, InvalidScaling
 from .measures import FiniteMeasure, SelectionKernel, integrate, pgf, pgf_many
 from .params import FiniteModelParams, LimitParams
-from .rngstreams import batches, parallel_map, pooled_mean_se, stream
+from .rngstreams import batch_mean_se, batches, substream
 from .wf_graph import EnvSequence, simulate_ancestry, step_frequency_many
-
-#: Stream-index offset separating right-hand-side batches from left-hand-side
-#: batches of the same check.
-RHS_STREAM_OFFSET = 2**32
 
 
 @dataclass(frozen=True)
@@ -107,14 +103,13 @@ def _score_blocks(params: FiniteModelParams, ys, wts, x: float,
                for y, w in zip(ys, wts))
 
 
-def _batch_stats(vals: np.ndarray) -> tuple[int, float, float]:
-    m = float(vals.mean())
-    return vals.size, m, float(((vals - m) ** 2).sum())
-
-
-def _pool(parts) -> tuple[float, float]:
-    counts, means, m2s = zip(*parts)
-    return pooled_mean_se(counts, means, m2s)
+def _estimate(batch_values, M: int, seed: int, role: str,
+              sub: int = 0) -> tuple[float, float]:
+    """Mean and SE of ``batch_values(size, rng)`` over the batches of M
+    replicates, batch ``idx`` drawing from ``substream(seed, role, idx, sub)``."""
+    return batch_mean_se(np.concatenate([
+        batch_values(size, substream(seed, role, idx, sub))
+        for idx, size in batches(M)]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +118,7 @@ def _pool(parts) -> tuple[float, float]:
 
 
 def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
-                   n: int, M: int, seed: int, workers: int = 1) -> DualityReport:
+                   n: int, M: int, seed: int) -> DualityReport:
     """Both sides of the sampling duality under a fixed environment.
 
     With environment values y_0..y_{L-1}: the forward chain runs L-1
@@ -134,29 +129,25 @@ def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
     the same set of per-generation label correlations.
     """
     if len(env) < 1:
-        raise ValueError("environment sequence must be nonempty")
+        raise InvalidArgument("environment sequence must be nonempty")
     y_vals = env.values
     fwd_env = y_vals[:-1]
     y_score = float(y_vals[-1])
     bwd_env = y_vals[1:]
 
-    def lhs_batch(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
+    def lhs_batch(size, rng):
         xs = np.full(size, x)
         for y in fwd_env:
             xs = step_frequency_many(params, xs, float(y), rng)
-        return _batch_stats(_merger_score_many(params, y_score, xs, n))
+        return _merger_score_many(params, y_score, xs, n)
 
-    def rhs_batch(batch):
-        idx, size = batch
-        rng = stream(seed, RHS_STREAM_OFFSET + idx)
+    def rhs_batch(size, rng):
         env = EnvSequence(np.broadcast_to(bwd_env, (size, bwd_env.size)))
         z = simulate_ancestry(params, n, env, rng).values[:, -1]
-        return _batch_stats(_score_blocks(params, y_vals[:1], [1.0], x, z))
+        return _score_blocks(params, y_vals[:1], [1.0], x, z)
 
-    lhs, lhs_se = _pool(parallel_map(lhs_batch, batches(M), workers))
-    rhs, rhs_se = _pool(parallel_map(rhs_batch, batches(M), workers))
+    lhs, lhs_se = _estimate(lhs_batch, M, seed, "lhs")
+    rhs, rhs_se = _estimate(rhs_batch, M, seed, "rhs")
     return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
         "check": "quenched", "N": params.N, "x": x, "n": n,
         "env": [float(v) for v in y_vals],
@@ -169,17 +160,15 @@ def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
 
 
 def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
-                   M: int, seed: int, workers: int = 1) -> DualityReport:
+                   M: int, seed: int) -> DualityReport:
     """Both sides of the sampling duality averaged over iid environments."""
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise InvalidArgument("horizon must be nonnegative")
     law = params.env_law
     locs = law.locations
     wts = law.weights
 
-    def lhs_batch(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
+    def lhs_batch(size, rng):
         xs = np.full(size, x)
         for _ in range(horizon):
             ys = law.sample(size, rng)
@@ -187,17 +176,15 @@ def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
         vals = np.zeros(size)
         for y, wgt in zip(locs, wts):
             vals += wgt * _merger_score_many(params, float(y), xs, n)
-        return _batch_stats(vals)
+        return vals
 
-    def rhs_batch(batch):
-        idx, size = batch
-        rng = stream(seed, RHS_STREAM_OFFSET + idx)
+    def rhs_batch(size, rng):
         env = law.sample(size * horizon, rng).reshape(size, horizon)
         z = simulate_ancestry(params, n, EnvSequence(env), rng).values[:, -1]
-        return _batch_stats(_score_blocks(params, locs, wts, x, z))
+        return _score_blocks(params, locs, wts, x, z)
 
-    lhs, lhs_se = _pool(parallel_map(lhs_batch, batches(M), workers))
-    rhs, rhs_se = _pool(parallel_map(rhs_batch, batches(M), workers))
+    lhs, lhs_se = _estimate(lhs_batch, M, seed, "lhs")
+    rhs, rhs_se = _estimate(rhs_batch, M, seed, "rhs")
     return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
         "check": "annealed", "N": params.N, "x": x, "n": n,
         "horizon": horizon,
@@ -210,11 +197,10 @@ def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
 
 
 def moment_check(params: LimitParams, x: float, n: int, t: float, M: int,
-                 dt: float, seed: int, workers: int = 1) -> DualityReport:
+                 dt: float, seed: int) -> DualityReport:
     """E_x[X(t)^n] against E^n[x^Z(t)], both Monte Carlo."""
-    lhs, lhs_se = fvwrs.moment_estimate(params, x, n, t, M, dt, seed, workers)
-    rhs, rhs_se = bcre.dual_moment(params, x, n, t, M,
-                                   seed + RHS_STREAM_OFFSET, workers)
+    lhs, lhs_se = fvwrs.moment_estimate(params, x, n, t, M, dt, seed)
+    rhs, rhs_se = bcre.dual_moment(params, x, n, t, M, seed, "rhs")
     return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
         "check": "moment", "x": x, "n": n, "t": t, "dt": dt,
     })
@@ -293,34 +279,31 @@ class ConvergenceRow:
 
 
 def finite_moment(params: FiniteModelParams, x: float, n: int,
-                  generations: int, M: int, seed: int,
-                  workers: int = 1) -> tuple[float, float]:
+                  generations: int, M: int, seed: int, role: str = "lhs",
+                  sub: int = 0) -> tuple[float, float]:
     """E[X^n] after a fixed number of annealed generations."""
     law = params.env_law
 
-    def run(batch):
-        idx, size = batch
-        rng = stream(seed, idx)
+    def run(size, rng):
         xs = np.full(size, x)
         for _ in range(generations):
             ys = law.sample(size, rng)
             xs = step_frequency_many(params, xs, ys, rng)
-        return _batch_stats(xs**n)
+        return xs**n
 
-    return _pool(parallel_map(run, batches(M), workers))
+    return _estimate(run, M, seed, role, sub)
 
 
 def convergence_experiment(limit: LimitParams, N_list, scaling: ScalingScheme,
                            x: float, n: int, t: float, M: int, dt: float,
-                           seed: int, workers: int = 1) -> list[ConvergenceRow]:
+                           seed: int) -> list[ConvergenceRow]:
     """Finite-model moments against the limit moment across N."""
-    lim_est, lim_se = fvwrs.moment_estimate(limit, x, n, t, M, dt,
-                                            seed + RHS_STREAM_OFFSET, workers)
+    lim_est, lim_se = fvwrs.moment_estimate(limit, x, n, t, M, dt, seed,
+                                            "rhs")
     rows = []
     for j, N in enumerate(N_list):
         fp = scaling.finite_params(N)
         gens = scaling.generations(N, t)
-        est, se = finite_moment(fp, x, n, gens, M,
-                                seed + (j + 1) * 2 * RHS_STREAM_OFFSET, workers)
+        est, se = finite_moment(fp, x, n, gens, M, seed, "scan", j)
         rows.append(ConvergenceRow(N, gens, est, se, lim_est, lim_se))
     return rows

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidStep, InvariantViolation
 from .measures import pgf_many
 from .params import LimitParams
-from .rngstreams import batches, parallel_map, pooled_mean_se, stream
+from .rngstreams import batch_mean_se, batches, substream
 
 #: Snap-to-boundary tolerance: Euler noise may overshoot [0,1] slightly, and
 #: jumps and the flow approach a boundary without reaching it, so a state
@@ -210,7 +210,7 @@ def _step_cell(params: LimitParams, x: np.ndarray, h: float,
 
 
 def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
-                    seed: int, workers: int = 1) -> np.ndarray:
+                    seed: int, role: str = "lhs", sub: int = 0) -> np.ndarray:
     """States of M independent paths at each requested time.
 
     Returns an array of shape (len(times), M).  Requested times may come in
@@ -218,8 +218,8 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     their events and each requested time is used as given; dt is then only
     checked.  With sigma > 0 paths are Euler-stepped on the dt grid and each
     requested time is snapped to the nearest dt-cell boundary.  Replicates
-    are split into fixed-size batches with one counter-based stream per
-    batch, so results do not depend on worker count.
+    are split into fixed-size batches, run in order; batch ``idx`` draws
+    from ``substream(seed, role, idx, sub)``.
     """
     if dt <= 0:
         raise InvalidStep("dt must be positive")
@@ -234,7 +234,8 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
 
         def run(batch):
             idx, size = batch
-            return _exact_batch(params, x0, ts, size, stream(seed, idx))[inverse]
+            return _exact_batch(params, x0, ts, size,
+                                substream(seed, role, idx, sub))[inverse]
     else:
         record = {}
         for pos, t in enumerate(times):
@@ -245,7 +246,7 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
 
         def run(batch):
             idx, size = batch
-            rng = stream(seed, idx)
+            rng = substream(seed, role, idx, sub)
             x = _snap(np.full(size, float(x0)))
             out = np.empty((times.size, size))
             for pos in record.get(0, []):
@@ -256,30 +257,18 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
                     out[pos] = x
             return out
 
-    parts = parallel_map(run, batches(M), workers)
-    return np.concatenate(parts, axis=1)
+    return np.concatenate([run(batch) for batch in batches(M)], axis=1)
 
 
 def moment_estimate(params: LimitParams, x0: float, n: int, t: float, M: int,
-                    dt: float, seed: int, workers: int = 1) -> tuple[float, float]:
+                    dt: float, seed: int, role: str = "lhs") -> tuple[float, float]:
     """Monte Carlo estimate and SE of the n-th moment of the state at time t."""
     if n < 0:
         raise InvalidStep("moment order must be nonnegative")
     if t == 0:
         return x0**n, 0.0
-    finals = ensemble_states(params, x0, [t], dt, M, seed, workers)[0]
-    vals = finals**n
-    # per-batch statistics in batch order for a deterministic reduction
-    offset = 0
-    counts, means, m2s = [], [], []
-    for _, size in batches(M):
-        chunk = vals[offset:offset + size]
-        offset += size
-        m = float(chunk.mean())
-        counts.append(size)
-        means.append(m)
-        m2s.append(float(((chunk - m) ** 2).sum()))
-    return pooled_mean_se(counts, means, m2s)
+    return batch_mean_se(ensemble_states(params, x0, [t], dt, M, seed,
+                                         role)[0] ** n)
 
 
 @dataclass
@@ -301,10 +290,10 @@ class AbsorptionScan:
 
 
 def absorption_scan(params: LimitParams, x0: float, T: float, M: int, dt: float,
-                    seed: int, workers: int = 1,
+                    seed: int, role: str = "lhs", sub: int = 0,
                     eps0: float = 1e-4) -> AbsorptionScan:
     """Classify M paths at time T as 0-absorbed, 1-absorbed, or interior."""
-    finals = ensemble_states(params, x0, [T], dt, M, seed, workers)[0]
+    finals = ensemble_states(params, x0, [T], dt, M, seed, role, sub)[0]
     at0 = float((finals <= eps0).mean())
     at1 = float((finals >= 1.0 - eps0).mean())
     return AbsorptionScan(at0, at1, 1.0 - at0 - at1, M)

@@ -12,6 +12,23 @@ from .errors import InfiniteJumpIntensity, ModelError
 from .measures import FiniteMeasure, SelectionKernel, derive_env_measure
 
 
+def merger_law(lambda_c: FiniteMeasure) -> FiniteMeasure | None:
+    """Size-biased coalescence law z^{-2} Lambda_c, unnormalised; None when
+    Lambda_c is zero.
+
+    Its total mass times ``c`` is the coalescence jump rate of the limit
+    model; normalised it is the law of the merger strength V.  Raises
+    ``InfiniteJumpIntensity`` if the mass is infinite.
+    """
+    if lambda_c.total_mass == 0:
+        return None
+    weights = lambda_c.weights / lambda_c.locations**2
+    if not np.all(np.isfinite(weights)):
+        raise InfiniteJumpIntensity("z^{-2} Lambda_c has infinite mass")
+    return FiniteMeasure(lambda_c.locations, weights, kind=lambda_c.kind,
+                         node_count=lambda_c.node_count)
+
+
 @dataclass(frozen=True)
 class LimitParams:
     """Parameters of the limit pair: the two-type jump-diffusion X and its
@@ -53,19 +70,8 @@ class LimitParams:
 
     @cached_property
     def merger_law(self) -> FiniteMeasure | None:
-        """Size-biased coalescence law: z^{-2} Lambda_c, unnormalised.
-
-        Its total mass divided into ``c`` gives the coalescence jump rate;
-        the normalised version is the law of the merger strength V.
-        """
-        lc = self.lambda_c
-        if lc.total_mass == 0:
-            return None
-        weights = lc.weights / lc.locations**2
-        if not np.all(np.isfinite(weights)):
-            raise InfiniteJumpIntensity("z^{-2} Lambda_c has infinite mass")
-        return FiniteMeasure(lc.locations, weights, kind=lc.kind,
-                             node_count=lc.node_count)
+        """Size-biased coalescence law z^{-2} Lambda_c; see ``merger_law``."""
+        return merger_law(self.lambda_c)
 
     @property
     def coalescence_rate(self) -> float:
@@ -101,19 +107,11 @@ class FiniteModelParams:
                 raise ModelError("c_N > 0 requires a coalescence measure")
             if self.lambda_c.has_atom_at(0.0):
                 raise ModelError("coalescence measure must not charge 0")
-            w = self.lambda_c.weights / self.lambda_c.locations**2
-            if not np.all(np.isfinite(w)):
-                raise InfiniteJumpIntensity(
-                    "z^{-2} Lambda_c must have finite mass at finite N"
-                )
+            merger_law(self.lambda_c)  # finite mass at finite N
 
     @cached_property
     def merger_strength_law(self) -> FiniteMeasure | None:
         """Normalised law of the merger strength V given a merger occurs."""
         if self.c_N == 0 or self.lambda_c is None:
             return None
-        weights = self.lambda_c.weights / self.lambda_c.locations**2
-        return FiniteMeasure(
-            self.lambda_c.locations, weights, kind=self.lambda_c.kind,
-            node_count=self.lambda_c.node_count,
-        ).normalized()
+        return merger_law(self.lambda_c).normalized()

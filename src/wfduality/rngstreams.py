@@ -1,15 +1,17 @@
 """Counter-based, splittable random number streams.
 
-Every Monte Carlo driver derives its randomness from ``stream(seed, index)``:
-a Philox generator keyed by the two 64-bit words (seed, index).  Streams are
-independent by construction and reproducible across platforms, and each
-replicate batch owns a fixed stream index, so results never depend on worker
-count or scheduling order.
+Every Monte Carlo driver draws from ``substream(seed, role, index, sub)``: a
+Philox generator keyed by the two 64-bit words (seed, index), with the role
+and a sub-index in the two high words of its starting counter.  ``index`` is
+the replicate batch; ``role`` names which part of an experiment draws (see
+``ROLES``) and ``sub`` tells apart the grid points, horizons or population
+sizes of one role.  Draws advance only the low counter words, so substreams
+with different (seed, index, role, sub) never overlap; each batch owns a
+fixed substream and batches run in order, so results are a pure function of
+the seed.  Role 0 with sub-index 0 is ``stream(seed, index)``.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,9 +20,18 @@ from .errors import InvalidArgument
 #: Replicates per stream. Fixed so the (seed, batch) -> draws map is stable.
 BATCH_SIZE = 1024
 
+#: Stream roles: the high counter word of a substream.
+ROLES = {
+    "lhs": 0,         # left-hand side of a check; every draw of a one-sided run
+    "rhs": 1,         # right-hand side of a duality or convergence check
+    "stationary": 2,  # the long stationary-law path of the dual chain
+    "scan": 3,        # one ensemble per grid point, horizon or population size
+}
 
-def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for (seed, index); pure function of its inputs.
+
+def substream(seed: int, role: str, index: int,
+              sub: int = 0) -> np.random.Generator:
+    """Generator of batch ``index`` of ``role`` (sub-index ``sub``) of a run.
 
     Raises ``InvalidArgument`` for a seed outside [0, 2**64), which would
     otherwise alias another seed's stream.  The key is passed as uint64:
@@ -29,7 +40,13 @@ def stream(seed: int, index: int) -> np.random.Generator:
     if not 0 <= seed < 2**64:
         raise InvalidArgument(f"seed {seed} must lie in [0, 2**64)")
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, sub, ROLES[role]], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def stream(seed: int, index: int) -> np.random.Generator:
+    """Independent generator for (seed, index): role 0, sub-index 0."""
+    return substream(seed, "lhs", index)
 
 
 def batches(total: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
@@ -43,18 +60,6 @@ def batches(total: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
         index += 1
         remaining -= size
     return out
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Order-preserving map, optionally fanned out over a thread pool.
-
-    Aggregation downstream must consume results in list order, which is
-    independent of completion order, so worker count never changes output.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -87,3 +92,20 @@ def pooled_mean_se(counts, means, m2s) -> tuple[float, float]:
         return mean_tot, 0.0
     var = m2_tot / (n_tot - 1)
     return mean_tot, float(np.sqrt(var / n_tot))
+
+
+def batch_mean_se(values) -> tuple[float, float]:
+    """Mean and SE of per-replicate values laid out in ``batches`` order.
+
+    Each batch's (count, mean, sum of squared deviations) is pooled with
+    ``pooled_mean_se``, so the reduction is fixed by the batching.
+    """
+    values = np.asarray(values, dtype=float)
+    counts, means, m2s = [], [], []
+    for start in range(0, values.size, BATCH_SIZE):
+        chunk = values[start:start + BATCH_SIZE]
+        m = float(chunk.mean())
+        counts.append(chunk.size)
+        means.append(m)
+        m2s.append(float(((chunk - m) ** 2).sum()))
+    return pooled_mean_se(counts, means, m2s)

@@ -49,7 +49,7 @@ class EnvSequence:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.size and (vals.min() < -1.0 or vals.max() > 1.0):
-            raise ValueError("environment values must lie in [-1,1]")
+            raise InvalidArgument("environment values must lie in [-1,1]")
 
     def __len__(self) -> int:
         """Number of generations, also for one row per replicate."""

@@ -19,6 +19,7 @@ from wfduality import (
     LimitParams,
     ScalingScheme,
     SelectionKernel,
+    StateExplosionGuard,
     alpha_star,
     alpha_star_mc,
     annealed_check,
@@ -226,8 +227,12 @@ class TestAC6Conservativeness:
             gen = stream(6000, idx)
             cache = bcre.RateCache(baseline_params)
             for _ in range(size):
-                finals[pos] = bcre.final_state(baseline_params, n0, T, gen,
-                                               cache)
+                try:
+                    finals[pos] = bcre.final_state(baseline_params, n0, T,
+                                                   gen, cache)
+                except StateExplosionGuard:
+                    guards += 1
+                    finals[pos] = np.nan
                 pos += 1
         mean = finals.mean()
         se = finals.std(ddof=1) / math.sqrt(M)

@@ -262,6 +262,36 @@ class TestSampleSize:
         assert "sample size" in res.output
 
 
+class TestValidateMatchesRun:
+    # configs that passed validate and then crashed run with a ValueError
+    @pytest.mark.parametrize("cfg, message", [
+        ({"experiment": "fixation", "seed": 3, "limit": THRESHOLDS_CFG["limit"],
+          "x_grid": [0.5], "burn_in": 50.0, "T_stat": 50.0},
+         "T_stat must exceed burn_in"),
+        ({"experiment": "fixation", "seed": 3, "limit": THRESHOLDS_CFG["limit"],
+          "x_grid": [0.5], "burn_in": 6000.0}, "T_stat must exceed burn_in"),
+        ({"experiment": "duality-moment", "seed": 3, "limit": BASELINE_LIMIT,
+          "x": 0.5, "n": 0, "t": 0.5}, "moment order"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected_with_config_error(self, tmp_path, cfg, message, command):
+        args = [command, write_cfg(tmp_path, cfg)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output and message in res.output
+        assert not (tmp_path / "o").exists()
+
+
+class TestWorkersOption:
+    def test_config_key_still_schema_checked(self, tmp_path):
+        assert load_config(write_cfg(tmp_path, dict(THRESHOLDS_CFG,
+                                                    workers=3)))["workers"] == 3
+        with pytest.raises(ConfigError):
+            load_config(write_cfg(tmp_path, dict(THRESHOLDS_CFG, workers=0)))
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**65 - 1])
     def test_override_checked_like_file_seed(self, tmp_path, seed):

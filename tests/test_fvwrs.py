@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from wfduality import (
@@ -17,7 +19,7 @@ from wfduality import (
 from wfduality import fvwrs
 from wfduality.fvwrs import ensemble_states
 
-from conftest import rng
+from conftest import limit_params, rng
 
 
 def diffusion_only(sigma: float, w: float = 0.0) -> LimitParams:
@@ -173,9 +175,24 @@ class TestAbsorptionScan:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_results(self, baseline_params):
-        a = ensemble_states(baseline_params, 0.5, [0.5], 1e-2, 3000, seed=11,
-                            workers=1)
-        b = ensemble_states(baseline_params, 0.5, [0.5], 1e-2, 3000, seed=11,
-                            workers=4)
+    def test_rerun_is_identical(self, baseline_params):
+        a = ensemble_states(baseline_params, 0.5, [0.5], 1e-2, 3000, seed=11)
+        b = ensemble_states(baseline_params, 0.5, [0.5], 1e-2, 3000, seed=11)
         assert (a == b).all()
+
+
+class TestJumpProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(params=limit_params(),
+           xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           seed=st.integers(0, 2**32))
+    def test_stays_in_unit_interval(self, params, xs, seed):
+        gen = rng(seed)
+        x = np.array(xs)
+        # selection jumps need a nonempty selection environment measure
+        selection = (gen.random(x.size) < 0.5) & (params.mu_mass > 0)
+        post = fvwrs._jump(params, x, selection, gen)
+        assert ((post >= 0.0) & (post <= 1.0)).all()
+        assert (post[selection] <= x[selection] + 1e-12).all()
+        ends = (x == 0.0) | (x == 1.0)
+        assert (post[ends] == x[ends]).all()

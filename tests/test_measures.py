@@ -20,7 +20,7 @@ from wfduality import (
 )
 from wfduality.measures import INF_K
 
-from conftest import rng
+from conftest import KERNELS, rng
 
 
 class TestPgf:
@@ -81,6 +81,16 @@ class TestPgf:
         geo = SelectionKernel.geometric()
         lo, hi = sorted((x1, x2))
         assert pgf(geo, y, lo) <= pgf(geo, y, hi) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=st.sampled_from(KERNELS), y=st.floats(-1.0, 1.0),
+           x1=st.floats(0.0, 1.0), x2=st.floats(0.0, 1.0))
+    def test_below_diagonal_and_monotone_for_every_kernel(self, kernel, y,
+                                                          x1, x2):
+        # every child has at least one potential parent, so E[x^K] <= x
+        lo, hi = sorted((x1, x2))
+        assert pgf(kernel, y, lo) <= lo + 1e-12
+        assert pgf(kernel, y, lo) <= pgf(kernel, y, hi) + 1e-12
 
     def test_convex_in_x(self, geo, binary):
         xs = np.linspace(0, 1, 41)

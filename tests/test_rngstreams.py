@@ -1,0 +1,112 @@
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from wfduality import FiniteMeasure, LimitParams, SelectionKernel, bridge
+from wfduality.cli import main
+from wfduality.config import REQUIRED_KEYS
+from wfduality.rngstreams import ROLES, batch_mean_se, stream, substream
+
+from test_config_cli import BASELINE_LIMIT, write_cfg
+
+SURVIVAL_LIMIT = dict(BASELINE_LIMIT, lambda_s={"atoms": [[0.5, 1.0]]},
+                      w=0.0)
+
+FINITE = {
+    "N": 20,
+    "kernel": {"variant": "geometric"},
+    "env_law": {"atoms": [[0.0, 0.9], [0.5, 0.1]]},
+    "c_N": 0.1,
+    "lambda_c": {"atoms": [[0.5, 1.0]]},
+}
+
+#: One small run per experiment kind; 1100 replicates make two batches.
+RUNS = {
+    "thresholds": {"limit": SURVIVAL_LIMIT},
+    "duality-moment": {"limit": BASELINE_LIMIT, "x": 0.5, "n": 2, "t": 0.2,
+                       "dt": 1e-2, "replicates": 1100},
+    "duality-quenched": {"finite": FINITE, "env": [0.5, 0.0, 0.3], "x": 0.4,
+                         "n": 3, "replicates": 1100},
+    "duality-annealed": {"finite": FINITE, "horizon": 3, "x": 0.4, "n": 3,
+                         "replicates": 1100},
+    "simulate-x": {"limit": BASELINE_LIMIT, "x0": 0.5, "T": 0.2,
+                   "replicates": 1100},
+    "simulate-z": {"limit": BASELINE_LIMIT, "T": 0.2, "replicates": 1100},
+    "simulate-finite": {"finite": FINITE, "x0": 0.5, "generations": 3,
+                        "replicates": 1100},
+    "fixation": {"limit": SURVIVAL_LIMIT, "x_grid": [0.3, 0.6],
+                 "replicates": 1100, "T": 0.5, "dt": 1e-2, "burn_in": 5.0,
+                 "T_stat": 3000.0},
+    "convergence": {"limit": BASELINE_LIMIT, "N_list": [20, 40], "x": 0.5,
+                    "n": 2, "t": 0.2, "dt": 1e-2, "replicates": 1100},
+}
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """(key, counter) of every Philox generator built while the test runs."""
+    seen = []
+    philox = np.random.Philox
+
+    def recording(*args, **kwargs):
+        bitgen = philox(*args, **kwargs)
+        state = bitgen.state["state"]
+        seen.append((tuple(state["key"].tolist()),
+                     tuple(state["counter"].tolist())))
+        return bitgen
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    return seen
+
+
+class TestSubstream:
+    def test_role_zero_is_stream(self):
+        for seed, index in ((0, 0), (5, 3), (2**63 - 1, 7)):
+            plain = np.random.Generator(np.random.Philox(
+                key=np.array([seed, index], dtype=np.uint64)))
+            draws = plain.random(8).tobytes()
+            assert stream(seed, index).random(8).tobytes() == draws
+            assert substream(seed, "lhs", index).random(8).tobytes() == draws
+
+    def test_roles_and_sub_indices_draw_differently(self):
+        assert len(set(ROLES.values())) == len(ROLES)
+        draws = {substream(9, role, 0, sub).random(4).tobytes()
+                 for role in ROLES for sub in (0, 1)}
+        assert len(draws) == 2 * len(ROLES)
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(KeyError):
+            substream(9, "bogus", 0)
+
+
+class TestDisjointStreams:
+    def test_every_kind_is_covered(self):
+        assert set(RUNS) == set(REQUIRED_KEYS)
+
+    @pytest.mark.parametrize("kind", sorted(RUNS))
+    def test_run_opens_no_stream_twice(self, tmp_path, opened, kind):
+        path = write_cfg(tmp_path, dict(RUNS[kind], experiment=kind, seed=5))
+        res = CliRunner().invoke(main, ["run", path,
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code in (0, 2), res.output
+        assert len(set(opened)) == len(opened)
+        if kind != "thresholds":
+            assert len(opened) >= 2
+
+    def test_extinction_corroboration_opens_no_stream_twice(self, opened):
+        geo = SelectionKernel.geometric()
+        params = LimitParams(geo, FiniteMeasure.point_mass(0.5, 5.0), 0.0,
+                             FiniteMeasure.point_mass(0.5, 1.0), 1.0, 0.0)
+        bridge.extinction_corroboration(params, 0.5, [0.2, 0.4], 1100, seed=5,
+                                        dt=1e-2, dual_M=1100)
+        assert len(opened) == 2 + 2 * 2
+        assert len(set(opened)) == len(opened)
+
+
+class TestBatchMeanSe:
+    def test_pools_to_the_plain_mean_and_se(self):
+        values = np.random.default_rng(0).random(2500)
+        mean, se = batch_mean_se(values)
+        assert mean == pytest.approx(values.mean(), rel=1e-12)
+        assert se == pytest.approx(values.std(ddof=1) / np.sqrt(values.size),
+                                   rel=1e-12)

@@ -24,7 +24,7 @@ from wfduality import wf_graph
 from wfduality.measures import pgf
 from wfduality.wf_graph import step_frequency_many
 
-from conftest import rng
+from conftest import KERNELS, rng
 
 
 def neutral_model(N: int, c_N: float = 0.0, lambda_c=None) -> FiniteModelParams:
@@ -133,10 +133,8 @@ class TestStepAncestry:
 
     def test_birthday_collision(self):
         params = neutral_model(10)
-        hits = np.array([
-            step_ancestry(params, 2, 0.0, rng(500 + i))[0] == 1
-            for i in range(20000)
-        ])
+        hits = step_ancestry_many(params, np.full(20000, 2), 0.0,
+                                  rng(500))[0] == 1
         assert hits.mean() == pytest.approx(0.1, abs=0.01)
 
     def test_binary_doubling_distinct_count(self):
@@ -146,10 +144,8 @@ class TestStepAncestry:
             env_law=FiniteMeasure.point_mass(0.0),
         )
         # y=1 doubles both lineages: 4 uniform picks
-        all4 = np.array([
-            step_ancestry(params, 2, 1.0, rng(600 + i))[0] == 4
-            for i in range(20000)
-        ])
+        all4 = step_ancestry_many(params, np.full(20000, 2), 1.0,
+                                  rng(600))[0] == 4
         expected = (1 - 1 / N) * (1 - 2 / N) * (1 - 3 / N)
         se = np.sqrt(expected * (1 - expected) / all4.size)
         assert abs(all4.mean() - expected) < 4 * se
@@ -333,10 +329,6 @@ class TestStepAncestryMany:
         assert path.values.shape == (5, 5)
         assert (path.values[:, 0] == 3).all()
         assert (np.diff(path.values, axis=1) <= 0).all()
-
-
-KERNELS = [SelectionKernel.geometric(), SelectionKernel.binary(),
-           SelectionKernel.table({2: 0.5, 4: 0.3}, inf_mass=0.2)]
 
 
 @st.composite
