@@ -31,15 +31,12 @@ from .params import FiniteModelParams, LimitParams
 from .wf_graph import (
     BlockCountPath,
     EnvSequence,
-    FrequencyPath,
     draw_env,
     simulate_ancestry,
-    simulate_frequency,
-    step_ancestry,
     step_ancestry_many,
-    step_frequency,
+    step_frequency_many,
 )
-from .fvwrs import absorption_scan, moment_estimate, simulate_path
+from .fvwrs import absorption_scan, ensemble_states, moment_estimate
 from .bcre import (
     RateCache,
     RateTable,

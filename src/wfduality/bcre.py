@@ -28,11 +28,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import sum_distribution
+from .measures import binom_pmf, sum_distribution
 from .params import LimitParams
 from .rngstreams import BATCH_SIZE, batch_mean_se, batches, substream
 
@@ -101,7 +100,7 @@ def _coalesce_rates(params: LimitParams, n: int) -> np.ndarray:
                 # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n,y) pmf at
                 # k+1; the pmf form stays finite for large n where the
                 # binomial coefficient alone overflows
-                rates += params.c * wgt / y**2 * stats.binom.pmf(ks + 1, n, y)
+                rates += params.c * wgt / y**2 * binom_pmf(ks + 1, n, y)
         if params.sigma > 0:
             rates[0] += params.sigma * n * (n - 1) / 2.0
     return rates

@@ -21,6 +21,14 @@ from .params import LimitParams
 from .rngstreams import substream
 
 
+def require_regime(params: LimitParams, regime: str, analysis: str) -> None:
+    """Raise RegimeMismatch unless ``thresholds.classify`` gives ``regime``."""
+    got = thresholds.classify(params).classification
+    if got != regime:
+        raise RegimeMismatch(
+            f"{analysis} analysis needs the {regime} regime, got {got}")
+
+
 @dataclass(frozen=True)
 class FixationReport:
     x_grid: np.ndarray
@@ -54,12 +62,7 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
     simulation is the absorption fraction at 1 of the forward process by
     horizon T.
     """
-    report = thresholds.classify(params)
-    if report.classification != thresholds.SURVIVAL:
-        raise RegimeMismatch(
-            f"fixation analysis needs the survival regime, got "
-            f"{report.classification}"
-        )
+    require_regime(params, thresholds.SURVIVAL, "fixation")
     x_grid = np.asarray(x_grid, dtype=float)
     nu = bcre.stationary_estimate(params, 1, burn_in, T_stat,
                                   substream(seed, "stationary", 0))
@@ -130,12 +133,7 @@ def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,
     Requires the extinction regime.  The forward fractions should increase
     toward 1; the dual chain's probability of staying small should fall.
     """
-    report = thresholds.classify(params)
-    if report.classification != thresholds.EXTINCTION:
-        raise RegimeMismatch(
-            f"extinction analysis needs the extinction regime, got "
-            f"{report.classification}"
-        )
+    require_regime(params, thresholds.EXTINCTION, "extinction")
     horizons = np.asarray(sorted(T_list), dtype=float)
     fr = np.empty(horizons.size)
     fr_se = np.empty(horizons.size)

@@ -27,6 +27,7 @@ import numpy as np
 from . import bcre, bridge, duality, fvwrs, thresholds
 from .config import (build_finite_params, build_limit_params, load_config)
 from .errors import ConfigError, SigmaNotZero, WfdualityError
+from .rngstreams import batch_mean_se
 from .wf_graph import EnvSequence
 
 BUILD_ID = "wfduality-0.1.0"
@@ -93,9 +94,9 @@ def _run_simulate_x(cfg: dict):
     seed = int(cfg["seed"])
     finals = fvwrs.ensemble_states(limit, x0, [T], dt, M, seed)[0]
     eps0 = float(cfg.get("eps0", 1e-4))
+    mean, se = batch_mean_se(finals)
     results = {
-        "mean": float(finals.mean()),
-        "se": float(finals.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
+        "mean": mean, "se": se,
         "fraction_at_0": float((finals <= eps0).mean()),
         "fraction_at_1": float((finals >= 1.0 - eps0).mean()),
         "T": T, "dt": dt, "replicates": M,
@@ -113,9 +114,9 @@ def _run_simulate_z(cfg: dict):
     T = float(cfg["T"])
     M = int(cfg.get("replicates", 10000))
     finals = bcre.final_states(limit, n0, T, M, int(cfg["seed"]))
+    mean, se = batch_mean_se(finals)
     results = {
-        "mean": float(finals.mean()),
-        "se": float(finals.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
+        "mean": mean, "se": se,
         "max": int(finals.max()),
         "T": T, "n0": n0, "replicates": M,
     }
@@ -208,8 +209,10 @@ def _semantic_validate(cfg: dict) -> list[str]:
         lines.append(f"selection admissible, Lambda_s mass {limit.alpha_s!r}")
         lines.append(f"selection jump rate {limit.mu_mass!r}")
         lines.append(f"coalescence jump rate {limit.coalescence_rate!r}")
-        if kind in ("thresholds", "fixation") and limit.sigma > 0:
+        if kind == "thresholds" and limit.sigma > 0:
             raise SigmaNotZero("classification requires sigma = 0")
+        if kind == "fixation":
+            bridge.require_regime(limit, thresholds.SURVIVAL, "fixation")
         if kind == "fixation" and (cfg.get("burn_in", FIXATION_BURN_IN)
                                    >= cfg.get("T_stat", FIXATION_T_STAT)):
             raise ConfigError("T_stat must exceed burn_in")

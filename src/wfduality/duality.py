@@ -112,6 +112,18 @@ def _estimate(batch_values, M: int, seed: int, role: str,
         for idx, size in batches(M)]))
 
 
+def _annealed_forward(params: FiniteModelParams, x: float, generations: int,
+                      size: int, rng: np.random.Generator) -> np.ndarray:
+    """Frequencies of ``size`` forward chains started at x after
+    ``generations`` generations, each replicate drawing its own environment
+    every generation."""
+    xs = np.full(size, x)
+    for _ in range(generations):
+        xs = step_frequency_many(params, xs,
+                                 params.env_law.sample(size, rng), rng)
+    return xs
+
+
 # ---------------------------------------------------------------------------
 # Quenched sampling duality
 # ---------------------------------------------------------------------------
@@ -169,10 +181,7 @@ def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
     wts = law.weights
 
     def lhs_batch(size, rng):
-        xs = np.full(size, x)
-        for _ in range(horizon):
-            ys = law.sample(size, rng)
-            xs = step_frequency_many(params, xs, ys, rng)
+        xs = _annealed_forward(params, x, horizon, size, rng)
         vals = np.zeros(size)
         for y, wgt in zip(locs, wts):
             vals += wgt * _merger_score_many(params, float(y), xs, n)
@@ -282,16 +291,10 @@ def finite_moment(params: FiniteModelParams, x: float, n: int,
                   generations: int, M: int, seed: int, role: str = "lhs",
                   sub: int = 0) -> tuple[float, float]:
     """E[X^n] after a fixed number of annealed generations."""
-    law = params.env_law
-
-    def run(size, rng):
-        xs = np.full(size, x)
-        for _ in range(generations):
-            ys = law.sample(size, rng)
-            xs = step_frequency_many(params, xs, ys, rng)
-        return xs**n
-
-    return _estimate(run, M, seed, role, sub)
+    return _estimate(
+        lambda size, rng: _annealed_forward(params, x, generations, size,
+                                            rng) ** n,
+        M, seed, role, sub)
 
 
 def convergence_experiment(limit: LimitParams, N_list, scaling: ScalingScheme,

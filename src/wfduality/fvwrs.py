@@ -9,12 +9,16 @@ The process lives on [0,1] and combines four mechanisms:
 * weak-selection drift -w x(1-x) dt,
 * neutral diffusion sqrt(sigma x(1-x)) dB.
 
-Both jump intensities are finite and constant in the state, so jumps are
-placed exactly.  With sigma = 0 the motion between jumps is the closed-form
-logistic flow of the drift, so paths are sampled exactly from exponential
-event gaps (as in Gillespie's algorithm) with no time grid.  With sigma > 0
-drift and diffusion are Euler-stepped on a uniform dt grid, with jumps
-applied after the cell's Euler move.  0 and 1 are absorbing.
+Both jump intensities are finite and constant in the state, so jumps come
+exactly at the events of a rate-R Poisson process, R the total jump rate.
+One event-driven engine serves every sigma; it advances a batch of paths
+together and drops a path from its active set once it is absorbed or has
+recorded its last requested time.  With sigma = 0 the motion between jumps
+is the closed-form logistic flow of the drift, so paths are sampled exactly
+from exponential event gaps (as in Gillespie's algorithm) with no time
+grid.  With sigma > 0 each path also stops at every grid time k*dt and
+moves by one Euler piece of drift and diffusion between consecutive stops;
+requested times are snapped to the grid.  0 and 1 are absorbing.
 """
 
 from __future__ import annotations
@@ -35,28 +39,9 @@ from .rngstreams import batch_mean_se, batches, substream
 ABSORB_EPS = 1e-12
 
 
-@dataclass
-class PathX:
-    """Single path on a uniform time grid, with a log of applied jumps."""
-
-    times: np.ndarray
-    values: np.ndarray
-    jumps: list  # (time, kind, pre, post) with kind in {selection, coalescence}
-
-
-def _grid(T: float, dt: float) -> np.ndarray:
-    if dt <= 0:
-        raise InvalidStep("dt must be positive")
-    if T < 0:
-        raise InvalidStep("horizon must be nonnegative")
-    n_cells = int(math.ceil(T / dt - 1e-9)) if T > 0 else 0
-    times = np.minimum(np.arange(n_cells + 1) * dt, T)
-    return times
-
-
 def _snap(x: np.ndarray) -> np.ndarray:
     """Clip into [0,1] and absorb states within ABSORB_EPS of a boundary."""
-    x = np.clip(x, 0.0, 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)  # np.clip, at half the cost
     x[x <= ABSORB_EPS] = 0.0
     x[x >= 1.0 - ABSORB_EPS] = 1.0
     return x
@@ -70,27 +55,27 @@ def _flow(x, w: float, h):
     return x * (1.0 + em1) / (1.0 + x * em1)
 
 
-def _move(params: LimitParams, x: np.ndarray, h: float,
+def _move(params: LimitParams, x: np.ndarray, h,
           rng: np.random.Generator) -> np.ndarray:
-    """Motion between jumps over time h: the exact flow when sigma = 0,
-    else one Euler step of drift and diffusion."""
+    """Motion between stops over times h: the exact flow when sigma = 0,
+    else one Euler piece of drift and diffusion."""
     if params.sigma == 0:
         return _snap(_flow(x, params.w, h))
-    inner = x * (1.0 - x)
-    x = x - params.w * inner * h + np.sqrt(
-        np.maximum(params.sigma * inner * h, 0.0)) * rng.standard_normal(x.size)
-    return _snap(x)
+    var = x * (1.0 - x) * h  # nonnegative: x in [0,1] and h >= 0
+    step = np.sqrt(params.sigma * var) * rng.standard_normal(x.size)
+    if params.w:
+        step -= params.w * var
+    return _snap(x + step)
 
 
 def _jump(params: LimitParams, x: np.ndarray, selection,
           rng: np.random.Generator) -> np.ndarray:
-    """One jump per entry of x: a selection jump where ``selection`` holds
-    (a boolean mask or scalar), a coalescence jump elsewhere.
+    """One jump per entry of x: a selection jump where the boolean mask
+    ``selection`` holds, a coalescence jump elsewhere.
 
     The jump laws are the module's; they raise InvariantViolation if a
     selection jump raises the frequency or a coalescence jump leaves [0,1].
     """
-    selection = np.broadcast_to(selection, x.shape)
     out = np.empty_like(x)
     sel = np.flatnonzero(selection)
     if sel.size:
@@ -110,103 +95,88 @@ def _jump(params: LimitParams, x: np.ndarray, selection,
     return _snap(out)
 
 
-def simulate_path(params: LimitParams, x0: float, T: float, dt: float,
-                  rng: np.random.Generator) -> PathX:
-    """One path of the limit process recorded on the dt grid.
+def _paths(params: LimitParams, x0: float, ts: np.ndarray, dt: float,
+           size: int, rng: np.random.Generator) -> np.ndarray:
+    """States of ``size`` paths at the sorted distinct requested times.
 
-    Jumps come at the events of a rate-R Poisson process, R the total jump
-    rate, each a selection jump with probability |mu| / R.  The motion
-    between consecutive event and grid times is the exact flow when
-    sigma = 0, else one Euler step.
-    """
-    if not 0.0 <= x0 <= 1.0:
-        raise InvalidStep("x0 must lie in [0,1]")
-    times = _grid(T, dt)
-    mu_mass = params.mu_mass
-    rate = mu_mass + params.coalescence_rate
-    t_ev = rng.exponential(1.0 / rate) if rate > 0 else math.inf
-
-    x = _snap(np.array([float(x0)]))
-    t = 0.0
-    values = np.empty(times.size)
-    values[0] = x[0]
-    jumps = []
-    for i in range(1, times.size):
-        t1 = times[i]
-        while t_ev <= t1:
-            x = _move(params, x, t_ev - t, rng)
-            t = t_ev
-            pre = float(x[0])
-            selection = rng.random() * rate < mu_mass
-            x = _jump(params, x, selection, rng)
-            if x[0] != pre:
-                kind = "selection" if selection else "coalescence"
-                jumps.append((t, kind, pre, float(x[0])))
-            t_ev += rng.exponential(1.0 / rate)
-        x = _move(params, x, t1 - t, rng)
-        t = t1
-        values[i] = x[0]
-    return PathX(times, values, jumps)
-
-
-# ---------------------------------------------------------------------------
-# Vectorised ensemble engines
-# ---------------------------------------------------------------------------
-
-
-def _exact_batch(params: LimitParams, x0: float, ts: np.ndarray, size: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """States at the sorted distinct times ``ts`` of ``size`` paths, sigma = 0.
-
-    Each round draws one Exp(R) gap per active path, R the total jump rate,
-    records the flowed state at every requested time inside the gap, flows
-    to the gap's end and applies one jump there, selection with probability
-    |mu| / R.  A path leaves the active set once it is absorbed or has passed
-    the last requested time; an absorbed path holds its state thereafter.
+    ``ts`` holds the times when sigma = 0 and their dt-grid indices when
+    sigma > 0.  Each path keeps its next event time, drawn Exp(R) after its
+    previous event (R the total jump rate); an event is a selection jump
+    with probability |mu| / R, else a coalescence jump.  Each round moves
+    every active path by one stop.  When sigma = 0 the stop is the path's
+    next event: the flowed state is recorded at every requested time before
+    it, then the path flows to the event and jumps.  When sigma > 0 the stop
+    is the earlier of the next event and the next grid time k*dt, the move
+    is one Euler piece, and a grid stop at a requested index records the
+    state.  A path leaves the active set once it is absorbed or has recorded
+    its last requested time; an absorbed path holds its state thereafter.
     """
     mu_mass = params.mu_mass
     rate = mu_mass + params.coalescence_rate
+    exact = params.sigma == 0
+    last = ts.size - 1
     out = np.empty((ts.size, size))
     x = _snap(np.full(size, float(x0)))
-    nxt = np.zeros(size, dtype=np.intp)  # next unrecorded time, per path
-    ids = np.arange(size) if ts.size and 0.0 < x[0] < 1.0 else np.arange(0)
+    k0 = int(ts.size > 0 and ts[0] == 0)  # time 0 is recorded at the start
+    out[:k0] = x
+    nxt = np.full(size, k0, dtype=np.intp)  # next unrecorded time, per path
+    ids = np.arange(size if k0 <= last and 0.0 < x[0] < 1.0 else 0)
     xa, ta, ka = x[ids], np.zeros(ids.size), nxt[ids]
-    last = ts.size - 1
+    t_ev = np.full(ids.size, np.inf)
+    cell = np.ones(ids.size)  # next grid index (integer-valued), sigma > 0
+    ev = np.full(ids.size, rate > 0)  # paths that stop at their event
+    jumps = np.flatnonzero(ev)
+    # sigma > 0: after r rounds no path is past grid index r, so the record
+    # check waits for ``first``, the least unrecorded requested index
+    rounds, first = 0, ts[k0] if ids.size else 0
     while ids.size:
-        if rate > 0:
-            t_ev = ta + rng.exponential(1.0 / rate, ids.size)
+        if jumps.size:  # the paths that jumped draw their next event
+            t_ev[jumps] = ta[jumps] + rng.exponential(1.0 / rate, jumps.size)
+        if exact:
+            while True:
+                due = np.flatnonzero(
+                    (ka <= last) & (ts[np.minimum(ka, last)] < t_ev))
+                if due.size == 0:
+                    break
+                k = ka[due]
+                out[k, ids[due]] = _snap(_flow(xa[due], params.w,
+                                               ts[k] - ta[due]))
+                ka[due] += 1
+            ev = ka <= last
+            jumps = np.flatnonzero(ev)
+            stop = t_ev.copy()
+            done = jumps.size < ids.size
         else:
-            t_ev = np.full(ids.size, np.inf)
-        while True:
-            due = np.flatnonzero((ka <= last) & (ts[np.minimum(ka, last)] < t_ev))
-            if due.size == 0:
-                break
-            k = ka[due]
-            out[k, ids[due]] = _snap(_flow(xa[due], params.w, ts[k] - ta[due]))
-            ka[due] += 1
-        go = np.flatnonzero(ka <= last)
-        xg = _snap(_flow(xa[go], params.w, t_ev[go] - ta[go]))
-        xa[go] = _jump(params, xg, rng.random(go.size) * rate < mu_mass, rng)
-        ta = t_ev
-        gone = (ka > last) | (xa == 0.0) | (xa == 1.0)
-        x[ids[gone]] = xa[gone]
-        nxt[ids[gone]] = ka[gone]
-        keep = ~gone
-        ids, xa, ta, ka = ids[keep], xa[keep], ta[keep], ka[keep]
+            stop = cell * dt
+            if rate > 0:  # else every stop is a grid stop
+                ev = t_ev <= stop
+                jumps = np.flatnonzero(ev)
+                stop = np.minimum(t_ev, stop)
+        xa = _move(params, xa, stop - ta, rng)
+        ta = stop
+        if jumps.size:
+            xa[jumps] = _jump(params, xa[jumps],
+                              rng.random(jumps.size) * rate < mu_mass, rng)
+        if not exact:
+            cell += 1.0
+            cell[jumps] -= 1.0
+            rounds += 1
+            done = False
+            if rounds >= first:
+                due = np.flatnonzero(cell == ts[ka] + 1)
+                out[ka[due], ids[due]] = xa[due]
+                ka[due] += 1
+                done = ka.max() > last
+                first = ts[np.minimum(ka, last)].min()
+        if done or xa.min() == 0.0 or xa.max() == 1.0:
+            gone = (ka > last) | (xa == 0.0) | (xa == 1.0)
+            x[ids[gone]] = xa[gone]
+            nxt[ids[gone]] = ka[gone]
+            keep = ~gone
+            ids, xa, ta, ka, t_ev, ev, cell = (
+                a[keep] for a in (ids, xa, ta, ka, t_ev, ev, cell))
+            jumps = np.flatnonzero(ev)
     return np.where(np.arange(ts.size)[:, None] < nxt, out, x)
-
-
-def _step_cell(params: LimitParams, x: np.ndarray, h: float,
-               rng: np.random.Generator, mu_mass: float, lam_c: float) -> np.ndarray:
-    """Advance every replicate by one dt cell: Euler move, then jumps."""
-    x = _move(params, x, h, rng)
-    for selection, rate in ((True, mu_mass), (False, lam_c)):
-        if rate > 0:
-            k = rng.poisson(rate * h, x.size)
-            while (hit := np.flatnonzero(k)).size:
-                x[hit] = _jump(params, x[hit], selection, rng)
-                k[hit] -= 1
-    return x
 
 
 def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
@@ -214,12 +184,14 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     """States of M independent paths at each requested time.
 
     Returns an array of shape (len(times), M).  Requested times may come in
-    any order and repeat.  With sigma = 0 paths are simulated exactly from
-    their events and each requested time is used as given; dt is then only
-    checked.  With sigma > 0 paths are Euler-stepped on the dt grid and each
-    requested time is snapped to the nearest dt-cell boundary.  Replicates
-    are split into fixed-size batches, run in order; batch ``idx`` draws
-    from ``substream(seed, role, idx, sub)``.
+    any order and repeat.  One event-driven engine serves every sigma.  With
+    sigma = 0 paths move by the exact flow between events and each
+    requested time is used as given; dt is then only checked.  With
+    sigma > 0 paths also stop at every dt-grid time and move by one Euler
+    piece of drift and diffusion between stops; each requested time is
+    snapped to the nearest grid time, so recording it adds no stop and no
+    draw.  Replicates are split into fixed-size batches, run in order;
+    batch ``idx`` draws from ``substream(seed, role, idx, sub)``.
     """
     if dt <= 0:
         raise InvalidStep("dt must be positive")
@@ -228,36 +200,13 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
         raise InvalidStep("requested times must be nonnegative")
-
-    if params.sigma == 0:
-        ts, inverse = np.unique(times, return_inverse=True)
-
-        def run(batch):
-            idx, size = batch
-            return _exact_batch(params, x0, ts, size,
-                                substream(seed, role, idx, sub))[inverse]
-    else:
-        record = {}
-        for pos, t in enumerate(times):
-            record.setdefault(int(round(t / dt)), []).append(pos)
-        n_cells = max(record) if record else 0
-        mu_mass = params.mu_mass
-        lam_c = params.coalescence_rate
-
-        def run(batch):
-            idx, size = batch
-            rng = substream(seed, role, idx, sub)
-            x = _snap(np.full(size, float(x0)))
-            out = np.empty((times.size, size))
-            for pos in record.get(0, []):
-                out[pos] = x
-            for cell in range(1, n_cells + 1):
-                x = _step_cell(params, x, dt, rng, mu_mass, lam_c)
-                for pos in record.get(cell, []):
-                    out[pos] = x
-            return out
-
-    return np.concatenate([run(batch) for batch in batches(M)], axis=1)
+    if params.sigma > 0:
+        times = np.rint(times / dt).astype(np.int64)
+    ts, inverse = np.unique(times, return_inverse=True)
+    return np.concatenate([
+        _paths(params, x0, ts, dt, size,
+               substream(seed, role, idx, sub))[inverse]
+        for idx, size in batches(M)], axis=1)
 
 
 def moment_estimate(params: LimitParams, x0: float, n: int, t: float, M: int,

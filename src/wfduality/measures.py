@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import xlog1py, xlogy
 
 from .errors import DegenerateKernelAtAtom, ModelError, NonFiniteIntegrand
 
@@ -176,6 +176,85 @@ def mean_excess(kernel: SelectionKernel, y: float) -> float:
     return y * (base_mean - 1.0)
 
 
+# ---------------------------------------------------------------------------
+# Binomial and negative binomial pmfs
+# ---------------------------------------------------------------------------
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _stirlerr_series(n: np.ndarray) -> np.ndarray:
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn))
+                                 / nn) / nn) / nn) / n
+
+
+#: _stirlerr at n = 0..1023 (0 unused): direct up to 15, where the
+#: log-gamma sum loses no digit that matters, the Stirling series above.
+_STIRLERR = np.concatenate([[0.0], [
+    math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * _LOG_2PI
+    for n in range(1, 16)], _stirlerr_series(np.arange(16.0, 1024.0))])
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for integers n >= 1."""
+    if n.max() < _STIRLERR.size:
+        return _STIRLERR[n.astype(np.intp)]
+    out = _stirlerr_series(n)
+    small = n <= 15
+    out[small] = _STIRLERR[n[small].astype(np.intp)]
+    return out
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x log(x/m) + m - x for x >= 0, m > 0, Loader's deviance term.
+
+    Written as x log1p(d/m) - d with d = x - m, its rounding error is of the
+    order of eps |d| rather than eps x, which keeps the bulk of a large-n
+    pmf accurate.
+    """
+    d = x - m
+    return xlog1py(x, d / m) - d
+
+
+def binom_pmf(k, n, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf at k, broadcast over integer arrays k and n; zero
+    off {0, ..., n}.
+
+    Uses Loader's saddle-point form (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000): the log pmf is a sum of
+    small Stirling remainders and the deviance terms ``_bd0``, so it keeps
+    its relative accuracy where a difference of log-gammas of size n log n
+    would lose digits, and it never overflows.
+    """
+    k = np.asarray(k, dtype=float)
+    n = np.asarray(n, dtype=float)
+    k, n = k + 0.0 * n, n + 0.0 * k  # broadcast to one shape
+    q = 1.0 - p
+    out = np.zeros(k.shape)
+    mid = (k > 0) & (k < n)
+    if p > 0 and q > 0 and mid.any():
+        km, nm = k[mid], n[mid]
+        # one call per helper on joined arguments: the arrays are short
+        sn, sk, snk = _stirlerr(
+            np.concatenate([nm, km, nm - km])).reshape(3, -1)
+        dk, dnk = _bd0(np.concatenate([km, nm - km]),
+                       np.concatenate([nm * p, nm * q])).reshape(2, -1)
+        lf = _LOG_2PI + np.log(km) + np.log1p(-km / nm)
+        out[mid] = np.exp(sn - sk - snk - dk - dnk - 0.5 * lf)
+    none, all_ = k == 0, (k == n) & (n > 0)
+    out[none] = np.exp(xlog1py(n[none], -p))
+    out[all_] = np.exp(xlogy(n[all_], p))
+    return out
+
+
+def nbinom_pmf(k, n: int, p: float) -> np.ndarray:
+    """Probability of k failures before the n-th success, success
+    probability p: n / (n + k) times the Binomial(n + k, p) pmf at n."""
+    k = np.asarray(k, dtype=float)
+    return n / (n + k) * binom_pmf(n, n + k, p)
+
+
 @dataclass(frozen=True)
 class SumPMF:
     """Truncated law of the sum of n iid parent counts at environment y.
@@ -210,10 +289,9 @@ def sum_distribution(kernel: SelectionKernel, y: float, n: int, k_max: int) -> S
             probs = np.zeros(k_max + 1)
             probs[0] = 1.0
             return SumPMF(n, probs, 0.0)
-        probs = stats.nbinom.pmf(ks, n, 1.0 - y)
+        probs = nbinom_pmf(ks, n, 1.0 - y)
     elif variant == "binary":
-        probs = stats.binom.pmf(ks, n, y)
-        probs = np.where(ks <= n, probs, 0.0)
+        probs = binom_pmf(ks, n, y)
     else:
         probs = _table_sum_pmf(kernel, y, n, k_max)
     tail = max(0.0, 1.0 - float(probs.sum()))

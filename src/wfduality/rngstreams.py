@@ -62,27 +62,18 @@ def batches(total: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
     return out
 
 
-def mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean."""
-    values = np.asarray(values, dtype=float)
-    m = float(values.mean())
-    if values.size < 2:
-        return m, 0.0
-    se = float(values.std(ddof=1) / np.sqrt(values.size))
-    return m, se
+def batch_mean_se(values) -> tuple[float, float]:
+    """Mean and SE of per-replicate values laid out in ``batches`` order.
 
-
-def pooled_mean_se(counts, means, m2s) -> tuple[float, float]:
-    """Combine per-batch (count, mean, sum of squared deviations) triples.
-
-    Pairwise left-fold in list order; deterministic for a fixed batching.
+    Each batch's (count, mean, sum of squared deviations) is pooled into the
+    running total in batch order, so the reduction is fixed by the batching.
     """
-    n_tot = 0
-    mean_tot = 0.0
-    m2_tot = 0.0
-    for n, m, m2 in zip(counts, means, m2s):
-        if n == 0:
-            continue
+    values = np.asarray(values, dtype=float)
+    n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
+    for start in range(0, values.size, BATCH_SIZE):
+        chunk = values[start:start + BATCH_SIZE]
+        n, m = chunk.size, float(chunk.mean())
+        m2 = float(((chunk - m) ** 2).sum())
         delta = m - mean_tot
         new_n = n_tot + n
         m2_tot += m2 + delta * delta * n_tot * n / new_n
@@ -90,22 +81,4 @@ def pooled_mean_se(counts, means, m2s) -> tuple[float, float]:
         n_tot = new_n
     if n_tot < 2:
         return mean_tot, 0.0
-    var = m2_tot / (n_tot - 1)
-    return mean_tot, float(np.sqrt(var / n_tot))
-
-
-def batch_mean_se(values) -> tuple[float, float]:
-    """Mean and SE of per-replicate values laid out in ``batches`` order.
-
-    Each batch's (count, mean, sum of squared deviations) is pooled with
-    ``pooled_mean_se``, so the reduction is fixed by the batching.
-    """
-    values = np.asarray(values, dtype=float)
-    counts, means, m2s = [], [], []
-    for start in range(0, values.size, BATCH_SIZE):
-        chunk = values[start:start + BATCH_SIZE]
-        m = float(chunk.mean())
-        counts.append(chunk.size)
-        means.append(m)
-        m2s.append(float(((chunk - m) ** 2).sum()))
-    return pooled_mean_se(counts, means, m2s)
+    return mean_tot, float(np.sqrt(m2_tot / (n_tot - 1) / n_tot))

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ModelError, SigmaNotZero
 from .measures import FiniteMeasure, SelectionKernel, integrate, mean_excess
 from .params import LimitParams
-from .rngstreams import mean_and_se
+from .rngstreams import batch_mean_se
 
 EXTINCTION = "ExtinctionAlmostSure"
 SURVIVAL = "SurvivalPossible"
@@ -59,7 +59,7 @@ def beta_star_mc(lambda_c: FiniteMeasure, samples: int,
     u = np.sqrt(rng.random(samples))
     w = y * u
     vals = 0.5 / (w * (1.0 - w))
-    return mean_and_se(vals)
+    return batch_mean_se(vals)
 
 
 def alpha_star(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> float:
@@ -88,7 +88,7 @@ def alpha_star_mc(kernel: SelectionKernel, lambda_s: FiniteMeasure,
     with np.errstate(invalid="ignore"):
         vals = 1.0 / (1.0 + v * ms)
     vals[np.isinf(ms)] = 0.0
-    return mean_and_se(vals)
+    return batch_mean_se(vals)
 
 
 def alpha_eff(alpha_s: float, alpha_star_value: float, w: float) -> float:

@@ -1,25 +1,30 @@
 """Exact finite-N Wright-Fisher graph simulation.
 
-Forward direction: the 0-allele frequency chain.  Conditionally on the
-generation's environment y, merger strength V and central-individual type b,
-children are iid and each is of type 0 iff all of its potential parents are,
-each parent independently of type 0 with probability (1-V)x + V(1-b).  The
-next-generation 0-count is therefore Binomial(N, pgf_y(p)) with
-p = (1-V)x + V(1-b), which we sample directly instead of materialising
-parent lists.
+Each direction has one engine, a step that advances a whole batch of
+independent replicates by one generation in a fixed number of numpy calls;
+a single replicate is a batch of one.
 
-Backward direction: the block-counting chain of the ancestry, advanced for a
-whole batch of replicates by one vectorised step per generation.  Every
-lineage of the batch draws its parent count from Q(y) in one flat array, y
-shared by the batch (quenched) or one per replicate (annealed).  Each count
-is capped at K_CAP_FACTOR*N and the capped counts are summed per replicate;
-a replicate saturates, reaching all N labels, when any of its lineages
-reaches the cap or draws infinitely many parents.  With probability c_N a
-replicate's generation has a merger of strength V: each parent pick goes to
-the central individual with probability V, the rest pick uniform labels.
-The distinct uniform labels D are counted from one sort of the batch's
-(replicate, label) keys, at a cost that does not grow with N; the central
-label is uniform, so it adds a new label with probability 1 - D/N.
+Forward direction: the 0-allele frequency chain, ``step_frequency_many``.
+Conditionally on the generation's environment y, merger strength V and
+central-individual type b, children are iid and each is of type 0 iff all
+of its potential parents are, each parent independently of type 0 with
+probability (1-V)x + V(1-b).  The next-generation 0-count is therefore
+Binomial(N, pgf_y(p)) with p = (1-V)x + V(1-b), which we sample directly
+instead of materialising parent lists.
+
+Backward direction: the block-counting chain of the ancestry,
+``step_ancestry_many``, which ``simulate_ancestry`` runs over an environment
+sequence.  Every lineage of the batch draws its parent count from Q(y) in
+one flat array, y shared by the batch (quenched) or one per replicate
+(annealed).  Each count is capped at K_CAP_FACTOR*N and the capped counts
+are summed per replicate; a replicate saturates, reaching all N labels, when
+any of its lineages reaches the cap or draws infinitely many parents.  With
+probability c_N a replicate's generation has a merger of strength V: each
+parent pick goes to the central individual with probability V, the rest
+pick uniform labels.  The distinct uniform labels D are counted from one
+sort of the batch's (replicate, label) keys, at a cost that does not grow
+with N; the central label is uniform, so it adds a new label with
+probability 1 - D/N.
 """
 
 from __future__ import annotations
@@ -62,12 +67,6 @@ def draw_env(env_law: FiniteMeasure, length: int, rng: np.random.Generator,
 
 
 @dataclass
-class FrequencyPath:
-    values: np.ndarray  # frequencies in {0, 1/N, ..., 1}, length len(env)+1
-    env: EnvSequence
-
-
-@dataclass
 class BlockCountPath:
     values: np.ndarray  # block counts in {1,...,N}, length len(env)+1
     # (one row per replicate for a batched env)
@@ -98,12 +97,6 @@ def _merger_draw(params: FiniteModelParams, x, rng, size: int):
     return p
 
 
-def step_frequency(params: FiniteModelParams, x: float, y: float,
-                   rng: np.random.Generator) -> float:
-    """One forward generation from frequency x under environment y."""
-    return float(step_frequency_many(params, np.array([x]), y, rng)[0])
-
-
 def step_frequency_many(params: FiniteModelParams, x: np.ndarray, y,
                         rng: np.random.Generator) -> np.ndarray:
     """One forward generation for a vector of independent replicates.
@@ -116,18 +109,6 @@ def step_frequency_many(params: FiniteModelParams, x: np.ndarray, y,
     succ = pgf_many(params.kernel, y, p)
     counts = rng.binomial(params.N, succ)
     return counts / params.N
-
-
-def simulate_frequency(params: FiniteModelParams, x0: float, env: EnvSequence,
-                       rng: np.random.Generator) -> FrequencyPath:
-    """Forward chain over len(env) generations, env consumed in order."""
-    x = x0
-    out = np.empty(len(env) + 1)
-    out[0] = x
-    for g, y in enumerate(env.values):
-        x = step_frequency(params, x, float(y), rng)
-        out[g + 1] = x
-    return FrequencyPath(out, env)
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +162,6 @@ def _occupied_labels(picks: np.ndarray, N: int,
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return np.bincount(keys[first] // N, minlength=picks.size)
-
-
-def step_ancestry(params: FiniteModelParams, n: int, y: float,
-                  rng: np.random.Generator) -> tuple[int, bool]:
-    """One backward generation from n lineages under environment y.
-
-    Returns (distinct parent labels, saturated); see ``step_ancestry_many``.
-    """
-    counts, saturated = step_ancestry_many(params, [n], y, rng)
-    return int(counts[0]), bool(saturated[0])
 
 
 def simulate_ancestry(params: FiniteModelParams, n0: int, env: EnvSequence,

@@ -284,6 +284,26 @@ class TestValidateMatchesRun:
         assert not (tmp_path / "o").exists()
 
 
+class TestRegimeChecked:
+    # passed validate, then run exited with RegimeMismatch
+    EXTINCTION_FIXATION = {
+        "experiment": "fixation", "seed": 3, "x_grid": [0.5],
+        "limit": dict(THRESHOLDS_CFG["limit"],
+                      lambda_s={"atoms": [[0.5, 4.0]]}, w=0.5),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_fixation_outside_survival_rejected(self, tmp_path, command):
+        args = [command, write_cfg(tmp_path, self.EXTINCTION_FIXATION)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "RegimeMismatch" in res.output
+        assert "ExtinctionAlmostSure" in res.output
+        assert not (tmp_path / "o").exists()
+
+
 class TestWorkersOption:
     def test_config_key_still_schema_checked(self, tmp_path):
         assert load_config(write_cfg(tmp_path, dict(THRESHOLDS_CFG,

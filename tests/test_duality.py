@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -232,9 +233,12 @@ class TestMomentDuality:
         assert abs(report.z) < 4.0
 
     def test_full_model(self, baseline_params):
-        report = moment_check(baseline_params, 0.5, 2, 0.5, M=40_000,
-                              dt=1e-3, seed=29)
-        assert abs(report.z) < 4.0
+        # sigma > 0 interleaves jumps with Euler pieces on the dt grid
+        for sigma in (0.0, 0.5):
+            params = dataclasses.replace(baseline_params, sigma=sigma)
+            report = moment_check(params, 0.5, 2, 0.5, M=40_000, dt=1e-3,
+                                  seed=29)
+            assert abs(report.z) < 4.0
 
 
 class TestScalingScheme:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,10 @@ from wfduality import (
     LimitParams,
     SelectionKernel,
     absorption_scan,
+    ensemble_states,
     moment_estimate,
-    simulate_path,
 )
 from wfduality import fvwrs
-from wfduality.fvwrs import ensemble_states
 
 from conftest import limit_params, rng
 
@@ -28,41 +28,47 @@ def diffusion_only(sigma: float, w: float = 0.0) -> LimitParams:
                        lambda_c=empty, c=0.0, sigma=sigma)
 
 
+#: Diffusion of the sigma > 0 runs of the engine tests.
+SIGMA = 0.1
+
+
+def with_sigma(params: LimitParams, sigma: float) -> LimitParams:
+    return dataclasses.replace(params, sigma=sigma)
+
+
 class TestSimulatePath:
     def test_boundaries_constant(self):
         params = diffusion_only(1.0)
         for x0 in (0.0, 1.0):
-            path = simulate_path(params, x0, 1.0, 1e-2, rng(1))
-            assert (path.values == x0).all()
+            out = ensemble_states(params, x0, np.linspace(0.0, 1.0, 101),
+                                  1e-2, 20, seed=1)
+            assert (out == x0).all()
 
     def test_state_stays_in_unit_interval(self, baseline_params):
-        for i in range(20):
-            path = simulate_path(baseline_params, 0.5, 2.0, 1e-2, rng(10 + i))
-            assert path.values.min() >= 0.0
-            assert path.values.max() <= 1.0
-
-    def test_jump_log_kinds(self, baseline_params):
-        kinds = set()
-        for i in range(30):
-            path = simulate_path(baseline_params, 0.5, 2.0, 1e-2, rng(40 + i))
-            kinds.update(kind for _, kind, _, _ in path.jumps)
-        assert kinds == {"selection", "coalescence"}
+        ts = np.linspace(0.0, 2.0, 201)
+        for sigma in (0.0, SIGMA):
+            out = ensemble_states(with_sigma(baseline_params, sigma), 0.5,
+                                  ts, 1e-2, 20, seed=10)
+            assert out.min() >= 0.0
+            assert out.max() <= 1.0
 
     def test_invalid_step_rejected(self, baseline_params):
         with pytest.raises(InvalidStep):
-            simulate_path(baseline_params, 0.5, 1.0, 0.0, rng(2))
+            ensemble_states(baseline_params, 0.5, [1.0], 0.0, 10, seed=2)
         with pytest.raises(InvalidStep):
             moment_estimate(baseline_params, 0.5, 1, 1.0, 100, -1e-3, 0)
 
-    def test_jump_count_matches_total_rate(self, baseline_params):
-        # with selection at y=0.5 and mergers of strength 0.5 every jump
-        # moves an interior state, so the logged jumps are Poisson(R*T)
-        R = baseline_params.mu_mass + baseline_params.coalescence_rate
-        T, paths = 2.0, 400
-        counts = [len(simulate_path(baseline_params, 0.5, T, 0.1,
-                                    rng(100 + i)).jumps)
-                  for i in range(paths)]
-        assert abs(np.mean(counts) - R * T) < 4 * math.sqrt(R * T / paths)
+    def test_no_event_probability_is_exp_minus_cT(self, geo, empty_measure):
+        # Lambda_c = delta_1: every event is a merger of strength 1, which
+        # sends an interior state to 0 or 1, so X_T = x0 iff no event came
+        # by T, an event of the rate-c Poisson process
+        c, T, M = 1.0, 1.5, 20000
+        params = LimitParams(geo, empty_measure, w=0.0,
+                             lambda_c=FiniteMeasure.point_mass(1.0), c=c,
+                             sigma=0.0)
+        finals = ensemble_states(params, 0.3, [T], 1e-3, M, seed=12)[0]
+        p = math.exp(-c * T)
+        assert abs((finals == 0.3).mean() - p) < 4 * math.sqrt(p * (1 - p) / M)
 
 
 class TestExactEngine:
@@ -92,33 +98,38 @@ class TestExactEngine:
             ensemble_states(baseline_params, 0.3, [1.0], 0.0, 10, seed=21)
 
     def test_unsorted_repeated_and_zero_times(self, baseline_params):
+        # with sigma > 0 the times are grid times, so recording any subset
+        # of them leaves the draws alone
         ts = [1.0, 0.0, 0.5, 1.0, 0.25]
-        out = ensemble_states(baseline_params, 0.5, ts, 1e-3, 1500, seed=22)
-        assert out.shape == (5, 1500)
-        assert (out[1] == 0.5).all()
-        sorted_out = ensemble_states(baseline_params, 0.5, [0.25, 0.5, 1.0],
-                                     1e-3, 1500, seed=22)
-        np.testing.assert_array_equal(out[[4, 2, 0]], sorted_out)
-        np.testing.assert_array_equal(out[3], out[0])
-        final = ensemble_states(baseline_params, 0.5, [1.0], 1e-3, 1500,
-                                seed=22)
-        np.testing.assert_array_equal(final[0], out[0])
-        with pytest.raises(InvalidStep):
-            ensemble_states(baseline_params, 0.5, [-0.1], 1e-3, 10, seed=22)
+        for sigma in (0.0, SIGMA):
+            params = with_sigma(baseline_params, sigma)
+            out = ensemble_states(params, 0.5, ts, 1e-3, 1500, seed=22)
+            assert out.shape == (5, 1500)
+            assert (out[1] == 0.5).all()
+            sorted_out = ensemble_states(params, 0.5, [0.25, 0.5, 1.0],
+                                         1e-3, 1500, seed=22)
+            np.testing.assert_array_equal(out[[4, 2, 0]], sorted_out)
+            np.testing.assert_array_equal(out[3], out[0])
+            final = ensemble_states(params, 0.5, [1.0], 1e-3, 1500, seed=22)
+            np.testing.assert_array_equal(final[0], out[0])
+            with pytest.raises(InvalidStep):
+                ensemble_states(params, 0.5, [-0.1], 1e-3, 10, seed=22)
 
     def test_boundary_starts_hold(self, baseline_params):
-        for x0 in (0.0, 1.0):
-            out = ensemble_states(baseline_params, x0, [2.0, 0.0, 1.0], 1e-3,
-                                  1500, seed=23)
-            assert (out == x0).all()
+        for sigma in (0.0, SIGMA):
+            for x0 in (0.0, 1.0):
+                out = ensemble_states(with_sigma(baseline_params, sigma), x0,
+                                      [2.0, 0.0, 1.0], 1e-3, 1500, seed=23)
+                assert (out == x0).all()
 
     def test_absorbed_paths_hold_their_state(self, extinction_params):
-        out = ensemble_states(extinction_params, 0.5, [1.0, 4.0, 8.0], 1e-3,
-                              2000, seed=24)
-        for i in range(2):
-            for b in (0.0, 1.0):
-                assert (out[i + 1][out[i] == b] == b).all()
-        assert (out[-1] == 0.0).mean() > 0.9
+        for sigma in (0.0, SIGMA):
+            out = ensemble_states(with_sigma(extinction_params, sigma), 0.5,
+                                  [1.0, 4.0, 8.0], 1e-3, 2000, seed=24)
+            for i in range(2):
+                for b in (0.0, 1.0):
+                    assert (out[i + 1][out[i] == b] == b).all()
+            assert (out[-1] == 0.0).mean() > 0.9
 
     def test_selection_increasing_the_frequency_raises(self, baseline_params,
                                                        monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from wfduality import (
     DegenerateKernelAtAtom,
@@ -18,7 +19,7 @@ from wfduality import (
     pgf,
     sum_distribution,
 )
-from wfduality.measures import INF_K
+from wfduality.measures import INF_K, binom_pmf, nbinom_pmf
 
 from conftest import KERNELS, rng
 
@@ -169,6 +170,51 @@ class TestSumDistribution:
         k = SelectionKernel.table({2: 0.5}, inf_mass=0.5)
         sd = sum_distribution(k, 1.0, 1, 5)
         assert sd.tail >= 0.5
+
+
+class TestPmfs:
+    """The log-space pmfs against scipy.stats up to n = 10^4.
+
+    Below 1e-30 the reference itself is off by about 1e-12 relative (against
+    50-digit arithmetic), so there only smallness is checked.
+    """
+
+    NS = [1, 2, 3, 15, 16, 17, 100, 1000, 10_000]
+    PS = [1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6]
+
+    @staticmethod
+    def check(got, ref):
+        big = ref > 1e-30
+        np.testing.assert_allclose(got[big], ref[big], rtol=1e-12, atol=0)
+        assert (got[~big] < 1e-29).all()
+
+    @pytest.mark.parametrize("n", NS)
+    def test_binomial(self, n):
+        ks = np.arange(n + 3)
+        for p in self.PS:
+            self.check(binom_pmf(ks, n, p), stats.binom.pmf(ks, n, p))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_negative_binomial(self, n):
+        for y in self.PS[:-1]:  # success probability 1 - y
+            k_max = int(3 * n * y / (1 - y)) + 50  # three times the mean
+            ks = np.unique(np.r_[np.arange(200), np.linspace(
+                0, k_max, 20_000).astype(np.int64)])
+            self.check(nbinom_pmf(ks, n, 1.0 - y),
+                       stats.nbinom.pmf(ks, n, 1.0 - y))
+
+    def test_degenerate_probabilities(self):
+        ks = np.arange(6)
+        for n, p, pmf in ((4, 0.0, [1, 0, 0, 0, 0, 0]),
+                          (4, 1.0, [0, 0, 0, 0, 1, 0]),
+                          (0, 0.3, [1, 0, 0, 0, 0, 0])):
+            np.testing.assert_array_equal(binom_pmf(ks, n, p), pmf)
+
+    def test_finite_where_the_coefficient_overflows(self):
+        n = 10**6
+        pmf = binom_pmf(np.arange(n + 1), n, 0.5)
+        assert np.isfinite(pmf).all()
+        assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFiniteMeasure:

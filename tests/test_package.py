@@ -1,0 +1,32 @@
+"""Package-wide checks on the source tree and on what the CLI imports."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so runtime invariants must raise
+    # package errors instead
+    found = []
+    for path in sorted((SRC / "wfduality").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes most of the CLI's start-up time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, wfduality.cli; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    modules = ast.literal_eval(out)
+    assert "wfduality.cli" in modules
+    assert "scipy.stats" not in modules

@@ -15,14 +15,11 @@ from wfduality import (
     SelectionKernel,
     draw_env,
     simulate_ancestry,
-    simulate_frequency,
-    step_ancestry,
     step_ancestry_many,
-    step_frequency,
+    step_frequency_many,
 )
 from wfduality import wf_graph
 from wfduality.measures import pgf
-from wfduality.wf_graph import step_frequency_many
 
 from conftest import KERNELS, rng
 
@@ -35,6 +32,16 @@ def neutral_model(N: int, c_N: float = 0.0, lambda_c=None) -> FiniteModelParams:
         c_N=c_N,
         lambda_c=lambda_c,
     )
+
+
+def forward_paths(params: FiniteModelParams, x0: float, env: EnvSequence,
+                  size: int, gen: np.random.Generator) -> np.ndarray:
+    """Frequencies of ``size`` forward chains, one row per generation."""
+    out = np.empty((len(env) + 1, size))
+    out[0] = x0
+    for g, y in enumerate(env.values):
+        out[g + 1] = step_frequency_many(params, out[g], float(y), gen)
+    return out
 
 
 class TestEnvSequence:
@@ -54,8 +61,9 @@ class TestStepFrequency:
     def test_boundaries_absorbing(self):
         params = neutral_model(10)
         for y in (0.0, 0.5, 0.9):
-            assert step_frequency(params, 0.0, y, rng(1)) == 0.0
-            assert step_frequency(params, 1.0, y, rng(1)) == 1.0
+            np.testing.assert_array_equal(
+                step_frequency_many(params, np.array([0.0, 1.0]), y, rng(1)),
+                [0.0, 1.0])
 
     def test_two_individual_selection_law(self):
         # N=2, geometric y=0.5, x=0.5: next count ~ Binomial(2, 1/3)
@@ -89,24 +97,20 @@ class TestSimulateFrequency:
     def test_neutral_martingale(self):
         params = neutral_model(30)
         env = EnvSequence(np.zeros(10))
-        finals = np.array([
-            simulate_frequency(params, 0.5, env, rng(100 + i)).values[-1]
-            for i in range(4000)
-        ])
+        finals = forward_paths(params, 0.5, env, 4000, rng(100))[-1]
         se = finals.std(ddof=1) / np.sqrt(finals.size)
         assert abs(finals.mean() - 0.5) < 4 * se
 
     def test_zero_start_stays_zero(self):
         params = neutral_model(10)
         env = EnvSequence(np.full(20, 0.5))
-        path = simulate_frequency(params, 0.0, env, rng(5))
-        assert (path.values == 0.0).all()
+        assert (forward_paths(params, 0.0, env, 1, rng(5)) == 0.0).all()
 
     def test_absorption_is_permanent(self):
         params = neutral_model(5)
         env = EnvSequence(np.full(60, 0.3))
-        for i in range(50):
-            vals = simulate_frequency(params, 0.4, env, rng(200 + i)).values
+        paths = forward_paths(params, 0.4, env, 50, rng(200))
+        for vals in paths.T:
             hits = np.where((vals == 0.0) | (vals == 1.0))[0]
             if hits.size:
                 first = hits[0]
@@ -116,10 +120,7 @@ class TestSimulateFrequency:
         # constant environment pressure drives the weak-allele mean down
         params = neutral_model(100)
         env = EnvSequence(np.full(10, 0.2))
-        finals = np.array([
-            simulate_frequency(params, 0.5, env, rng(300 + i)).values[-1]
-            for i in range(2000)
-        ])
+        finals = forward_paths(params, 0.5, env, 2000, rng(300))[-1]
         se = finals.std(ddof=1) / np.sqrt(finals.size)
         assert finals.mean() < 0.5 - 4 * se
 
@@ -127,9 +128,9 @@ class TestSimulateFrequency:
 class TestStepAncestry:
     def test_single_neutral_lineage(self):
         params = neutral_model(10)
-        for i in range(20):
-            n, sat = step_ancestry(params, 1, 0.0, rng(400 + i))
-            assert n == 1 and not sat
+        n, sat = step_ancestry_many(params, np.ones(20, dtype=int), 0.0,
+                                    rng(400))
+        assert (n == 1).all() and not sat.any()
 
     def test_birthday_collision(self):
         params = neutral_model(10)
@@ -153,9 +154,8 @@ class TestStepAncestry:
     def test_full_merger_collapses(self):
         params = neutral_model(20, c_N=1.0,
                                lambda_c=FiniteMeasure.point_mass(1.0))
-        for i in range(20):
-            n, _ = step_ancestry(params, 10, 0.0, rng(700 + i))
-            assert n == 1
+        n, _ = step_ancestry_many(params, np.full(20, 10), 0.0, rng(700))
+        assert (n == 1).all()
 
 
 class TestSimulateAncestry:
