@@ -42,7 +42,6 @@ from .bcre import (
     RateTable,
     dual_moment,
     jump_rates,
-    simulate,
     stationary_estimate,
 )
 from .duality import (

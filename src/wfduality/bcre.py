@@ -12,18 +12,18 @@ and coalesces to n-k at rate
 
 Branch rates are truncated at an adaptive k_max with the lumped tail kept as
 an explicit rate; a tail draw is resolved exactly by conditional sampling,
-never discarded.  Rate tables are memoized per state.
+never discarded.
 
-One Gillespie loop, ``holding_intervals``, simulates every path; paths,
-final states, moments and occupation-time estimates consume its holding
-intervals.  ``final_states`` runs M paths batch by batch, one substream per
-batch, for every caller that needs many final states.
+One engine, ``_paths``, runs every path: Gillespie's direct method over a
+batch of paths at once, each round picking every jump with one
+``np.searchsorted`` in the flat rate rows of ``RateCache``.  ``final_states``
+runs M paths batch by batch, one substream per batch; ``stationary_estimate``
+pools the occupation times of one batch of independent chains.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,36 +44,28 @@ DEFAULT_CEILING = 10**6
 
 @dataclass
 class RateTable:
-    """All jump rates out of state n, with the branch tail lumped."""
+    """All jump rates out of state n, with the branch tail lumped.
+
+    Categories run n+1..n+k_max, the lumped tail, then n-1, n-2, ...
+    """
 
     n: int
     branch_rates: np.ndarray  # index k-1 holds the rate of n -> n+k
     branch_tail: float        # lumped rate of n -> beyond n+k_max
     coalesce_rates: np.ndarray  # index k-1 holds the rate of n -> n-k
-    # sampling helpers: outcome state per category, cumulative rates
-    outcomes: np.ndarray = field(init=False)
-    cum_rates: np.ndarray = field(init=False)
+    cum_rates: np.ndarray = field(init=False)  # cumulative, category order
     total: float = field(init=False)
+    k_max: int = field(init=False)
 
     def __post_init__(self):
-        k_max = self.branch_rates.size
-        outcomes = np.concatenate([
-            self.n + 1 + np.arange(k_max),
-            [-1],  # sentinel: branch-tail draw, resolved separately
-            self.n - 1 - np.arange(self.coalesce_rates.size),
-        ]).astype(np.int64)
         rates = np.concatenate([
             self.branch_rates, [self.branch_tail], self.coalesce_rates
         ])
         if (rates < 0).any():
             raise InvariantViolation("negative jump rate")
-        self.outcomes = outcomes
         self.cum_rates = np.cumsum(rates)
-        self.total = float(self.cum_rates[-1]) if rates.size else 0.0
-
-    @property
-    def k_max(self) -> int:
-        return self.branch_rates.size
+        self.total = float(self.cum_rates[-1])
+        self.k_max = self.branch_rates.size
 
 
 def _branch_rates(params: LimitParams, n: int, k_max: int) -> tuple[np.ndarray, float]:
@@ -106,21 +98,18 @@ def _coalesce_rates(params: LimitParams, n: int) -> np.ndarray:
     return rates
 
 
-def jump_rates(params: LimitParams, n: int, k_max: int | None = None) -> RateTable:
-    """Rate table out of state n; k_max adaptive unless given."""
+def jump_rates(params: LimitParams, n: int) -> RateTable:
+    """Rate table out of state n, with an adaptive k_max."""
     if n < 1:
         raise InvalidArgument("state must be >= 1")
     coal = _coalesce_rates(params, n)
-    if k_max is not None:
+    k_max = 16
+    while True:
         br, tail = _branch_rates(params, n, k_max)
-    else:
-        k_max = 16
-        while True:
-            br, tail = _branch_rates(params, n, k_max)
-            total = br.sum() + tail + coal.sum()
-            if tail <= TAIL_REL * total or total == 0.0 or k_max >= 2**20:
-                break
-            k_max *= 2
+        total = br.sum() + tail + coal.sum()
+        if tail <= TAIL_REL * total or total == 0.0 or k_max >= 2**20:
+            break
+        k_max *= 2
     branch_total = br.sum() + tail
     bound = n * (params.alpha_s + params.w) + 1e-9 * (1.0 + branch_total)
     if branch_total > bound:
@@ -128,32 +117,58 @@ def jump_rates(params: LimitParams, n: int, k_max: int | None = None) -> RateTab
     return RateTable(n, br, tail, coal)
 
 
-class RateCache:
-    """Memoized rate tables keyed by state, with a simple capacity bound.
+def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
+    """``a`` padded with ``fill`` to at least ``size`` entries, doubling."""
+    if size <= a.size:
+        return a
+    return np.concatenate([a, np.full(max(size, 2 * a.size) - a.size, fill)])
 
-    The engines use a cache from one thread.  It is still safe to share
-    between threads: a table is a pure function of (params, n), and a miss
-    builds, inserts and evicts under a lock, so each state is built once
-    while it stays cached.
+
+class RateCache:
+    """Rate rows of the states one call visits, flattened for batch draws.
+
+    Row r, of the r-th state built, holds r + cum_rates/total in
+    ``cum[indptr[r]:indptr[r+1]]`` up to its first entry that rounds to r + 1
+    (no float draw reaches beyond).  So ``cum`` stays sorted as rows are
+    appended, one ``np.searchsorted`` of r + U, U ~ U[0, 1), picks a jump per
+    path, and the float resolution is r * eps, whatever the state.
+    ``row_of`` maps a state to its row, -1 before its first visit.
     """
 
-    def __init__(self, params: LimitParams, capacity: int = 4096):
-        self.params = params
-        self.capacity = capacity
-        self._tables: dict[int, RateTable] = {}
-        self._lock = threading.Lock()
+    def __init__(self, params: LimitParams):
+        self.params, self.n_rows = params, 0
+        self.row_of = np.full(64, -1, dtype=np.int64)
+        self.indptr = np.zeros(64, dtype=np.int64)
+        self.k_max = np.zeros(64, dtype=np.int64)
+        self.cum, self.total = np.empty(1024), np.empty(64)
 
-    def get(self, n: int) -> RateTable:
-        table = self._tables.get(n)
-        if table is None:
-            with self._lock:
-                table = self._tables.get(n)
-                if table is None:
-                    table = jump_rates(self.params, n)
-                    if len(self._tables) >= self.capacity:
-                        self._tables.pop(next(iter(self._tables)))
-                    self._tables[n] = table
-        return table
+    def get(self, n: int) -> int:
+        """Row of state n, built on its first visit."""
+        self.row_of = _grown(self.row_of, n + 1, -1)
+        if self.row_of[n] >= 0:
+            return int(self.row_of[n])
+        table = jump_rates(self.params, n)
+        r, lo = self.n_rows, int(self.indptr[self.n_rows])
+        # a state without events is never drawn from
+        row = (r + table.cum_rates / table.total if table.total > 0
+               else np.array([r + 1.0]))
+        row = row[:np.searchsorted(row, r + 1.0) + 1]
+        self.cum = _grown(self.cum, lo + row.size)
+        self.cum[lo:lo + row.size] = row
+        self.indptr, self.k_max, self.total = (
+            _grown(a, r + 2) for a in (self.indptr, self.k_max, self.total))
+        self.indptr[r + 1], self.k_max[r] = lo + row.size, table.k_max
+        self.total[r] = table.total
+        self.row_of[n] = r
+        self.n_rows += 1
+        return r
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """Row of each state, building the rows of states not seen before."""
+        self.row_of = _grown(self.row_of, int(states.max()) + 1, -1)
+        for n in np.unique(states[self.row_of[states] < 0]).tolist():
+            self.get(n)
+        return self.row_of[states]
 
 
 def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
@@ -189,83 +204,69 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
             return n + k
 
 
-@dataclass
-class PathZ:
-    """Event log of one chain path: (time, from-state, to-state) triples."""
-
-    n0: int
-    events: list
-
-    def state_at(self, t: float) -> int:
-        n = self.n0
-        for time, _, to in self.events:
-            if time > t:
-                break
-            n = to
-        return n
+def _pool(parts) -> tuple[np.ndarray, np.ndarray]:
+    """(key, time) array pairs summed into distinct sorted keys."""
+    keys, times = (np.concatenate(a) for a in zip(*parts))
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inverse, weights=times)
 
 
-def _step(params: LimitParams, n: int, t: float, cache: RateCache,
-          rng: np.random.Generator) -> tuple[int, float]:
-    """One Gillespie event from (n, t); returns (next state, event time)."""
-    table = cache.get(n)
-    if table.total <= 0:
-        return n, math.inf
-    t_next = t + rng.exponential(1.0 / table.total)
-    u = rng.random() * table.total
-    idx = int(np.searchsorted(table.cum_rates, u))
-    idx = min(idx, table.outcomes.size - 1)
-    n_next = int(table.outcomes[idx])
-    if n_next == -1:
-        n_next = _sample_tail_jump(params, n, table.k_max, rng)
-    return n_next, t_next
+def _paths(params: LimitParams, n0: int, T: float, size: int,
+           rng: np.random.Generator, cache: RateCache, ceiling: int,
+           cut: bool = False, keep_from: float | None = None):
+    """The Gillespie loop: ``size`` independent paths from n0 on [0, T].
 
-
-def holding_intervals(params: LimitParams, n0: int, T: float,
-                      rng: np.random.Generator, cache: RateCache,
-                      ceiling: int = DEFAULT_CEILING):
-    """The Gillespie loop: yield (n, t, t_next) per holding interval on [0, T].
-
-    The last interval ends at T; each earlier one ends with a jump out of n
-    into the state of the next interval.  A jump to a state above
-    ``ceiling`` raises ``StateExplosionGuard``.
+    Each round every active path draws its holding time Exp(1)/total[n].  A
+    path whose next event falls past T records its state and leaves; each
+    other path picks its jump by one ``searchsorted`` of r + U in the rows
+    (r the row of its state), or draws a rare lumped-tail jump alone.  A
+    jump above ``ceiling`` raises StateExplosionGuard, or with ``cut`` stops
+    the path at state ``ceiling + 1``.  Returns the states at T and the
+    occupation times on [keep_from, T] (keys state * size + path, times).
     """
     if n0 < 1:
         raise InvalidArgument("initial state must be >= 1")
-    n, t = n0, 0.0
-    while True:
-        n_next, t_next = _step(params, n, t, cache, rng)
-        if t_next > T:
-            yield n, t, T
-            return
-        if n_next > ceiling:
-            raise StateExplosionGuard(
-                f"state {n_next} exceeded ceiling {ceiling} at t={t_next:.4g}"
-            )
-        yield n, t, t_next
-        n, t = n_next, t_next
-
-
-def simulate(params: LimitParams, n0: int, T: float, rng: np.random.Generator,
-             ceiling: int = DEFAULT_CEILING, cache: RateCache | None = None) -> PathZ:
-    """Exact path of the chain on [0, T]."""
-    events = []
-    prev = None
-    for n, t, _ in holding_intervals(params, n0, T, rng,
-                                     cache or RateCache(params), ceiling):
-        if prev is not None:
-            events.append((t, prev, n))
-        prev = n
-    return PathZ(n0, events)
+    finals = np.empty(size, dtype=np.int64)
+    occ = [(np.empty(0, dtype=np.int64), np.empty(0))]
+    ids, n, t = np.arange(size), np.full(size, n0, dtype=np.int64), np.zeros(size)
+    while ids.size:
+        rows = cache.rows(n)
+        with np.errstate(divide="ignore"):  # total 0: no event, ever
+            t_next = t + rng.standard_exponential(ids.size) / cache.total[rows]
+        if keep_from is not None:
+            # fmin: an absorbing state's 0/0 holding time lasts to T
+            held = np.fmin(t_next, T) - np.maximum(t, keep_from)
+            on = held > 0
+            occ.append((n[on] * size + ids[on], held[on]))
+            if len(occ) > 16:  # memory follows the distinct (state, path)
+                occ = [_pool(occ)]
+        go = t_next <= T
+        finals[ids[~go]] = n[~go]
+        ids, n, t, rows = ids[go], n[go], t_next[go], rows[go]
+        lo, hi = cache.indptr[rows], cache.indptr[rows + 1]
+        pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
+                              rows + rng.random(ids.size), side="right")
+        j = np.clip(pos, lo, hi - 1) - lo  # r + U may round up to r + 1
+        jump = j - cache.k_max[rows]  # < 0 branch, 0 lumped tail, > 0 merge
+        n = np.where(jump < 0, n + 1 + j, n - jump)
+        for i in np.flatnonzero(jump == 0).tolist():  # n[i] is still the state
+            n[i] = _sample_tail_jump(params, int(n[i]),
+                                     int(cache.k_max[rows[i]]), rng)
+        over = n > ceiling
+        if over.any():
+            if not cut:
+                raise StateExplosionGuard(
+                    f"state {n[over].max()} exceeded ceiling {ceiling}")
+            finals[ids[over]] = ceiling + 1
+            ids, n, t = ids[~over], n[~over], t[~over]
+    return finals, _pool(occ)
 
 
 def final_state(params: LimitParams, n0: int, T: float,
                 rng: np.random.Generator, cache: RateCache,
                 ceiling: int = DEFAULT_CEILING) -> int:
-    """State of one exact path at time T."""
-    for n, _, _ in holding_intervals(params, n0, T, rng, cache, ceiling):
-        pass
-    return n
+    """State at time T of one exact path: a one-path batch of the engine."""
+    return int(_paths(params, n0, T, 1, rng, cache, ceiling)[0][0])
 
 
 def final_states(params: LimitParams, n0: int, T: float, M: int, seed: int,
@@ -274,21 +275,17 @@ def final_states(params: LimitParams, n0: int, T: float, M: int, seed: int,
                  cut: bool = False) -> np.ndarray:
     """States at time T of M independent paths from n0, in batch order.
 
-    Batch ``idx`` draws from ``substream(seed, role, idx, sub)`` and all
-    batches share one rate cache.  With ``cut`` a path that passes
-    ``ceiling`` stops there and reports ``ceiling + 1`` instead of raising.
+    Batch ``idx`` runs through the engine on ``substream(seed, role, idx,
+    sub)``, and all batches share one rate cache.  A path that jumps above
+    ``ceiling`` raises ``StateExplosionGuard``; with ``cut`` it stops there
+    and reports ``ceiling + 1`` instead.
     """
     cache = RateCache(params)
     out = np.empty(M, dtype=np.int64)
     for idx, size in batches(M):
-        rng = substream(seed, role, idx, sub)
-        for i in range(idx * BATCH_SIZE, idx * BATCH_SIZE + size):
-            try:
-                out[i] = final_state(params, n0, T, rng, cache, ceiling)
-            except StateExplosionGuard:
-                if not cut:
-                    raise
-                out[i] = ceiling + 1
+        out[idx * BATCH_SIZE:idx * BATCH_SIZE + size] = _paths(
+            params, n0, T, size, substream(seed, role, idx, sub), cache,
+            ceiling, cut)[0]
     return out
 
 
@@ -306,11 +303,12 @@ def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
 
 @dataclass
 class StationaryEstimate:
-    """Time-weighted occupation estimate of the stationary law."""
+    """Occupation-time estimate of the stationary law from parallel chains."""
 
-    pmf: np.ndarray  # pmf[k] is the occupation mass of state k (index 0 unused)
+    pmf: np.ndarray  # pmf[k] is the pooled occupation mass of state k (k >= 1)
     total_time: float
     half_sample_tv: float
+    chains: tuple  # (chain, state, mass): each chain's occupation law
 
     def prob(self, k: int) -> float:
         return float(self.pmf[k]) if 0 < k < self.pmf.size else 0.0
@@ -322,41 +320,45 @@ class StationaryEstimate:
         vals = (np.power.outer(x, ks) * self.pmf).sum(axis=-1)
         return float(vals) if vals.ndim == 0 else vals
 
+    def pgf_se(self, x) -> np.ndarray | float:
+        """Between-chain SE of ``pgf(x)``; 0 at x = 1, where it is rounding."""
+        x = np.asarray(x, dtype=float)
+        chain, state, mass = self.chains
+        per_chain = np.array([np.bincount(chain, weights=mass * xi**state)
+                              for xi in x.ravel().tolist()])
+        se = per_chain.std(axis=1, ddof=1) / math.sqrt(per_chain.shape[1])
+        se = np.where(x == 1.0, 0.0, se.reshape(x.shape))
+        return float(se) if se.ndim == 0 else se
+
 
 def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
                         rng: np.random.Generator, tv_threshold: float = 0.05,
                         ceiling: int = DEFAULT_CEILING) -> StationaryEstimate:
     """Occupation-time estimate of the stationary law of the chain.
 
-    Runs one long path, discards [0, burn_in], and normalises the occupation
-    times on [burn_in, T].  Warns if the two halves of the kept window give
-    occupation laws further apart than ``tv_threshold`` in total variation.
+    Runs K = BATCH_SIZE independent chains from n0.  Each discards
+    [0, burn_in] and keeps the next (T - burn_in) / K of time: the kept time
+    totals T - burn_in, as for one chain kept on [burn_in, T], but every
+    chain pays the burn-in.  The estimate is the pooled occupation law, and
+    the spread of the chains' laws gives the SE of its pgf.  Warns if the
+    pooled laws of the two halves of the chains differ by more than
+    ``tv_threshold`` in total variation.
     """
     if T <= burn_in:
         raise InvalidArgument("T must exceed burn_in")
-    t_mid = burn_in + (T - burn_in) / 2.0
-    occ1 = np.zeros(64)
-    occ2 = np.zeros(64)
-    for n, t, t_next in holding_intervals(params, n0, T, rng,
-                                          RateCache(params), ceiling):
-        if occ1.size <= n:
-            occ1 = np.concatenate([occ1, np.zeros(n + 1 - occ1.size)])
-            occ2 = np.concatenate([occ2, np.zeros(n + 1 - occ2.size)])
-        lo, hi = max(t, burn_in), min(t_next, t_mid)
-        if hi > lo:
-            occ1[n] += hi - lo
-        lo, hi = max(t, t_mid), t_next
-        if hi > lo:
-            occ2[n] += hi - lo
-    occ = occ1 + occ2
-    span = T - burn_in
-    h1 = occ1 / max(occ1.sum(), 1e-300)
-    h2 = occ2 / max(occ2.sum(), 1e-300)
-    tv = 0.5 * float(np.abs(h1 - h2).sum())
+    K = BATCH_SIZE
+    _, (keys, times) = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng,
+                              RateCache(params), ceiling, keep_from=burn_in)
+    chain, state = keys % K, keys // K
+    h1, h2 = (np.bincount(state, weights=times * half, minlength=state.max() + 1)
+              for half in (chain < K // 2, chain >= K // 2))
+    tv = 0.5 * float(np.abs(h1 / h1.sum() - h2 / h2.sum()).sum())
     if tv > tv_threshold:
         warnings.warn(
             f"half-sample occupation laws differ by TV={tv:.3f}",
             NonConvergenceWarning,
         )
-    pmf = occ / occ.sum()
-    return StationaryEstimate(pmf, span, tv)
+    pmf = h1 + h2
+    mass = times / np.bincount(chain, weights=times)[chain]
+    return StationaryEstimate(pmf / pmf.sum(), T - burn_in, tv,
+                              (chain, state, mass))

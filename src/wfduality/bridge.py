@@ -33,6 +33,7 @@ def require_regime(params: LimitParams, regime: str, analysis: str) -> None:
 class FixationReport:
     x_grid: np.ndarray
     predicted: np.ndarray       # phi_nu_hat(x)
+    predicted_se: np.ndarray    # between-chain SE of phi_nu_hat(x)
     simulated: np.ndarray       # absorption fraction at 1
     simulated_se: np.ndarray
     z_scores: np.ndarray
@@ -43,6 +44,7 @@ class FixationReport:
         return {
             "x_grid": self.x_grid.tolist(),
             "predicted": self.predicted.tolist(),
+            "predicted_se": self.predicted_se.tolist(),
             "simulated": self.simulated.tolist(),
             "simulated_se": self.simulated_se.tolist(),
             "z_scores": self.z_scores.tolist(),
@@ -60,13 +62,14 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
     Requires the survival regime; the prediction is the generating function
     of the occupation-time estimate of the dual chain's stationary law, the
     simulation is the absorption fraction at 1 of the forward process by
-    horizon T.
+    horizon T.  A z-score combines both SEs; it is 0 where both are 0.
     """
     require_regime(params, thresholds.SURVIVAL, "fixation")
     x_grid = np.asarray(x_grid, dtype=float)
     nu = bcre.stationary_estimate(params, 1, burn_in, T_stat,
                                   substream(seed, "stationary", 0))
     predicted = np.asarray(nu.pgf(x_grid))
+    predicted_se = np.asarray(nu.pgf_se(x_grid))
     if not (np.diff(nu.pgf(np.linspace(0, 1, 21))) >= -1e-12).all():
         raise InvariantViolation("stationary pgf must be nondecreasing")
     if abs(nu.pgf(1.0) - 1.0) >= 1e-9:
@@ -79,10 +82,11 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
                                      "scan", i)
         sims[i] = scan.fraction_at_1
         ses[i] = scan.se_at_1()
-    zs = np.where(ses > 0, (predicted - sims) / np.maximum(ses, 1e-300), 0.0)
-    return FixationReport(x_grid, predicted, sims, ses, zs, nu.half_sample_tv,
-                          {"M": M, "T": T, "dt": dt, "burn_in": burn_in,
-                           "T_stat": T_stat})
+    err = np.hypot(ses, predicted_se)
+    zs = np.where(err > 0, (predicted - sims) / np.maximum(err, 1e-300), 0.0)
+    return FixationReport(
+        x_grid, predicted, predicted_se, sims, ses, zs, nu.half_sample_tv,
+        {"M": M, "T": T, "dt": dt, "burn_in": burn_in, "T_stat": T_stat})
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,10 @@ def _run_fixation(cfg: dict):
         for x, z in zip(rep.x_grid, rep.z_scores)
     }
     csvs = {"fixation.csv": (
-        ["x", "predicted", "simulated", "simulated_se", "z"],
+        ["x", "predicted", "predicted_se", "simulated", "simulated_se", "z"],
         list(zip(rep.x_grid.tolist(), rep.predicted.tolist(),
-                 rep.simulated.tolist(), rep.simulated_se.tolist(),
-                 rep.z_scores.tolist())),
+                 rep.predicted_se.tolist(), rep.simulated.tolist(),
+                 rep.simulated_se.tolist(), rep.z_scores.tolist())),
     )}
     return rep.to_dict(), verdicts, csvs
 

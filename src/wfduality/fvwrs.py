@@ -229,10 +229,6 @@ class AbsorptionScan:
     fraction_interior: float
     replicates: int
 
-    def se_at_0(self) -> float:
-        p = self.fraction_at_0
-        return math.sqrt(p * (1.0 - p) / self.replicates)
-
     def se_at_1(self) -> float:
         p = self.fraction_at_1
         return math.sqrt(p * (1.0 - p) / self.replicates)

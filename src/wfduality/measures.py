@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from .errors import DegenerateKernelAtAtom, ModelError, NonFiniteIntegrand
 
@@ -207,14 +207,14 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
 
 
 def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x log(x/m) + m - x for x >= 0, m > 0, Loader's deviance term.
+    """x log(x/m) + m - x for x > 0, m > 0, Loader's deviance term.
 
     Written as x log1p(d/m) - d with d = x - m, its rounding error is of the
     order of eps |d| rather than eps x, which keeps the bulk of a large-n
     pmf accurate.
     """
     d = x - m
-    return xlog1py(x, d / m) - d
+    return x * np.log1p(d / m) - d
 
 
 def binom_pmf(k, n, p: float) -> np.ndarray:
@@ -243,8 +243,9 @@ def binom_pmf(k, n, p: float) -> np.ndarray:
         lf = _LOG_2PI + np.log(km) + np.log1p(-km / nm)
         out[mid] = np.exp(sn - sk - snk - dk - dnk - 0.5 * lf)
     none, all_ = k == 0, (k == n) & (n > 0)
-    out[none] = np.exp(xlog1py(n[none], -p))
-    out[all_] = np.exp(xlogy(n[all_], p))
+    # (1-p)^n is 1 at n = 0 even when p = 1; the k = n branch has n > 0
+    out[none] = np.exp(n[none] * math.log1p(-p)) if q > 0 else n[none] == 0
+    out[all_] = np.exp(n[all_] * math.log(p)) if p > 0 else 0.0
     return out
 
 
@@ -398,20 +399,14 @@ class FiniteMeasure:
             _allow_negative=self._allow_negative,
         )
 
-    def scaled(self, factor: float) -> "FiniteMeasure":
-        return FiniteMeasure(
-            self.locations,
-            self.weights * factor,
-            kind=self.kind,
-            node_count=self.node_count,
-            _allow_negative=self._allow_negative,
-        )
+    @cached_property
+    def _cdf(self) -> np.ndarray:  # normalised cumulative weights, once
+        cum = np.cumsum(self.weights)
+        return cum / cum[-1]
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw locations from the normalised measure."""
-        cum = np.cumsum(self.weights)
-        cum /= cum[-1]
-        return self.locations[np.searchsorted(cum, rng.random(size))]
+        return self.locations[np.searchsorted(self._cdf, rng.random(size))]
 
 
 def integrate(measure: FiniteMeasure, f) -> float:

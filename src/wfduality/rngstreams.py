@@ -24,7 +24,7 @@ BATCH_SIZE = 1024
 ROLES = {
     "lhs": 0,         # left-hand side of a check; every draw of a one-sided run
     "rhs": 1,         # right-hand side of a duality or convergence check
-    "stationary": 2,  # the long stationary-law path of the dual chain
+    "stationary": 2,  # the batch of stationary-law chains of the dual chain
     "scan": 3,        # one ensemble per grid point, horizon or population size
 }
 
@@ -69,16 +69,20 @@ def batch_mean_se(values) -> tuple[float, float]:
     running total in batch order, so the reduction is fixed by the batching.
     """
     values = np.asarray(values, dtype=float)
+    full = values.size - values.size % BATCH_SIZE
     n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
-    for start in range(0, values.size, BATCH_SIZE):
-        chunk = values[start:start + BATCH_SIZE]
-        n, m = chunk.size, float(chunk.mean())
-        m2 = float(((chunk - m) ** 2).sum())
-        delta = m - mean_tot
-        new_n = n_tot + n
-        m2_tot += m2 + delta * delta * n_tot * n / new_n
-        mean_tot += delta * n / new_n
-        n_tot = new_n
+    for chunk in (values[:full].reshape(-1, BATCH_SIZE), values[None, full:]):
+        n = chunk.shape[1]  # one row per batch, then the remainder, if any
+        if n == 0:
+            continue
+        means = chunk.mean(axis=1)
+        m2s = ((chunk - means[:, None]) ** 2).sum(axis=1)
+        for m, m2 in zip(means.tolist(), m2s.tolist()):
+            delta = m - mean_tot
+            new_n = n_tot + n
+            m2_tot += m2 + delta * delta * n_tot * n / new_n
+            mean_tot += delta * n / new_n
+            n_tot = new_n
     if n_tot < 2:
         return mean_tot, 0.0
     return mean_tot, float(np.sqrt(m2_tot / (n_tot - 1) / n_tot))

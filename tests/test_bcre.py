@@ -1,11 +1,10 @@
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from wfduality import (
     FiniteMeasure,
@@ -14,11 +13,10 @@ from wfduality import (
     StateExplosionGuard,
     dual_moment,
     jump_rates,
-    simulate,
     stationary_estimate,
 )
 from wfduality import bcre
-from wfduality.bcre import RateCache, final_state
+from wfduality.bcre import RateCache, final_state, final_states
 
 from conftest import limit_params, rng
 
@@ -89,43 +87,56 @@ class TestJumpRates:
 class TestSimulate:
     def test_yule_growth(self):
         w = 0.3
-        p = params_with(w=w)
-        finals = np.array([
-            final_state(p, 1, 3.0, rng(100 + i), RateCache(p))
-            for i in range(5000)
-        ])
+        finals = final_states(params_with(w=w), 1, 3.0, 5000, seed=100)
         se = finals.std(ddof=1) / np.sqrt(finals.size)
         assert abs(finals.mean() - math.exp(w * 3.0)) < 4 * se
 
+    def test_yule_law(self):
+        # pure Yule from one lineage: Z_t is geometric,
+        # P(Z_t = k) = e^{-wt} (1 - e^{-wt})^{k-1}
+        w, t = 0.7, 1.5
+        finals = final_states(params_with(w=w), 1, t, 20000, seed=101)
+        p = math.exp(-w * t)
+        ks = np.arange(1, 16)
+        expected = p * (1.0 - p) ** (ks - 1)
+        expected = np.append(expected, 1.0 - expected.sum()) * finals.size
+        observed = np.bincount(np.minimum(finals, 16), minlength=17)[1:]
+        _, pval = stats.chisquare(observed, expected)
+        assert pval > 0.001
+
     def test_pairwise_death_chain_absorption_time(self):
-        # from 5 lineages the expected time to reach 1 is
-        # sum over j=2..5 of 1/C(j,2) = 2 (1 - 1/5) = 1.6
+        # from 5 lineages the time to reach 1 is hypoexponential with rates
+        # C(5,2), C(4,2), C(3,2), C(2,2) = 10, 6, 3, 1, so P(Z_t = 1) is its
+        # CDF at t
+        rates = np.array([10.0, 6.0, 3.0, 1.0])
+        coef = [np.prod([b / (b - a) for b in rates if b != a]) for a in rates]
         p = params_with(sigma=1.0)
-        times = []
-        for i in range(4000):
-            path = simulate(p, 5, 50.0, rng(200 + i))
-            assert path.events[-1][2] == 1
-            times.append(path.events[-1][0])
-        times = np.array(times)
-        se = times.std(ddof=1) / np.sqrt(times.size)
-        assert abs(times.mean() - 1.6) < 4 * se
+        for sub, t in enumerate((0.5, 1.0, 2.0)):
+            finals = final_states(p, 5, t, 4000, seed=200, sub=sub)
+            cdf = 1.0 - float(np.dot(coef, np.exp(-rates * t)))
+            got = float((finals == 1).mean())
+            se = math.sqrt(cdf * (1.0 - cdf) / finals.size)
+            assert abs(got - cdf) < 4 * se
+            assert finals.min() >= 1
 
     def test_absorbing_without_branching(self):
         p = params_with(sigma=1.0)
-        path = simulate(p, 1, 10.0, rng(1))
-        assert path.events == []
+        assert (final_states(p, 1, 10.0, 100, seed=1) == 1).all()
+        assert final_state(p, 1, 10.0, rng(1), RateCache(p)) == 1
 
     def test_explosion_guard_triggers(self):
         p = params_with(lambda_s=FiniteMeasure.point_mass(0.5, 5.0))
         with pytest.raises(StateExplosionGuard):
-            for i in range(2000):
-                simulate(p, 10, 5.0, rng(300 + i), ceiling=50)
+            final_states(p, 10, 5.0, 2000, seed=300, ceiling=50)
+        with pytest.raises(StateExplosionGuard):
+            final_state(p, 10, 5.0, rng(300), RateCache(p), ceiling=50)
 
-    def test_state_at(self):
-        p = params_with(w=0.5)
-        path = simulate(p, 1, 2.0, rng(2))
-        assert path.state_at(0.0) == 1
-        assert path.state_at(2.0) == (path.events[-1][2] if path.events else 1)
+    def test_explosion_guard_cut_reports_ceiling_plus_one(self):
+        p = params_with(lambda_s=FiniteMeasure.point_mass(0.5, 5.0))
+        finals = final_states(p, 10, 5.0, 2000, seed=300, ceiling=50,
+                              cut=True)
+        assert (finals == 51).any()
+        assert finals.max() == 51 and finals.min() >= 1
 
 
 class TestDualMoment:
@@ -161,35 +172,23 @@ class TestDualMoment:
 
 
 class TestRateCache:
-    def test_shared_between_threads(self, baseline_params, monkeypatch):
-        built = []
-        build = bcre.jump_rates
-
-        def counting(params, n, *args):
-            built.append(n)
-            return build(params, n, *args)
-
-        monkeypatch.setattr(bcre, "jump_rates", counting)
-        states = list(range(1, 41))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for capacity in (4096, 8):
-                built.clear()
-                cache = RateCache(baseline_params, capacity=capacity)
-
-                def visit(seed):
-                    order = rng(seed).permutation(states * 5)
-                    return all(cache.get(int(n)).n == n for n in order)
-
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    ok = list(pool.map(visit, range(16), timeout=60))
-                assert all(ok)
-                assert len(cache._tables) <= capacity
-                if capacity > len(states):
-                    assert sorted(built) == states
-        finally:
-            sys.setswitchinterval(interval)
+    def test_rows_are_sorted_and_end_at_row_plus_one(self, baseline_params):
+        cache = RateCache(baseline_params)
+        states = np.array([7, 3, 7, 40, 1, 3])
+        rows = cache.rows(states)
+        assert rows.tolist() == [2, 1, 2, 3, 0, 1]  # sorted new states
+        assert cache.rows(states).tolist() == rows.tolist()
+        cum = cache.cum[:cache.indptr[cache.n_rows]]
+        assert (np.diff(cum) >= 0).all()
+        for r, n in enumerate((1, 3, 7, 40)):
+            row = cum[cache.indptr[r]:cache.indptr[r + 1]]
+            assert row[-1] == r + 1.0 and row[0] >= r
+            table = jump_rates(baseline_params, n)
+            assert cache.total[r] == table.total
+            assert cache.k_max[r] == table.k_max
+            # the kept categories carry all of the rate a draw can reach
+            kept = table.cum_rates[row.size - 1] / table.total
+            assert kept == pytest.approx(1.0, abs=1e-12)
 
 
 def birth_death_stationary_oracle(w: float, sigma: float, n_max: int = 200):
@@ -212,7 +211,9 @@ def birth_death_stationary_oracle(w: float, sigma: float, n_max: int = 200):
 class TestStationaryEstimate:
     def test_no_branching_gives_point_mass(self):
         p = params_with(sigma=1.0)
-        est = stationary_estimate(p, 5, 5.0, 200.0, rng(4))
+        # every one of the 1024 chains pays the burn-in: a 5-lineage pure-
+        # death chain is still above 1 at t with probability about 2e^{-t}
+        est = stationary_estimate(p, 5, 25.0, 200.0, rng(4))
         assert est.prob(1) == pytest.approx(1.0, abs=1e-6)
         assert est.pgf(1.0) == pytest.approx(1.0)
 
@@ -226,12 +227,18 @@ class TestStationaryEstimate:
             sim[k - 1] = est.prob(k)
         tv = 0.5 * np.abs(sim - oracle).sum()
         assert tv < 0.02
+        # the between-chain SE covers the error of the pgf
+        exact = float(np.dot(oracle, 0.5 ** np.arange(1, oracle.size + 1)))
+        assert abs(est.pgf(0.5) - exact) < 4 * est.pgf_se(0.5)
 
     def test_pgf_normalised(self, survival_params):
         est = stationary_estimate(survival_params, 1, 10.0, 2000.0, rng(6))
         assert est.pgf(1.0) == pytest.approx(1.0)
         grid = est.pgf(np.linspace(0, 1, 11))
         assert (np.diff(grid) >= -1e-12).all()
+        se = est.pgf_se(np.array([0.0, 0.5, 1.0]))
+        assert se[0] == 0.0 and se[2] == 0.0 and se[1] > 0.0
+        assert est.pgf_se(0.5) == se[1]
 
 
 class TestConservativeness:
@@ -239,11 +246,7 @@ class TestConservativeness:
         # every path stays finite and the mean is dominated by the
         # branching-only growth bound n0 * exp((mass + w) t)
         n0, T = 10, 5.0
-        cache = RateCache(baseline_params)
-        finals = np.array([
-            final_state(baseline_params, n0, T, rng(400 + i), cache)
-            for i in range(5000)
-        ])
+        finals = final_states(baseline_params, n0, T, 5000, seed=400)
         bound = n0 * math.exp(
             (baseline_params.alpha_s + baseline_params.w) * T)
         se = finals.std(ddof=1) / np.sqrt(finals.size)

@@ -38,8 +38,14 @@ class TestFixation:
             burn_in=20.0, T_stat=4000.0)
         assert abs(report.z_scores[0]) < 4.0
         assert 0.0 < report.predicted[0] < 1.0
+        # the z-score carries the Monte Carlo error of both sides
+        assert report.predicted_se[0] > 0.0
+        err = np.hypot(report.simulated_se[0], report.predicted_se[0])
+        assert report.z_scores[0] == pytest.approx(
+            (report.predicted[0] - report.simulated[0]) / err, rel=1e-12)
         d = report.to_dict()
         assert d["x_grid"] == [0.5]
+        assert d["predicted_se"] == report.predicted_se.tolist()
 
 
 class TestExtinction:

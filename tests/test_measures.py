@@ -248,6 +248,15 @@ class TestFiniteMeasure:
         frac = (draws == 0.2).mean()
         assert frac == pytest.approx(0.75, abs=0.01)
 
+    def test_repeated_sampling_keeps_the_cumulative_weights(self):
+        # the normalised cumsum is computed once; draws stay bit-identical
+        m = FiniteMeasure.atomic([(0.1, 0.3), (0.4, 1.7), (0.9, 2.2)])
+        cum = np.cumsum(m.weights)
+        cum /= cum[-1]
+        for seed in (2, 3):
+            expected = m.locations[np.searchsorted(cum, rng(seed).random(500))]
+            assert (m.sample(500, rng(seed)) == expected).all()
+
 
 class TestEnvMeasure:
     def test_weights_divided_by_mean_excess(self, geo):

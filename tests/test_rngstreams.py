@@ -103,7 +103,30 @@ class TestDisjointStreams:
         assert len(set(opened)) == len(opened)
 
 
+def chunk_loop_mean_se(values):
+    """The reference reduction: one 1024-value slice at a time."""
+    values = np.asarray(values, dtype=float)
+    n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
+    for start in range(0, values.size, 1024):
+        chunk = values[start:start + 1024]
+        n, m = chunk.size, float(chunk.mean())
+        m2 = float(((chunk - m) ** 2).sum())
+        delta = m - mean_tot
+        new_n = n_tot + n
+        m2_tot += m2 + delta * delta * n_tot * n / new_n
+        mean_tot += delta * n / new_n
+        n_tot = new_n
+    if n_tot < 2:
+        return mean_tot, 0.0
+    return mean_tot, float(np.sqrt(m2_tot / (n_tot - 1) / n_tot))
+
+
 class TestBatchMeanSe:
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 2500, 10**6 + 7])
+    def test_bits_match_the_chunk_loop(self, size):
+        values = np.random.default_rng(size).lognormal(size=size) * 1e3
+        assert batch_mean_se(values) == chunk_loop_mean_se(values)
+
     def test_pools_to_the_plain_mean_and_se(self):
         values = np.random.default_rng(0).random(2500)
         mean, se = batch_mean_se(values)
