@@ -10,9 +10,13 @@ and coalesces to n-k at rate
     c * integral of C(n,k+1) y^{k+1} (1-y)^{n-k-1} y^{-2} Lambda_c(dy),
     plus sigma * C(n,2) for k=1.
 
-Branch rates are truncated at an adaptive k_max with the lumped tail kept as
-an explicit rate; a tail draw is resolved exactly by conditional sampling,
-never discarded.
+Branch rates are truncated at a window k_max sized once per state from the
+mean and variance of the summed excess (mean + 12 sd + 16), widened only if
+the lumped tail still carries more than TAIL_REL of the state's rate; the
+tail is kept as an explicit rate, and a tail draw is resolved exactly by
+conditional sampling, never discarded.  ``RateCache.rows`` builds all of a
+round's new states in one numpy pass over a (state, category) grid, and
+``jump_rates`` is the one-state case of the same builder.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
@@ -31,15 +35,22 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import binom_pmf, sum_distribution
+from .measures import (binom_pmf, excess_moments, segments, sum_distribution,
+                       sum_pmfs)
 from .params import LimitParams
 from .rngstreams import BATCH_SIZE, batch_mean_se, batches, substream
 
-#: Relative tail-rate threshold for the adaptive branch-table truncation.
+#: Relative tail-rate threshold for the branch-table truncation.
 TAIL_REL = 1e-9
 
 #: Default state ceiling; exceeding it raises StateExplosionGuard.
 DEFAULT_CEILING = 10**6
+
+#: Widest branch window, in categories.
+K_MAX_CAP = 2**20
+
+#: Most (state, category) entries built in one pass of ``RateCache.rows``.
+ENTRY_CAP = 2**15
 
 
 @dataclass
@@ -58,63 +69,99 @@ class RateTable:
     k_max: int = field(init=False)
 
     def __post_init__(self):
-        rates = np.concatenate([
+        self.cum_rates = np.cumsum(np.concatenate([
             self.branch_rates, [self.branch_tail], self.coalesce_rates
-        ])
-        if (rates < 0).any():
-            raise InvariantViolation("negative jump rate")
-        self.cum_rates = np.cumsum(rates)
+        ]))
         self.total = float(self.cum_rates[-1])
         self.k_max = self.branch_rates.size
 
 
-def _branch_rates(params: LimitParams, n: int, k_max: int) -> tuple[np.ndarray, float]:
-    """Branch rates for k=1..k_max plus the lumped tail rate."""
-    mu = params.mu
-    rates = np.zeros(k_max)
-    tail = 0.0
-    for y, wgt in zip(mu.locations, mu.weights):
-        sd = sum_distribution(params.kernel, float(y), n, k_max)
-        rates += wgt * sd.probs[1:]
-        tail += wgt * sd.tail
+def _windows(params: LimitParams, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch window of each state, and the most it may be widened to.
+
+    The window is mean + 12 sd + 16 of the summed excess K_{y,1} + ... +
+    K_{y,n} - n, the largest over the environment atoms, and never more than
+    the sum's finite support (n for the binary kernel) or ``K_MAX_CAP``.
+    """
+    size, top = np.ones(ns.size), np.ones(ns.size)
+    for y in params.mu.locations.tolist():
+        mean, var, most = excess_moments(params.kernel, y)
+        size = np.maximum(size, ns * mean + 12.0 * np.sqrt(ns * var) + 16.0)
+        top = np.maximum(top, ns * most)
+    limit = np.minimum(top, K_MAX_CAP)
+    return np.minimum(size, limit).astype(np.int64), limit.astype(np.int64)
+
+
+def _branch_rates(params: LimitParams, ns: np.ndarray, k_max: np.ndarray) -> np.ndarray:
+    """Branch rows of k = 1..k_max then the lumped tail, laid end to end."""
+    ends = np.cumsum(k_max + 1)
+    rates = np.zeros(ends[-1])
+    for y, wgt in zip(params.mu.locations.tolist(), params.mu.weights.tolist()):
+        probs, tails = sum_pmfs(params.kernel, y, ns, k_max)
+        probs[:-1] = probs[1:]  # each row drops k = 0 and ends in its tail
+        probs[ends - 1] = tails
+        rates += wgt * probs
     if params.w > 0:
-        rates[0] += params.w * n
-    return rates, tail
-
-
-def _coalesce_rates(params: LimitParams, n: int) -> np.ndarray:
-    rates = np.zeros(max(n - 1, 0))
-    if n >= 2:
-        lc = params.lambda_c
-        if params.c > 0 and lc.total_mass > 0:
-            ks = np.arange(1, n)
-            for y, wgt in zip(lc.locations, lc.weights):
-                # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n,y) pmf at
-                # k+1; the pmf form stays finite for large n where the
-                # binomial coefficient alone overflows
-                rates += params.c * wgt / y**2 * binom_pmf(ks + 1, n, y)
-        if params.sigma > 0:
-            rates[0] += params.sigma * n * (n - 1) / 2.0
+        rates[ends - k_max - 1] += params.w * ns
     return rates
 
 
+def _coalesce_rates(params: LimitParams, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Rates of n -> n-k, elementwise over the arrays n and k."""
+    rates = np.zeros(n.size)
+    lc = params.lambda_c
+    if params.c > 0 and lc.total_mass > 0:
+        for y, wgt in zip(lc.locations.tolist(), lc.weights.tolist()):
+            # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n,y) pmf at
+            # k+1; the pmf form stays finite for large n where the
+            # binomial coefficient alone overflows
+            rates += params.c * wgt / y**2 * binom_pmf(k + 1, n, y)
+    if params.sigma > 0:
+        pair = k == 1
+        rates[pair] += params.sigma * n[pair] * (n[pair] - 1) / 2.0
+    return rates
+
+
+def _rate_rows(params: LimitParams, ns: np.ndarray, k_max: np.ndarray,
+               limit: np.ndarray):
+    """Jump rates out of every state of ``ns``, built in one numpy pass.
+
+    Returns (rates, cum, k_max).  Row i of the zero-padded (state, category)
+    grid ``rates`` runs n+1..n+k_max[i], the lumped tail, then n-1, ..., 1,
+    as a ``RateTable``; ``cum`` is its cumulative sum along each row, which
+    numpy takes in sequence, so a row does not depend on the batch.  The
+    windows from ``_windows`` are doubled, within ``limit``, only while a
+    lumped tail exceeds TAIL_REL of its state's total rate.
+    """
+    crow, ccol = segments(ns - 1)
+    coal = _coalesce_rates(params, ns[crow], ccol + 1)
+    i = np.arange(ns.size)
+    while True:
+        brow, bcol = segments(k_max + 1)
+        rates = np.zeros((ns.size, int((k_max + ns).max())))
+        rates[brow, bcol] = _branch_rates(params, ns, k_max)
+        rates[crow, k_max[crow] + 1 + ccol] = coal
+        cum = np.cumsum(rates, axis=1)
+        wide = (rates[i, k_max] > TAIL_REL * cum[:, -1]) & (k_max < limit)
+        if not wide.any():
+            break
+        k_max = np.where(wide, np.minimum(2 * k_max, limit), k_max)
+    if (rates < 0).any():
+        raise InvariantViolation("negative jump rate")
+    branch = cum[i, k_max]  # with the lumped tail
+    if (branch > ns * (params.alpha_s + params.w) + 1e-9 * (1.0 + branch)).any():
+        raise InvariantViolation("branch rate exceeds the Markov bound")
+    return rates, cum, k_max
+
+
 def jump_rates(params: LimitParams, n: int) -> RateTable:
-    """Rate table out of state n, with an adaptive k_max."""
+    """Rate table out of state n: the one-state case of ``_rate_rows``."""
     if n < 1:
         raise InvalidArgument("state must be >= 1")
-    coal = _coalesce_rates(params, n)
-    k_max = 16
-    while True:
-        br, tail = _branch_rates(params, n, k_max)
-        total = br.sum() + tail + coal.sum()
-        if tail <= TAIL_REL * total or total == 0.0 or k_max >= 2**20:
-            break
-        k_max *= 2
-    branch_total = br.sum() + tail
-    bound = n * (params.alpha_s + params.w) + 1e-9 * (1.0 + branch_total)
-    if branch_total > bound:
-        raise InvariantViolation("branch rate exceeds the Markov bound")
-    return RateTable(n, br, tail, coal)
+    ns = np.array([n])
+    rates, _, k_max = _rate_rows(params, ns, *_windows(params, ns))
+    k, row = int(k_max[0]), rates[0]
+    return RateTable(n, row[:k], float(row[k]), row[k + 1:])
 
 
 def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
@@ -144,31 +191,48 @@ class RateCache:
 
     def get(self, n: int) -> int:
         """Row of state n, built on its first visit."""
-        self.row_of = _grown(self.row_of, n + 1, -1)
-        if self.row_of[n] >= 0:
-            return int(self.row_of[n])
-        table = jump_rates(self.params, n)
-        r, lo = self.n_rows, int(self.indptr[self.n_rows])
-        # a state without events is never drawn from
-        row = (r + table.cum_rates / table.total if table.total > 0
-               else np.array([r + 1.0]))
-        row = row[:np.searchsorted(row, r + 1.0) + 1]
-        self.cum = _grown(self.cum, lo + row.size)
-        self.cum[lo:lo + row.size] = row
-        self.indptr, self.k_max, self.total = (
-            _grown(a, r + 2) for a in (self.indptr, self.k_max, self.total))
-        self.indptr[r + 1], self.k_max[r] = lo + row.size, table.k_max
-        self.total[r] = table.total
-        self.row_of[n] = r
-        self.n_rows += 1
-        return r
+        return int(self.rows(np.array([n]))[0])
 
     def rows(self, states: np.ndarray) -> np.ndarray:
-        """Row of each state, building the rows of states not seen before."""
+        """Row of each state, building the rows of states not seen before.
+
+        The new states are appended in sorted order, in chunks of at most
+        ``ENTRY_CAP`` (state, category) entries, so a round's memory does
+        not grow with its number of new states.
+        """
         self.row_of = _grown(self.row_of, int(states.max()) + 1, -1)
-        for n in np.unique(states[self.row_of[states] < 0]).tolist():
-            self.get(n)
+        new = states[self.row_of[states] < 0]
+        if new.size:
+            new = np.unique(new)
+            k_max, limit = _windows(self.params, new)
+            lo = 0
+            while lo < new.size:  # row lengths k_max + n grow with n
+                fits = (np.arange(1, new.size - lo + 1) * (k_max + new)[lo:]
+                        <= ENTRY_CAP)
+                hi = lo + max(1, int(fits.sum()))
+                self._append(new[lo:hi], k_max[lo:hi], limit[lo:hi])
+                lo = hi
         return self.row_of[states]
+
+    def _append(self, ns: np.ndarray, k_max: np.ndarray, limit: np.ndarray):
+        """Build and append the rows of the new states ``ns``."""
+        _, cum, k_max = _rate_rows(self.params, ns, k_max, limit)
+        total = cum[:, -1]  # a padded entry repeats its row's total
+        r = self.n_rows + np.arange(ns.size)
+        with np.errstate(invalid="ignore"):
+            cum = r[:, None] + cum / total[:, None]
+        cum[total == 0, 0] = r[total == 0] + 1.0  # never drawn from
+        keep = np.argmax(cum >= (r + 1.0)[:, None], axis=1) + 1
+        vals = cum[np.arange(cum.shape[1]) < keep[:, None]]
+        lo = int(self.indptr[self.n_rows])
+        self.cum = _grown(self.cum, lo + vals.size)
+        self.cum[lo:lo + vals.size] = vals
+        self.indptr, self.k_max, self.total = (
+            _grown(a, r[-1] + 2) for a in (self.indptr, self.k_max, self.total))
+        self.indptr[r + 1] = lo + np.cumsum(keep)
+        self.k_max[r], self.total[r] = k_max, total
+        self.row_of[ns] = r
+        self.n_rows += ns.size
 
 
 def _sample_tail_jump(params: LimitParams, n: int, k_max: int,

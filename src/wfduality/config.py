@@ -158,6 +158,11 @@ SCHEMA = {
     ],
 }
 
+#: The one validator of ``SCHEMA``, built at import.  ``SCHEMA`` is a
+#: constant, so its own check against the metaschema is a test, not a cost
+#: of every load.
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
 
 def load_config(path: str, seed: int | None = None) -> dict:
     """Parse and schema-validate a config file.
@@ -172,10 +177,9 @@ def load_config(path: str, seed: int | None = None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
     return raw
 
 

@@ -249,11 +249,41 @@ def binom_pmf(k, n, p: float) -> np.ndarray:
     return out
 
 
-def nbinom_pmf(k, n: int, p: float) -> np.ndarray:
+def nbinom_pmf(k, n, p: float) -> np.ndarray:
     """Probability of k failures before the n-th success, success
     probability p: n / (n + k) times the Binomial(n + k, p) pmf at n."""
     k = np.asarray(k, dtype=float)
     return n / (n + k) * binom_pmf(n, n + k, p)
+
+
+def excess_moments(kernel: SelectionKernel, y: float) -> tuple[float, float, float]:
+    """Mean, variance and largest value of K_y - 1 on the finite part of Q(y).
+
+    They size the truncation window of a sum of parent counts; mass at
+    infinity only ever feeds the lumped tail, so it is left out (a geometric
+    kernel at y = 1 has an empty finite part).  As in ``pgf``, y < 0 encodes
+    a geometric kernel with parameter -y.
+    """
+    if y < 0 or kernel.variant == "geometric":
+        q = abs(y)
+        if q >= 1.0:
+            return 0.0, 0.0, 0.0
+        return q / (1.0 - q), q / (1.0 - q) ** 2, math.inf
+    if kernel.variant == "binary":
+        return y, y * (1.0 - y), 1.0
+    excess = np.array(kernel.table_values, dtype=float) - 1.0
+    probs = y * np.array(kernel.table_probs)
+    mean = float(probs @ excess)
+    return (mean, max(0.0, float(probs @ excess**2) - mean**2),
+            float(max(kernel.table_values, default=1) - 1))
+
+
+def segments(lens) -> tuple[np.ndarray, np.ndarray]:
+    """Row and offset in the row of every entry of rows laid end to end,
+    row i holding ``lens[i]`` entries."""
+    lens = np.asarray(lens, dtype=np.int64)
+    row = np.repeat(np.arange(lens.size), lens)
+    return row, np.arange(row.size) - (np.cumsum(lens) - lens)[row]
 
 
 @dataclass(frozen=True)
@@ -273,50 +303,57 @@ class SumPMF:
         return {self.n + k: float(p) for k, p in enumerate(self.probs) if p > 0}
 
 
+def sum_pmfs(kernel: SelectionKernel, y: float, ns, k_maxs) -> tuple[np.ndarray, np.ndarray]:
+    """Laws of K_{y,1} + ... + K_{y,n} for every n of ``ns`` in one pass.
+
+    Row i, P(sum = n_i + k) for k = 0..k_maxs[i], is evaluated on one flat
+    (state, k) grid, the rows laid end to end in ``probs``.  ``tails[i]`` is
+    the mass beyond n_i + k_maxs[i], including any mass at infinity.  Every
+    entry depends on its own (n, k) only, so a row does not depend on the
+    other rows of the batch.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    k_maxs = np.asarray(k_maxs, dtype=np.int64)
+    if ns.min() < 1:
+        raise ModelError("n must be >= 1")
+    row, ks = segments(k_maxs + 1)
+    if y < 0 or kernel.variant == "geometric":
+        # k failures before the n-th success; all zero at |y| = 1, where
+        # every parent count is infinite
+        probs = nbinom_pmf(ks, ns[row], 1.0 - abs(y))
+    elif kernel.variant == "binary":
+        probs = binom_pmf(ks, ns[row], y)
+    else:
+        probs = _table_sum_pmfs(kernel, y, ns, k_maxs)
+    tails = 1.0 - np.bincount(row, weights=probs, minlength=ns.size)
+    return probs, np.maximum(tails, 0.0)
+
+
 def sum_distribution(kernel: SelectionKernel, y: float, n: int, k_max: int) -> SumPMF:
     """Law of K_{y,1} + ... + K_{y,n}, truncated at n + k_max."""
-    if n < 1:
-        raise ModelError("n must be >= 1")
-    ks = np.arange(k_max + 1)
-    if y < 0:
-        y, variant = -y, "geometric"
-    else:
-        variant = kernel.variant
-    if variant == "geometric":
-        if y >= 1.0:
-            probs = np.zeros(k_max + 1)
-            return SumPMF(n, probs, 1.0)
-        if y <= 0.0:
-            probs = np.zeros(k_max + 1)
-            probs[0] = 1.0
-            return SumPMF(n, probs, 0.0)
-        probs = nbinom_pmf(ks, n, 1.0 - y)
-    elif variant == "binary":
-        probs = binom_pmf(ks, n, y)
-    else:
-        probs = _table_sum_pmf(kernel, y, n, k_max)
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return SumPMF(n, probs, tail)
+    probs, tails = sum_pmfs(kernel, y, [n], [k_max])
+    return SumPMF(n, probs, float(tails[0]))
 
 
-def _table_sum_pmf(kernel: SelectionKernel, y: float, n: int, k_max: int) -> np.ndarray:
-    # finite part of one draw: pmf over counts 1..K_top
-    k_top = max(kernel.table_values) if kernel.table_values else 1
-    single = np.zeros(k_top + 1)
-    single[1] = 1.0 - y
+def _table_sum_pmfs(kernel: SelectionKernel, y: float, ns: np.ndarray,
+                    k_maxs: np.ndarray) -> np.ndarray:
+    # pmf of one draw's finite excess over 0..K_top-1
+    single = np.zeros(max(kernel.table_values, default=1))
+    single[0] = 1.0 - y
     for k, p in zip(kernel.table_values, kernel.table_probs):
-        single[k] += y * p
-    # n-fold convolution, truncated to sums <= n + k_max
-    acc = np.ones(1)
-    offset = 0  # acc[i] = P(partial sum = offset + i), minimum grows by 1 per draw
-    for _ in range(n):
-        acc = np.convolve(acc, single[1:])
-        offset += 1
-        if acc.size > k_max + 1:
-            acc = acc[: k_max + 1]
-    probs = np.zeros(k_max + 1)
-    probs[: acc.size] = acc
-    return probs
+        single[k - 1] += y * p
+    # one chain of n-fold convolutions up to the largest n, truncated to
+    # the widest window; entry k of a convolution only reads entries <= k
+    width = int(k_maxs.max()) + 1
+    rows, acc, drawn = [None] * ns.size, np.ones(1), 0
+    for i in np.argsort(ns, kind="stable").tolist():
+        for _ in range(drawn, int(ns[i])):
+            acc = np.convolve(acc, single)[:width]
+        drawn = int(ns[i])
+        rows[i] = np.zeros(k_maxs[i] + 1)
+        head = acc[:k_maxs[i] + 1]
+        rows[i][:head.size] = head
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from wfduality import (
 )
 from wfduality import bcre
 from wfduality.bcre import RateCache, final_state, final_states
+from wfduality.measures import nbinom_pmf
 
 from conftest import limit_params, rng
 
@@ -158,17 +159,17 @@ class TestDualMoment:
     def test_one_rate_build_per_state_per_call(self, baseline_params,
                                                monkeypatch):
         # the batches of one call share a cache, so each state visited is
-        # built once
+        # built once, whichever batch of states it is built in
         built = []
-        build = bcre.jump_rates
+        build = bcre._rate_rows
 
-        def counting(params, n, *args):
-            built.append(n)
-            return build(params, n, *args)
+        def counting(params, ns, *args):
+            built.extend(ns.tolist())
+            return build(params, ns, *args)
 
-        monkeypatch.setattr(bcre, "jump_rates", counting)
+        monkeypatch.setattr(bcre, "_rate_rows", counting)
         dual_moment(baseline_params, 0.5, 2, 1.0, 4000, seed=3)
-        assert len(built) == len(set(built))
+        assert built and len(built) == len(set(built))
 
 
 class TestRateCache:
@@ -189,6 +190,97 @@ class TestRateCache:
             # the kept categories carry all of the rate a draw can reach
             kept = table.cum_rates[row.size - 1] / table.total
             assert kept == pytest.approx(1.0, abs=1e-12)
+
+    def test_round_without_new_states_skips_unique(self, baseline_params,
+                                                   monkeypatch):
+        cache = RateCache(baseline_params)
+        states = np.array([4, 2, 4])
+        cache.rows(states)
+
+        def unique(*_args, **_kw):
+            raise AssertionError("np.unique on a round without new states")
+
+        monkeypatch.setattr(np, "unique", unique)
+        assert cache.rows(states).tolist() == [1, 0, 1]
+        assert cache.get(2) == 0
+
+
+def table_kernel():
+    return SelectionKernel.table({1: 0.2, 2: 0.5, 4: 0.3})
+
+
+def with_kernel(params, kernel):
+    return LimitParams(kernel, params.lambda_s, w=params.w,
+                       lambda_c=params.lambda_c, c=params.c,
+                       sigma=params.sigma)
+
+
+class TestRateRows:
+    """One builder for every row: a batch of states, or ``jump_rates``."""
+
+    @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
+                                        SelectionKernel.binary(),
+                                        table_kernel()],
+                             ids=["geometric", "binary", "table"])
+    @pytest.mark.parametrize("which", ["baseline_params", "survival_params"])
+    def test_batch_rows_equal_one_state_rows(self, kernel, which, request):
+        params = with_kernel(request.getfixturevalue(which), kernel)
+        ns = np.arange(1, 513)
+        cache = RateCache(params)
+        assert cache.rows(ns).tolist() == list(range(512))
+        bound = ns * (params.alpha_s + params.w)
+        for r, n in enumerate(ns.tolist()):
+            table = jump_rates(params, n)
+            row = cache.cum[cache.indptr[r]:cache.indptr[r + 1]]
+            np.testing.assert_array_equal(
+                row, (r + table.cum_rates / table.total)[:row.size])
+            assert cache.total[r] == table.total
+            assert cache.k_max[r] == table.k_max
+            assert table.branch_tail <= bcre.TAIL_REL * table.total
+            branch = table.branch_rates.sum() + table.branch_tail
+            assert branch <= bound[r] * (1 + 1e-12)
+
+    def test_fixation_windows_never_widen(self, survival_params):
+        ns = np.arange(1, 1001)
+        cache = RateCache(survival_params)
+        rows = cache.rows(ns)
+        window, _ = bcre._windows(survival_params, ns)
+        np.testing.assert_array_equal(cache.k_max[rows], window)
+
+    def test_heavy_tail_widens_until_the_check_holds(self):
+        # y = 0.99: the summed excess is far more skewed than its moments
+        # say, so the first window leaves too much rate in the tail
+        p = params_with(lambda_s=FiniteMeasure.point_mass(0.99, 1.0))
+        window, _ = bcre._windows(p, np.array([1]))
+        table = jump_rates(p, 1)
+        assert table.k_max > window[0]
+        assert table.branch_tail <= bcre.TAIL_REL * table.total
+
+
+class TestTailJump:
+    """The lumped tail, drawn alone, against its exact conditional law."""
+
+    @pytest.mark.parametrize("atoms", [[(0.5, 1.0)], [(0.3, 1.0), (0.7, 0.5)]],
+                             ids=["one-atom", "two-atoms"])
+    def test_conditional_law(self, atoms):
+        p = params_with(lambda_s=FiniteMeasure.atomic(atoms))
+        n, k_max, M = 3, 4, 2000
+        gen = rng(700)
+        draws = np.array([bcre._sample_tail_jump(p, n, k_max, gen)
+                          for _ in range(M)]) - n
+        assert draws.min() > k_max
+        # P(excess = k | excess > k_max), mixed over the environment atoms
+        ks = np.arange(k_max + 1, 4000)
+        law = sum(wgt * nbinom_pmf(ks, n, 1.0 - y)
+                  for y, wgt in zip(p.mu.locations, p.mu.weights))
+        law /= law.sum()
+        top = k_max + 12
+        expected = np.append(law[:top - k_max - 1],
+                             law[top - k_max - 1:].sum()) * M
+        observed = np.bincount(np.minimum(draws, top) - k_max - 1,
+                               minlength=top - k_max)
+        _, pval = stats.chisquare(observed, expected)
+        assert pval > 0.001
 
 
 def birth_death_stationary_oracle(w: float, sigma: float, n_max: int = 200):

@@ -1,12 +1,15 @@
 import json
 import math
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
 from wfduality import ConfigError, InvalidArgument
 from wfduality.cli import main
 from wfduality.config import (
+    SCHEMA,
+    VALIDATOR,
     build_kernel,
     build_limit_params,
     build_measure,
@@ -73,6 +76,20 @@ class TestLoadConfig:
         cfg = dict(THRESHOLDS_CFG, bogus=1)
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, cfg))
+
+    def test_schema_is_valid_under_its_metaschema(self):
+        assert jsonschema.validators.validator_for(SCHEMA) is type(VALIDATOR)
+        type(VALIDATOR).check_schema(SCHEMA)
+
+    def test_load_never_checks_the_schema(self, tmp_path, monkeypatch):
+        # the schema is a constant: its metaschema check is the test above
+        def check_schema(*_args, **_kw):
+            raise AssertionError("schema checked on load")
+
+        monkeypatch.setattr(type(VALIDATOR), "check_schema", check_schema)
+        assert load_config(write_cfg(tmp_path, THRESHOLDS_CFG))["seed"] == 7
+        with pytest.raises(ConfigError, match="-1 is less than the minimum"):
+            load_config(write_cfg(tmp_path, dict(THRESHOLDS_CFG, seed=-1)))
 
 
 class TestBuilders:

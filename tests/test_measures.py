@@ -19,7 +19,8 @@ from wfduality import (
     pgf,
     sum_distribution,
 )
-from wfduality.measures import INF_K, binom_pmf, nbinom_pmf
+from wfduality.measures import (INF_K, binom_pmf, excess_moments,
+                                nbinom_pmf, segments, sum_pmfs)
 
 from conftest import KERNELS, rng
 
@@ -170,6 +171,33 @@ class TestSumDistribution:
         k = SelectionKernel.table({2: 0.5}, inf_mass=0.5)
         sd = sum_distribution(k, 1.0, 1, 5)
         assert sd.tail >= 0.5
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("y", [-0.4, 0.0, 0.3, 0.8, 1.0])
+    def test_batch_rows_equal_one_state_rows(self, kernel, y):
+        ns, k_maxs = np.array([7, 1, 30, 2, 7]), np.array([3, 40, 9, 1, 20])
+        probs, tails = sum_pmfs(kernel, y, ns, k_maxs)
+        row, _ = segments(k_maxs + 1)
+        for i, (n, k_max) in enumerate(zip(ns.tolist(), k_maxs.tolist())):
+            sd = sum_distribution(kernel, y, n, k_max)
+            np.testing.assert_array_equal(probs[row == i], sd.probs)
+            assert tails[i] == sd.tail
+
+
+class TestExcessMoments:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("y", [-0.4, 0.3, 0.8])
+    def test_moments_of_the_finite_part(self, kernel, y):
+        # the finite part of one draw's excess, from a long truncated pmf
+        sd = sum_distribution(kernel, y, 1, 400)
+        ks = np.arange(sd.probs.size)
+        mean, var, top = excess_moments(kernel, y)
+        assert mean == pytest.approx(sd.probs @ ks)
+        assert var == pytest.approx(sd.probs @ ks**2 - mean**2)
+        assert top >= ks[sd.probs > 0].max()
+
+    def test_infinite_part_left_out(self, geo):
+        assert excess_moments(geo, 1.0) == (0.0, 0.0, 0.0)
 
 
 class TestPmfs:
