@@ -36,7 +36,7 @@ from .wf_graph import (
     step_ancestry_many,
     step_frequency_many,
 )
-from .fvwrs import absorption_scan, ensemble_states, moment_estimate
+from .fvwrs import ensemble_states, moment_estimate
 from .bcre import (
     RateCache,
     RateTable,

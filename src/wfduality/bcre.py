@@ -21,7 +21,7 @@ round's new states in one numpy pass over a (state, category) grid, and
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
 ``np.searchsorted`` in the flat rate rows of ``RateCache``.  ``final_states``
-runs M paths batch by batch, one substream per batch; ``stationary_estimate``
+runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
 pools the occupation times of one batch of independent chains.
 """
 
@@ -38,7 +38,7 @@ from .errors import (InvalidArgument, InvariantViolation,
 from .measures import (binom_pmf, excess_moments, segments, sum_distribution,
                        sum_pmfs)
 from .params import LimitParams
-from .rngstreams import BATCH_SIZE, batch_mean_se, batches, substream
+from .rngstreams import BATCH_SIZE, batch_mean_se, run_batches
 
 #: Relative tail-rate threshold for the branch-table truncation.
 TAIL_REL = 1e-9
@@ -339,18 +339,16 @@ def final_states(params: LimitParams, n0: int, T: float, M: int, seed: int,
                  cut: bool = False) -> np.ndarray:
     """States at time T of M independent paths from n0, in batch order.
 
-    Batch ``idx`` runs through the engine on ``substream(seed, role, idx,
-    sub)``, and all batches share one rate cache.  A path that jumps above
-    ``ceiling`` raises ``StateExplosionGuard``; with ``cut`` it stops there
-    and reports ``ceiling + 1`` instead.
+    The batches of ``rngstreams.run_batches`` run through the engine and
+    share one rate cache.  A path that jumps above ``ceiling`` raises
+    ``StateExplosionGuard``; with ``cut`` it stops there and reports
+    ``ceiling + 1`` instead.
     """
     cache = RateCache(params)
-    out = np.empty(M, dtype=np.int64)
-    for idx, size in batches(M):
-        out[idx * BATCH_SIZE:idx * BATCH_SIZE + size] = _paths(
-            params, n0, T, size, substream(seed, role, idx, sub), cache,
-            ceiling, cut)[0]
-    return out
+    return run_batches(
+        lambda size, rng: _paths(params, n0, T, size, rng, cache, ceiling,
+                                 cut)[0],
+        M, seed, role, sub)
 
 
 def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
@@ -362,7 +360,10 @@ def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
     if t == 0:
         return x**n0, 0.0
     zs = final_states(params, n0, t, M, seed, role, ceiling=ceiling)
-    return batch_mean_se([x**z for z in zs.tolist()])
+    # one scalar pow per distinct state: numpy's SIMD power loop can differ
+    # from it in the last bit, and so from one CPU to another
+    states, inverse = np.unique(zs, return_inverse=True)
+    return batch_mean_se(np.array([x**z for z in states.tolist()])[inverse])
 
 
 @dataclass

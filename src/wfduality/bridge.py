@@ -10,7 +10,6 @@ the matching escape-to-infinity statistic of the dual chain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import bcre, fvwrs, thresholds
 from .errors import InvariantViolation, RegimeMismatch
 from .params import LimitParams
-from .rngstreams import substream
+from .rngstreams import batch_mean_se, substream
 
 
 def require_regime(params: LimitParams, regime: str, analysis: str) -> None:
@@ -75,13 +74,11 @@ def fixation_via_duality(params: LimitParams, x_grid, seed: int,
     if abs(nu.pgf(1.0) - 1.0) >= 1e-9:
         raise InvariantViolation("stationary pgf must be 1 at x=1")
 
-    sims = np.empty(x_grid.size)
-    ses = np.empty(x_grid.size)
+    sims, ses = np.empty((2, x_grid.size))
     for i, x in enumerate(x_grid):
-        scan = fvwrs.absorption_scan(params, float(x), T, M, dt, seed,
-                                     "scan", i)
-        sims[i] = scan.fraction_at_1
-        ses[i] = scan.se_at_1()
+        finals = fvwrs.ensemble_states(params, float(x), [T], dt, M, seed,
+                                       "scan", i)[0]
+        sims[i], ses[i] = batch_mean_se(finals >= 1.0 - fvwrs.EPS0)
     err = np.hypot(ses, predicted_se)
     zs = np.where(err > 0, (predicted - sims) / np.maximum(err, 1e-300), 0.0)
     return FixationReport(
@@ -111,23 +108,6 @@ class ExtinctionTable:
         }
 
 
-def _dual_small_prob(params: LimitParams, n0: int, T: float, M0: int, M: int,
-                     seed: int, sub: int) -> tuple[float, float]:
-    """Monte Carlo of P(Z(T) <= M0) for the dual chain started at n0, drawn
-    from the ``scan`` substreams with sub-index ``sub``.
-
-    In the extinction regime the chain is transient, so paths are cut off at
-    an escape threshold well above M0 and counted as not small; the return
-    probability from there is negligible and simulating the full excursion
-    would be quadratic in the peak state.
-    """
-    escape = max(1000, 100 * M0)
-    finals = bcre.final_states(params, n0, T, M, seed, "scan", sub,
-                               ceiling=escape, cut=True)
-    p = float((finals <= M0).mean())
-    return p, math.sqrt(p * (1.0 - p) / M)
-
-
 def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,
                              seed: int, dt: float = 1e-3, M0: int = 10,
                              n0: int = 1,
@@ -135,22 +115,22 @@ def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,
     """Absorption fractions at 0 across horizons, with the dual companion.
 
     Requires the extinction regime.  The forward fractions should increase
-    toward 1; the dual chain's probability of staying small should fall.
+    toward 1; the dual chain's probability P(Z(T) <= M0) of staying small,
+    from n0 on the ``scan`` substreams with one sub-index per horizon,
+    should fall.  The dual chain is transient here, so its paths are cut
+    off at an escape threshold well above M0 and counted as not small: the
+    return probability from there is negligible, and simulating the full
+    excursion would be quadratic in the peak state.
     """
     require_regime(params, thresholds.EXTINCTION, "extinction")
     horizons = np.asarray(sorted(T_list), dtype=float)
-    fr = np.empty(horizons.size)
-    fr_se = np.empty(horizons.size)
     scans = fvwrs.ensemble_states(params, x, horizons, dt, M, seed)
-    for i in range(horizons.size):
-        p = float((scans[i] <= 1e-4).mean())
-        fr[i] = p
-        fr_se[i] = math.sqrt(p * (1.0 - p) / M)
-    dz = np.empty(horizons.size)
-    dz_se = np.empty(horizons.size)
+    fr, fr_se, dz, dz_se = np.empty((4, horizons.size))
     for i, T in enumerate(horizons):
-        dz[i], dz_se[i] = _dual_small_prob(params, n0, float(T), M0, dual_M,
-                                           seed, i)
+        fr[i], fr_se[i] = batch_mean_se(scans[i] <= fvwrs.EPS0)
+        zs = bcre.final_states(params, n0, float(T), dual_M, seed, "scan", i,
+                               ceiling=max(1000, 100 * M0), cut=True)
+        dz[i], dz_se[i] = batch_mean_se(zs <= M0)
     return ExtinctionTable(horizons, fr, fr_se, dz, dz_se, M0,
                            {"x": x, "M": M, "dt": dt, "dual_M": dual_M,
                             "n0": n0})

@@ -93,7 +93,7 @@ def _run_simulate_x(cfg: dict):
     M = int(cfg.get("replicates", 10000))
     seed = int(cfg["seed"])
     finals = fvwrs.ensemble_states(limit, x0, [T], dt, M, seed)[0]
-    eps0 = float(cfg.get("eps0", 1e-4))
+    eps0 = float(cfg.get("eps0", fvwrs.EPS0))
     mean, se = batch_mean_se(finals)
     results = {
         "mean": mean, "se": se,

@@ -25,7 +25,7 @@ from . import bcre, fvwrs
 from .errors import InvalidArgument, InvalidScaling
 from .measures import FiniteMeasure, SelectionKernel, integrate, pgf, pgf_many
 from .params import FiniteModelParams, LimitParams
-from .rngstreams import batch_mean_se, batches, substream
+from .rngstreams import batch_mean_se, run_batches
 from .wf_graph import EnvSequence, simulate_ancestry, step_frequency_many
 
 
@@ -103,15 +103,6 @@ def _score_blocks(params: FiniteModelParams, ys, wts, x: float,
                for y, w in zip(ys, wts))
 
 
-def _estimate(batch_values, M: int, seed: int, role: str,
-              sub: int = 0) -> tuple[float, float]:
-    """Mean and SE of ``batch_values(size, rng)`` over the batches of M
-    replicates, batch ``idx`` drawing from ``substream(seed, role, idx, sub)``."""
-    return batch_mean_se(np.concatenate([
-        batch_values(size, substream(seed, role, idx, sub))
-        for idx, size in batches(M)]))
-
-
 def _annealed_forward(params: FiniteModelParams, x: float, generations: int,
                       size: int, rng: np.random.Generator) -> np.ndarray:
     """Frequencies of ``size`` forward chains started at x after
@@ -158,8 +149,8 @@ def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
         z = simulate_ancestry(params, n, env, rng).values[:, -1]
         return _score_blocks(params, y_vals[:1], [1.0], x, z)
 
-    lhs, lhs_se = _estimate(lhs_batch, M, seed, "lhs")
-    rhs, rhs_se = _estimate(rhs_batch, M, seed, "rhs")
+    lhs, lhs_se = batch_mean_se(run_batches(lhs_batch, M, seed, "lhs"))
+    rhs, rhs_se = batch_mean_se(run_batches(rhs_batch, M, seed, "rhs"))
     return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
         "check": "quenched", "N": params.N, "x": x, "n": n,
         "env": [float(v) for v in y_vals],
@@ -192,8 +183,8 @@ def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
         z = simulate_ancestry(params, n, EnvSequence(env), rng).values[:, -1]
         return _score_blocks(params, locs, wts, x, z)
 
-    lhs, lhs_se = _estimate(lhs_batch, M, seed, "lhs")
-    rhs, rhs_se = _estimate(rhs_batch, M, seed, "rhs")
+    lhs, lhs_se = batch_mean_se(run_batches(lhs_batch, M, seed, "lhs"))
+    rhs, rhs_se = batch_mean_se(run_batches(rhs_batch, M, seed, "rhs"))
     return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
         "check": "annealed", "N": params.N, "x": x, "n": n,
         "horizon": horizon,
@@ -291,10 +282,10 @@ def finite_moment(params: FiniteModelParams, x: float, n: int,
                   generations: int, M: int, seed: int, role: str = "lhs",
                   sub: int = 0) -> tuple[float, float]:
     """E[X^n] after a fixed number of annealed generations."""
-    return _estimate(
+    return batch_mean_se(run_batches(
         lambda size, rng: _annealed_forward(params, x, generations, size,
                                             rng) ** n,
-        M, seed, role, sub)
+        M, seed, role, sub))
 
 
 def convergence_experiment(limit: LimitParams, N_list, scaling: ScalingScheme,

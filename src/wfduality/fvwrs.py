@@ -23,20 +23,21 @@ requested times are snapped to the grid.  0 and 1 are absorbing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidStep, InvariantViolation
 from .measures import pgf_many
 from .params import LimitParams
-from .rngstreams import batch_mean_se, batches, substream
+from .rngstreams import batch_mean_se, run_batches
 
 #: Snap-to-boundary tolerance: Euler noise may overshoot [0,1] slightly, and
 #: jumps and the flow approach a boundary without reaching it, so a state
 #: this close to a boundary is treated as exactly absorbed.
 ABSORB_EPS = 1e-12
+
+#: A state this close to 0 or 1 counts as absorbed at that boundary when a
+#: run reports its absorption fractions.
+EPS0 = 1e-4
 
 
 def _snap(x: np.ndarray) -> np.ndarray:
@@ -190,8 +191,7 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     sigma > 0 paths also stop at every dt-grid time and move by one Euler
     piece of drift and diffusion between stops; each requested time is
     snapped to the nearest grid time, so recording it adds no stop and no
-    draw.  Replicates are split into fixed-size batches, run in order;
-    batch ``idx`` draws from ``substream(seed, role, idx, sub)``.
+    draw.  Replicates run through ``rngstreams.run_batches``.
     """
     if dt <= 0:
         raise InvalidStep("dt must be positive")
@@ -203,10 +203,9 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     if params.sigma > 0:
         times = np.rint(times / dt).astype(np.int64)
     ts, inverse = np.unique(times, return_inverse=True)
-    return np.concatenate([
-        _paths(params, x0, ts, dt, size,
-               substream(seed, role, idx, sub))[inverse]
-        for idx, size in batches(M)], axis=1)
+    return run_batches(
+        lambda size, rng: _paths(params, x0, ts, dt, size, rng)[inverse],
+        M, seed, role, sub)
 
 
 def moment_estimate(params: LimitParams, x0: float, n: int, t: float, M: int,
@@ -219,26 +218,3 @@ def moment_estimate(params: LimitParams, x0: float, n: int, t: float, M: int,
     return batch_mean_se(ensemble_states(params, x0, [t], dt, M, seed,
                                          role)[0] ** n)
 
-
-@dataclass
-class AbsorptionScan:
-    """Fractions of paths absorbed at each boundary by a fixed horizon."""
-
-    fraction_at_0: float
-    fraction_at_1: float
-    fraction_interior: float
-    replicates: int
-
-    def se_at_1(self) -> float:
-        p = self.fraction_at_1
-        return math.sqrt(p * (1.0 - p) / self.replicates)
-
-
-def absorption_scan(params: LimitParams, x0: float, T: float, M: int, dt: float,
-                    seed: int, role: str = "lhs", sub: int = 0,
-                    eps0: float = 1e-4) -> AbsorptionScan:
-    """Classify M paths at time T as 0-absorbed, 1-absorbed, or interior."""
-    finals = ensemble_states(params, x0, [T], dt, M, seed, role, sub)[0]
-    at0 = float((finals <= eps0).mean())
-    at1 = float((finals >= 1.0 - eps0).mean())
-    return AbsorptionScan(at0, at1, 1.0 - at0 - at1, M)

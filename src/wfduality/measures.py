@@ -80,14 +80,6 @@ class SelectionKernel:
 
     # -- queries ---------------------------------------------------------
 
-    def inf_mass(self, y: float) -> float:
-        """Mass Q(y)({infinity})."""
-        if self.variant == "geometric":
-            return 1.0 if y >= 1.0 else 0.0
-        if self.variant == "binary":
-            return 0.0
-        return y * self.table_inf_mass
-
     def sample(self, y, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` parent counts; infinite draws are returned as INF_K.
 

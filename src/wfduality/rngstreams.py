@@ -9,6 +9,10 @@ sizes of one role.  Draws advance only the low counter words, so substreams
 with different (seed, index, role, sub) never overlap; each batch owns a
 fixed substream and batches run in order, so results are a pure function of
 the seed.  Role 0 with sub-index 0 is ``stream(seed, index)``.
+
+Two rules carry every Monte Carlo estimate, and each is coded once, here:
+``run_batches`` is the one batch loop, which splits replicates and hands
+each batch its substream, and ``batch_mean_se`` is the one mean/SE rule.
 """
 
 from __future__ import annotations
@@ -60,6 +64,18 @@ def batches(total: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
         index += 1
         remaining -= size
     return out
+
+
+def run_batches(batch, M: int, seed: int, role: str,
+                sub: int = 0) -> np.ndarray:
+    """Outputs of ``batch(size, rng)`` over the batches of M replicates,
+    joined along the last axis in batch order; batch ``idx`` draws from
+    ``substream(seed, role, idx, sub)``.  Raises ``InvalidArgument`` for
+    M < 1: an estimate needs at least one replicate."""
+    if M < 1:
+        raise InvalidArgument(f"replicates M={M} must be >= 1")
+    return np.concatenate([batch(size, substream(seed, role, idx, sub))
+                           for idx, size in batches(M)], axis=-1)
 
 
 def batch_mean_se(values) -> tuple[float, float]:

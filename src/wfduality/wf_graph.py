@@ -29,7 +29,7 @@ probability 1 - D/N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,9 @@ K_CAP_FACTOR = 8
 
 @dataclass(frozen=True)
 class EnvSequence:
-    """One environment value per generation, plus seed provenance."""
+    """One environment value per generation."""
 
     values: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -61,9 +60,9 @@ class EnvSequence:
         return self.values.shape[-1]
 
 
-def draw_env(env_law: FiniteMeasure, length: int, rng: np.random.Generator,
-             provenance: dict | None = None) -> EnvSequence:
-    return EnvSequence(env_law.sample(length, rng), provenance or {})
+def draw_env(env_law: FiniteMeasure, length: int,
+             rng: np.random.Generator) -> EnvSequence:
+    return EnvSequence(env_law.sample(length, rng))
 
 
 @dataclass

@@ -18,6 +18,7 @@ from wfduality import (
 from wfduality import bcre
 from wfduality.bcre import RateCache, final_state, final_states
 from wfduality.measures import nbinom_pmf
+from wfduality.rngstreams import batch_mean_se
 
 from conftest import limit_params, rng
 
@@ -150,6 +151,19 @@ class TestDualMoment:
         assert est == 1.0
         est, _ = dual_moment(baseline_params, 0.0, 2, 1.0, 2000, seed=2)
         assert est == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
+    def test_power_matches_the_scalar_loop(self, baseline_params, x,
+                                           monkeypatch):
+        # each path's x**Z carries the bits of the scalar power; numpy's
+        # SIMD power loop differs from it in the last bit at x = 0.3
+        seen = []
+        monkeypatch.setattr(bcre, "batch_mean_se",
+                            lambda v: seen.append(v) or batch_mean_se(v))
+        dual_moment(baseline_params, x, 2, 1.0, 3000, seed=4)
+        zs = final_states(baseline_params, 2, 1.0, 3000, 4)
+        assert seen[0].tobytes() == np.array(
+            [x**z for z in zs.tolist()]).tobytes()
 
     def test_rerun_is_identical(self, baseline_params):
         a = dual_moment(baseline_params, 0.5, 2, 1.0, 4000, seed=3)

@@ -13,11 +13,11 @@ from wfduality import (
     InvariantViolation,
     LimitParams,
     SelectionKernel,
-    absorption_scan,
     ensemble_states,
     moment_estimate,
 )
 from wfduality import fvwrs
+from wfduality.rngstreams import batch_mean_se
 
 from conftest import limit_params, rng
 
@@ -167,10 +167,12 @@ class TestMomentEstimate:
 
 class TestAbsorptionScan:
     def test_boundary_starts(self, baseline_params):
-        scan = absorption_scan(baseline_params, 0.0, 1.0, 500, 1e-2, seed=7)
-        assert scan.fraction_at_0 == 1.0
-        scan = absorption_scan(baseline_params, 1.0, 1.0, 500, 1e-2, seed=8)
-        assert scan.fraction_at_1 == 1.0
+        finals = ensemble_states(baseline_params, 0.0, [1.0], 1e-2, 500,
+                                 seed=7)[0]
+        assert (finals <= fvwrs.EPS0).all()
+        finals = ensemble_states(baseline_params, 1.0, [1.0], 1e-2, 500,
+                                 seed=8)[0]
+        assert (finals >= 1.0 - fvwrs.EPS0).all()
 
     def test_hitting_probability_matches_scale_function(self):
         # pure drift-diffusion: dx = -w x(1-x) dt + sqrt(sigma x(1-x)) dB.
@@ -180,9 +182,11 @@ class TestAbsorptionScan:
         target = (math.exp(2 * w * x0 / sigma) - 1) / \
             (math.exp(2 * w / sigma) - 1)
         params = diffusion_only(sigma, w)
-        scan = absorption_scan(params, x0, 30.0, 10000, 1e-3, seed=9)
-        assert scan.fraction_interior < 0.005
-        assert abs(scan.fraction_at_1 - target) < 4 * scan.se_at_1()
+        finals = ensemble_states(params, x0, [30.0], 1e-3, 10000, seed=9)[0]
+        interior = (finals > fvwrs.EPS0) & (finals < 1.0 - fvwrs.EPS0)
+        assert interior.mean() < 0.005
+        at1, se = batch_mean_se(finals >= 1.0 - fvwrs.EPS0)
+        assert abs(at1 - target) < 4 * se
 
 
 class TestDeterminism:

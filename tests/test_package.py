@@ -20,6 +20,24 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_rngstreams_splits_batches():
+    # the replicate split into batches is coded once, in
+    # rngstreams.run_batches; every other module goes through it
+    found = []
+    for path in sorted((SRC / "wfduality").rglob("*.py")):
+        if path.name == "rngstreams.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else \
+                    getattr(fn, "id", None)
+                if name == "batches":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_import_leaves_out_scipy():
     # scipy took most of the CLI's start-up time, and the runtime needs
     # numpy only: no scipy module may be loaded

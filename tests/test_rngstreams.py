@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wfduality import FiniteMeasure, LimitParams, SelectionKernel, bridge
+from wfduality import (FiniteMeasure, InvalidArgument, LimitParams,
+                       SelectionKernel, bridge)
 from wfduality.cli import main
 from wfduality.config import REQUIRED_KEYS
-from wfduality.rngstreams import ROLES, batch_mean_se, stream, substream
+from wfduality.rngstreams import (ROLES, batch_mean_se, run_batches, stream,
+                                  substream)
 
 from test_config_cli import BASELINE_LIMIT, write_cfg
 
@@ -101,6 +103,30 @@ class TestDisjointStreams:
                                         dt=1e-2, dual_M=1100)
         assert len(opened) == 2 + 2 * 2
         assert len(set(opened)) == len(opened)
+
+
+class TestRunBatches:
+    def test_joins_along_the_last_axis_in_batch_order(self):
+        def batch(size, rng):
+            u = rng.random(size)
+            return np.stack([u, np.full(size, float(size))])
+
+        out = run_batches(batch, 2500, 3, "rhs", 2)
+        assert out.shape == (2, 2500)
+        assert out[1].tolist() == [1024.0] * 2048 + [452.0] * 452
+        expected = np.concatenate([substream(3, "rhs", idx, 2).random(size)
+                                   for idx, size in ((0, 1024), (1, 1024),
+                                                     (2, 452))])
+        assert out[0].tobytes() == expected.tobytes()
+
+    def test_no_replicates_rejected(self):
+        with pytest.raises(InvalidArgument):
+            run_batches(lambda size, rng: rng.random(size), 0, 3, "lhs")
+
+    def test_opens_each_batch_substream_once(self, opened):
+        run_batches(lambda size, rng: rng.random(size), 2500, 3, "scan", 4)
+        expected = [((3, idx), (0, 0, 4, ROLES["scan"])) for idx in range(3)]
+        assert opened == expected
 
 
 def chunk_loop_mean_se(values):
