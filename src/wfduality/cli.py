@@ -219,8 +219,13 @@ def _semantic_validate(cfg: dict) -> list[str]:
         if kind == "duality-moment" and cfg["n"] < 1:
             raise ConfigError(f"moment order n={cfg['n']} must be >= 1")
         if kind == "convergence":
+            # gap_shrinks compares the smallest N with the largest
+            sizes = cfg["N_list"]
+            if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+                raise ConfigError(f"N_list={sizes} must hold at least two "
+                                  "strictly increasing sizes")
             scheme = duality.ScalingScheme(limit)
-            for N in cfg.get("N_list", []):
+            for N in sizes:
                 scheme.finite_params(int(N))
             lines.append("scaling scheme valid for all N")
     if "finite" in cfg:

@@ -6,16 +6,22 @@ a parameter bundle.  Measures are written either as atom lists
 ``{"density": "uniform" | "beta", "a": ..., "b": ..., "mass": m,
 "nodes": n}``; kernels as ``{"variant": "geometric" | "binary" | "table",
 "pmf": {...}, "inf_mass": ...}``.
+
+``SCHEMA`` is the one declaration of the format.  ``violations`` checks a
+config against it in-package, with the meaning JSON Schema (Draft 2020-12)
+gives the few keywords ``SCHEMA`` uses, so the runtime needs no schema
+library; the tests hold it to ``jsonschema`` as the oracle.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import re
 
-import jsonschema
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .measures import FiniteMeasure, SelectionKernel
 from .params import FiniteModelParams, LimitParams
 
@@ -158,10 +164,105 @@ SCHEMA = {
     ],
 }
 
-#: The one validator of ``SCHEMA``, built at import.  ``SCHEMA`` is a
-#: constant, so its own check against the metaschema is a test, not a cost
-#: of every load.
-VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+#: The JSON types ``SCHEMA`` names, read as Draft 2020-12 reads them: a
+#: bool is neither a number nor an integer, and an integral float such as
+#: 2.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+#: Numeric bounds: (test that fails a number, message).  Plain comparisons,
+#: as in jsonschema, so NaN passes every bound.
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _conforms(value, schema: dict) -> bool:
+    return next(violations(value, schema), None) is None
+
+
+def violations(value, schema: dict = SCHEMA, path: str = ""):
+    """Yield ``(path, message)`` for each rule of ``schema`` that ``value``
+    breaks, in the order of the schema's keys.
+
+    Implements the keywords ``SCHEMA`` uses, with string-valued ``enum``
+    and ``const``, and the messages of ``jsonschema``; any other keyword
+    raises ``InvariantViolation``, so the schema cannot outgrow the check.
+    ``path`` names the key path of ``value``, e.g. ``limit.c``.
+    """
+    is_dict, is_list = isinstance(value, dict), isinstance(value, list)
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key in _BOUNDS:
+            fails, words = _BOUNDS[key]
+            if _TYPES["number"](value) and fails(value, rule):
+                yield path, f"{value!r} is {words} {rule!r}"
+        elif key == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "const":
+            if value != rule:
+                yield path, f"{rule!r} was expected"
+        elif key == "required":
+            for name in rule:
+                if is_dict and name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in rule.items():
+                if is_dict and name in value:
+                    yield from violations(value[name], sub, _join(path, name))
+        elif key == "patternProperties":
+            for name, item in (value.items() if is_dict else ()):
+                for pattern, sub in rule.items():
+                    if re.search(pattern, name):
+                        yield from violations(item, sub, _join(path, name))
+        elif key == "additionalProperties" and rule is False:
+            patterns = schema.get("patternProperties", {})
+            extra = sorted(name for name in (value if is_dict else ())
+                           if name not in schema.get("properties", {})
+                           and not any(re.search(p, name) for p in patterns))
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extra))} {verb} unexpected)")
+        elif key == "items":
+            for i, item in enumerate(value if is_list else ()):
+                yield from violations(item, rule, f"{path}[{i}]")
+        elif key == "minItems":
+            if is_list and len(value) < rule:
+                words = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {words}"
+        elif key == "maxItems":
+            if is_list and len(value) > rule:
+                yield path, f"{value!r} is too long"
+        elif key == "oneOf":
+            matches = sum(_conforms(value, branch) for branch in rule)
+            if matches != 1:
+                words = "not valid under any" if matches == 0 else \
+                    "valid under more than one"
+                yield path, f"{value!r} is {words} of the given schemas"
+        elif key == "allOf":
+            for sub in rule:
+                yield from violations(value, sub, path)
+        elif key == "if":
+            if _conforms(value, rule):
+                yield from violations(value, schema.get("then", {}), path)
+        elif key != "then":
+            raise InvariantViolation(
+                f"config schema keyword {key!r}: {rule!r} is not implemented")
 
 
 def load_config(path: str, seed: int | None = None) -> dict:
@@ -177,9 +278,9 @@ def load_config(path: str, seed: int | None = None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
-    error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
+    for key_path, message in violations(raw):  # raises on the first
+        where = f" at {key_path}" if key_path else ""
+        raise ConfigError(f"config schema violation{where}: {message}")
     return raw
 
 

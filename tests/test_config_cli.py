@@ -1,21 +1,27 @@
+import copy
 import json
 import math
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wfduality import ConfigError, InvalidArgument
+from wfduality import ConfigError, InvalidArgument, InvariantViolation
 from wfduality.cli import main
 from wfduality.config import (
+    REQUIRED_KEYS,
     SCHEMA,
-    VALIDATOR,
     build_kernel,
     build_limit_params,
     build_measure,
     load_config,
+    violations,
 )
 from wfduality.rngstreams import stream
+
+ORACLE_TYPE = jsonschema.Draft202012Validator
 
 BASELINE_LIMIT = {
     "kernel": {"variant": "geometric"},
@@ -78,18 +84,18 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, cfg))
 
     def test_schema_is_valid_under_its_metaschema(self):
-        assert jsonschema.validators.validator_for(SCHEMA) is type(VALIDATOR)
-        type(VALIDATOR).check_schema(SCHEMA)
+        # jsonschema is the test-side oracle of the in-package check
+        assert jsonschema.validators.validator_for(SCHEMA) is ORACLE_TYPE
+        ORACLE_TYPE.check_schema(SCHEMA)
 
-    def test_load_never_checks_the_schema(self, tmp_path, monkeypatch):
-        # the schema is a constant: its metaschema check is the test above
-        def check_schema(*_args, **_kw):
-            raise AssertionError("schema checked on load")
-
-        monkeypatch.setattr(type(VALIDATOR), "check_schema", check_schema)
-        assert load_config(write_cfg(tmp_path, THRESHOLDS_CFG))["seed"] == 7
+    def test_violation_message_names_the_path(self, tmp_path):
         with pytest.raises(ConfigError, match="-1 is less than the minimum"):
             load_config(write_cfg(tmp_path, dict(THRESHOLDS_CFG, seed=-1)))
+        cfg = json.loads(json.dumps(THRESHOLDS_CFG))
+        cfg["limit"]["c"] = -1
+        with pytest.raises(ConfigError, match=r"^config schema violation at "
+                           r"limit\.c: -1 is less than the minimum of 0$"):
+            load_config(write_cfg(tmp_path, cfg))
 
 
 class TestBuilders:
@@ -301,6 +307,25 @@ class TestValidateMatchesRun:
         assert not (tmp_path / "o").exists()
 
 
+class TestConvergenceSizes:
+    # passed validate, then run exited 2 on every seed: gap_shrinks compares
+    # the first size with the last
+    @pytest.mark.parametrize("sizes", [[20], [40, 20], [20, 20], [20, 40, 30]])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected_with_config_error(self, tmp_path, sizes, command):
+        cfg = {"experiment": "convergence", "seed": 3,
+               "limit": BASELINE_LIMIT, "N_list": sizes, "x": 0.5, "n": 2,
+               "t": 0.2, "dt": 1e-2, "replicates": 1100}
+        args = [command, write_cfg(tmp_path, cfg)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output
+        assert "strictly increasing" in res.output
+        assert not (tmp_path / "o").exists()
+
+
 class TestRegimeChecked:
     # passed validate, then run exited with RegimeMismatch
     EXTINCTION_FIXATION = {
@@ -371,3 +396,198 @@ class TestFiniteDualityDeterminism:
             assert res.exit_code == 0
             payloads.append((out / "result.json").read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
+
+
+ORACLE = ORACLE_TYPE(SCHEMA)
+
+#: Valid configs that the oracle test mutates: every experiment kind, both
+#: measure forms, a table kernel with a pmf, and the largest seed.
+VALID_CONFIGS = [
+    THRESHOLDS_CFG, ANNEALED_CFG, QUENCHED_CFG, TestDeterminism.CFG,
+    {"experiment": "duality-moment", "seed": 11, "limit": BASELINE_LIMIT,
+     "x": 0.5, "n": 2, "t": 0.5, "dt": 1e-3, "z_threshold": 4.0},
+    {"experiment": "fixation", "seed": 3, "limit": THRESHOLDS_CFG["limit"],
+     "x_grid": [0.25, 0.5], "replicates": 2048, "T": 8.0, "burn_in": 50.0,
+     "T_stat": 5000.0},
+    {"experiment": "convergence", "seed": 2**63 - 1, "workers": 2,
+     "limit": dict(BASELINE_LIMIT,
+                   kernel={"variant": "table", "pmf": {"2": 0.5, "10": 0.25},
+                           "inf_mass": 0.25},
+                   lambda_c={"density": "beta", "a": 2.0, "b": 0.5,
+                             "mass": 1.0, "nodes": 64}),
+     "N_list": [20, 40], "x": 0.5, "n": 2, "t": 0.5},
+    {"experiment": "simulate-z", "seed": 0, "limit": BASELINE_LIMIT,
+     "T": 1.0, "n0": 2},
+    {"experiment": "simulate-x", "seed": 9, "x0": 0.2, "T": 1.0,
+     "eps0": 1e-4, "limit": dict(BASELINE_LIMIT, kernel={
+         "variant": "table", "pmf": {"1": 0.2, "3": 0.8}})},
+    {"experiment": "simulate-finite", "seed": 4, "x0": 0.5, "n": 1,
+     "generations": 10,
+     "finite": {"N": 50, "kernel": {"variant": "binary"}, "c_N": 1.0,
+                "env_law": {"density": "uniform", "mass": 1.0}}},
+]
+
+#: Measures with the keys of both ``oneOf`` branches or of neither, and
+#: near misses, valid or not.
+ODD_MEASURES = [
+    {"atoms": [[0.5, 1.0]], "density": "uniform", "mass": 1.0}, {},
+    {"density": "beta", "a": 1.0}, {"density": "gamma", "mass": 1.0},
+    {"atoms": [[0.5]]}, {"atoms": [[0.5, 1.0, 2.0]]}, {"atoms": []},
+    {"atoms": [[0.5, True]]}, {"density": "beta", "mass": 1, "nodes": 2.0},
+    {"density": "uniform", "mass": 0.0}, {"density": "uniform", "mass": 2},
+]
+
+NAN, INF = float("nan"), float("inf")
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([True, False, 2.0, -1, 0, 1.5, 2**63, 2**64, NAN, INF,
+                     -INF, 1e308, None, "uniform", "2", "thresholds"]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.floats(-2, 2), max_size=3),
+    st.sampled_from(ODD_MEASURES).map(copy.deepcopy),
+)
+
+#: Replacements of the same kind: mostly in range, integral floats where
+#: integers go, and NaN and infinities where numbers go.
+INTEGERS = st.one_of(st.integers(0, 100), st.integers(0, 100).map(float))
+NUMBERS = st.one_of(st.floats(0.0, 1.0),
+                    st.sampled_from([NAN, INF, -INF, -0.5, 1.5]))
+
+#: Unknown keys and keys of other levels.
+ODD_KEYS = ["bogus", "atoms", "density", "mass", "pmf", "seed", "n", "N"]
+
+#: pmf keys that do or do not match ``^[0-9]+$`` (re.search: "3\n" does).
+PMF_KEYS = ["3", "03", "3\n", "x3", "3x", " 3", "\n3", "", "\u0663"]
+
+
+def _slots(node):
+    """(container, key) of every dict entry and list element under node."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config after up to three drops, additions, appends,
+    replacements, in-kind number changes or pmf keys anywhere in it, or
+    with a non-dict top level."""
+    cfg = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "add", "append", "replace",
+                                   "nudge", "nudge", "pmf", "top"]))
+        slots = list(_slots(cfg))
+        numbers = [(c, k) for c, k in slots if type(c[k]) in (int, float)]
+        pmfs = [c[k] for c, k in slots if k == "pmf" and isinstance(c[k], dict)]
+        lists = [c[k] for c, k in slots if isinstance(c[k], list)]
+        if op == "top":
+            return draw(st.sampled_from([[], [cfg], 3, "cfg", None]))
+        if op == "nudge" and numbers:
+            container, key = draw(st.sampled_from(numbers))
+            kind = INTEGERS if type(container[key]) is int else NUMBERS
+            container[key] = draw(kind)
+        elif op == "pmf" and pmfs:
+            draw(st.sampled_from(pmfs))[draw(st.sampled_from(PMF_KEYS))] = \
+                draw(st.one_of(NUMBERS, ODD_VALUES))
+        elif op == "append" and lists:
+            draw(st.sampled_from(lists)).append(draw(NUMBERS))
+        elif op == "add":
+            dicts = [cfg] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            node = draw(st.sampled_from(dicts))
+            node[draw(st.sampled_from(ODD_KEYS))] = draw(ODD_VALUES)
+        else:
+            container, key = draw(st.sampled_from(slots))
+            if op == "drop":
+                del container[key]
+            else:
+                container[key] = draw(ODD_VALUES)
+    return cfg
+
+
+def _subschemas(schema):
+    yield schema
+    for key, rule in schema.items():
+        if key in ("properties", "patternProperties"):
+            subs = rule.values()
+        elif key in ("oneOf", "allOf"):
+            subs = rule
+        elif key in ("items", "if", "then"):
+            subs = [rule]
+        else:
+            continue
+        for sub in subs:
+            yield from _subschemas(sub)
+
+
+def _dotted(path) -> str:
+    """jsonschema's ``absolute_path`` in the walker's notation."""
+    out = ""
+    for part in path:
+        if isinstance(part, int):
+            out += f"[{part}]"
+        else:
+            out += f".{part}" if out else part
+    return out
+
+
+class TestWalker:
+    def test_valid_configs_are_valid_and_cover_every_kind(self):
+        assert {c["experiment"] for c in VALID_CONFIGS} == set(REQUIRED_KEYS)
+        for cfg in VALID_CONFIGS:
+            assert list(violations(cfg)) == [] and ORACLE.is_valid(cfg)
+
+    def test_schema_uses_only_implemented_keywords(self):
+        # every key of every subschema goes through the walker's dispatch,
+        # whatever the value, and an unimplemented keyword raises
+        for sub in _subschemas(SCHEMA):
+            for value in (None, {}, [], 0.5):
+                list(violations(value, sub))
+            # the walker compares enum and const options as strings
+            options = sub.get("enum", []) + [sub.get("const", "")]
+            assert all(isinstance(o, str) for o in options)
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "number", "multipleOf": 2}, {"anyOf": [{}]},
+        {"additionalProperties": {"type": "number"}},
+    ])
+    def test_unimplemented_keyword_raises(self, schema):
+        with pytest.raises(InvariantViolation, match="not implemented"):
+            list(violations(1, schema))
+
+    def test_one_of_needs_exactly_one_branch(self):
+        # no config measure can match both branches, so test it here
+        schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+        for value in (1, 0.5, "1"):
+            assert (list(violations(value, schema)) == []) == \
+                ORACLE_TYPE(schema).is_valid(value)
+
+    def test_pmf_keys_are_searched(self):
+        # jsonschema matches patterns with re.search, where "$" also
+        # matches before a final newline
+        for key in PMF_KEYS:
+            for value in (0.5, "half"):
+                cfg = copy.deepcopy(THRESHOLDS_CFG)
+                cfg["limit"]["kernel"] = {"variant": "table",
+                                          "pmf": {key: value}}
+                assert (list(violations(cfg)) == []) == ORACLE.is_valid(cfg)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutated_configs())
+    def test_agrees_with_jsonschema(self, cfg):
+        found = list(violations(cfg))
+        assert (found == []) == ORACLE.is_valid(cfg)
+        # jsonschema's wording and key path, for the keywords whose
+        # messages the walker keeps
+        worded = {(_dotted(e.absolute_path), e.message)
+                  for e in ORACLE.iter_errors(cfg)
+                  if e.validator in ("required", "minimum", "maximum",
+                                     "exclusiveMinimum", "type", "enum",
+                                     "const", "minItems", "maxItems")}
+        assert worded <= set(found)

@@ -49,3 +49,19 @@ def test_cli_import_leaves_out_scipy():
     modules = ast.literal_eval(out)
     assert "wfduality.cli" in modules
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_click():
+    # every module the CLI's import adds belongs to the standard library,
+    # numpy, click or the package; the difference is taken because the
+    # interpreter's site may load other packages before any import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; before = set(sys.modules); import wfduality.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = ast.literal_eval(out)
+    assert "wfduality.cli" in added
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click", "wfduality"}
+    assert [m for m in added if m.split(".")[0] not in allowed] == []
