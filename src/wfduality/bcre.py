@@ -22,7 +22,7 @@ One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
 ``np.searchsorted`` in the flat rate rows of ``RateCache``.  ``final_states``
 runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
-pools the occupation times of one batch of independent chains.
+pools the occupation times of ``STATIONARY_CHAINS`` independent chains.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (InvalidArgument, InvariantViolation,
 from .measures import (binom_pmf, excess_moments, segments, sum_distribution,
                        sum_pmfs)
 from .params import LimitParams
-from .rngstreams import BATCH_SIZE, batch_mean_se, run_batches
+from .rngstreams import batch_mean_se, run_batches
 
 #: Relative tail-rate threshold for the branch-table truncation.
 TAIL_REL = 1e-9
@@ -51,6 +51,11 @@ K_MAX_CAP = 2**20
 
 #: Most (state, category) entries built in one pass of ``RateCache.rows``.
 ENTRY_CAP = 2**15
+
+#: Independent chains of ``stationary_estimate``, run as one batch; fixed
+#: apart from ``rngstreams.BATCH_SIZE``, so each chain's burn-in and kept
+#: time do not follow the replicate batching.
+STATIONARY_CHAINS = 1024
 
 
 @dataclass
@@ -203,7 +208,9 @@ class RateCache:
         self.row_of = _grown(self.row_of, int(states.max()) + 1, -1)
         new = states[self.row_of[states] < 0]
         if new.size:
-            new = np.unique(new)
+            # sort and drop repeats: np.unique would import numpy.ma
+            new = np.sort(new)
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
             k_max, limit = _windows(self.params, new)
             lo = 0
             while lo < new.size:  # row lengths k_max + n grow with n
@@ -401,7 +408,7 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
                         ceiling: int = DEFAULT_CEILING) -> StationaryEstimate:
     """Occupation-time estimate of the stationary law of the chain.
 
-    Runs K = BATCH_SIZE independent chains from n0.  Each discards
+    Runs K = ``STATIONARY_CHAINS`` independent chains from n0.  Each discards
     [0, burn_in] and keeps the next (T - burn_in) / K of time: the kept time
     totals T - burn_in, as for one chain kept on [burn_in, T], but every
     chain pays the burn-in.  The estimate is the pooled occupation law, and
@@ -411,7 +418,7 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     """
     if T <= burn_in:
         raise InvalidArgument("T must exceed burn_in")
-    K = BATCH_SIZE
+    K = STATIONARY_CHAINS
     _, (keys, times) = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng,
                               RateCache(params), ceiling, keep_from=burn_in)
     chain, state = keys % K, keys // K

@@ -265,6 +265,12 @@ def violations(value, schema: dict = SCHEMA, path: str = ""):
                 f"config schema keyword {key!r}: {rule!r} is not implemented")
 
 
+def _non_finite(name: str):
+    """``parse_constant`` hook: NaN and the infinities are not JSON, and
+    they pass schema bounds that every finite number must meet."""
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_config(path: str, seed: int | None = None) -> dict:
     """Parse and schema-validate a config file.
 
@@ -273,8 +279,8 @@ def load_config(path: str, seed: int | None = None) -> dict:
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_non_finite)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed

@@ -10,6 +10,12 @@ with different (seed, index, role, sub) never overlap; each batch owns a
 fixed substream and batches run in order, so results are a pure function of
 the seed.  Role 0 with sub-index 0 is ``stream(seed, index)``.
 
+A batch holds ``BATCH_SIZE`` = 4096 replicates, so each engine call works on
+arrays wide enough that numpy's fixed cost per call is small beside its
+compute.  The counter-based streams make the size a choice of the
+(seed, batch) -> draws map only, never a statistical one; changing it
+changes which numbers a given seed draws.
+
 Two rules carry every Monte Carlo estimate, and each is coded once, here:
 ``run_batches`` is the one batch loop, which splits replicates and hands
 each batch its substream, and ``batch_mean_se`` is the one mean/SE rule.
@@ -22,7 +28,7 @@ import numpy as np
 from .errors import InvalidArgument
 
 #: Replicates per stream. Fixed so the (seed, batch) -> draws map is stable.
-BATCH_SIZE = 1024
+BATCH_SIZE = 4096
 
 #: Stream roles: the high counter word of a substream.
 ROLES = {
@@ -53,13 +59,14 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return substream(seed, "lhs", index)
 
 
-def batches(total: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
-    """Deterministic split of ``total`` replicates into (index, size) batches."""
+def batches(total: int) -> list[tuple[int, int]]:
+    """Deterministic split of ``total`` replicates into (index, size) batches
+    of ``BATCH_SIZE``, read at call time as ``batch_mean_se`` reads it."""
     out = []
     index = 0
     remaining = total
     while remaining > 0:
-        size = min(batch_size, remaining)
+        size = min(BATCH_SIZE, remaining)
         out.append((index, size))
         index += 1
         remaining -= size

@@ -15,7 +15,7 @@ from wfduality import (
     jump_rates,
     stationary_estimate,
 )
-from wfduality import bcre
+from wfduality import bcre, rngstreams
 from wfduality.bcre import RateCache, final_state, final_states
 from wfduality.measures import nbinom_pmf
 from wfduality.rngstreams import batch_mean_se
@@ -345,6 +345,21 @@ class TestStationaryEstimate:
         se = est.pgf_se(np.array([0.0, 0.5, 1.0]))
         assert se[0] == 0.0 and se[2] == 0.0 and se[1] > 0.0
         assert est.pgf_se(0.5) == se[1]
+
+    def test_chains_do_not_follow_the_replicate_batches(self, monkeypatch,
+                                                        survival_params):
+        # the chain count is its own constant, so each chain's burn-in and
+        # kept time, and so the estimate, stay put when BATCH_SIZE changes
+        runs = []
+        for batch in (7, 1024, 4096):
+            monkeypatch.setattr(rngstreams, "BATCH_SIZE", batch)
+            est = stationary_estimate(survival_params, 1, 10.0, 2000.0, rng(6))
+            chain = est.chains[0]
+            assert np.unique(chain).size == bcre.STATIONARY_CHAINS
+            assert chain.max() == bcre.STATIONARY_CHAINS - 1
+            runs.append((est.pmf.tobytes(), est.pgf_se(0.5),
+                         est.half_sample_tv))
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestConservativeness:

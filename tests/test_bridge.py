@@ -6,6 +6,7 @@ from wfduality import (
     extinction_corroboration,
     fixation_via_duality,
 )
+from wfduality import rngstreams
 
 
 class TestRegimeGuards:
@@ -46,6 +47,24 @@ class TestFixation:
         d = report.to_dict()
         assert d["x_grid"] == [0.5]
         assert d["predicted_se"] == report.predicted_se.tolist()
+
+    @pytest.mark.filterwarnings("ignore::wfduality.NonConvergenceWarning")
+    def test_only_the_x_side_follows_the_batch_size(self, monkeypatch,
+                                                    survival_params):
+        # the stationary chains have their own count, so the predicted side
+        # draws the same numbers whatever the replicate batch size
+        reports = []
+        for batch in (1024, 4096):
+            monkeypatch.setattr(rngstreams, "BATCH_SIZE", batch)
+            reports.append(fixation_via_duality(
+                survival_params, [0.5], seed=1, M=1500, T=2.0, dt=1e-2,
+                burn_in=5.0, T_stat=400.0))
+        old, new = reports
+        assert old.predicted.tobytes() == new.predicted.tobytes()
+        assert old.predicted_se.tobytes() == new.predicted_se.tobytes()
+        assert old.stationary_tv == new.stationary_tv
+        assert old.simulated.tobytes() != new.simulated.tobytes()
+
 
 
 class TestExtinction:

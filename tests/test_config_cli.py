@@ -68,6 +68,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"experiment": "\xff"}')
+        with pytest.raises(ConfigError, match="can't decode"):
+            load_config(str(path))
+
     def test_schema_violation(self, tmp_path):
         path = write_cfg(tmp_path, {"experiment": "thresholds"})  # no seed
         with pytest.raises(ConfigError):
@@ -324,6 +330,44 @@ class TestConvergenceSizes:
         assert "ConfigError" in res.output
         assert "strictly increasing" in res.output
         assert not (tmp_path / "o").exists()
+
+
+class TestNonFiniteConstants:
+    # json.load reads NaN and the infinities, which pass the schema's bounds:
+    # run then exited 1, never finished, or wrote NaN into result.json
+    CASES = [
+        ("duality-moment", {"limit": BASELINE_LIMIT, "x": math.nan, "n": 2,
+                            "t": 0.2, "dt": 1e-2}, "NaN"),
+        ("simulate-z", {"limit": BASELINE_LIMIT, "T": math.inf}, "Infinity"),
+        ("simulate-x", {"limit": BASELINE_LIMIT, "x0": 0.5, "T": math.nan},
+         "NaN"),
+        ("simulate-x", {"limit": dict(BASELINE_LIMIT, w=-math.inf),
+                        "x0": 0.5, "T": 0.2}, "-Infinity"),
+    ]
+
+    @pytest.mark.parametrize("kind,keys,constant", CASES,
+                             ids=["x-NaN", "T-Infinity", "T-NaN",
+                                  "w--Infinity"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected_with_config_error(self, tmp_path, kind, keys, constant,
+                                        command):
+        cfg = dict(keys, experiment=kind, seed=3, replicates=100)
+        path = write_cfg(tmp_path, cfg)
+        assert constant in open(path).read()
+        args = [command, path]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output
+        assert f"non-finite number {constant}" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_load_config_raises(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "thresholds", "seed": NaN}')
+        with pytest.raises(ConfigError, match="non-finite number NaN"):
+            load_config(str(path))
 
 
 class TestRegimeChecked:

@@ -1,6 +1,7 @@
 """Package-wide checks on the source tree and on what the CLI imports."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +66,28 @@ def test_cli_import_loads_only_stdlib_numpy_and_click():
     assert "wfduality.cli" in added
     allowed = set(sys.stdlib_module_names) | {"numpy", "click", "wfduality"}
     assert [m for m in added if m.split(".")[0] not in allowed] == []
+
+
+def test_moment_run_leaves_out_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique without return_inverse imports numpy.ma, which
+    # cost a moment run 11-14 ms of its compute; no engine call may load it
+    cfg = {"experiment": "duality-moment", "seed": 3,
+           "limit": {"kernel": {"variant": "geometric"},
+                     "lambda_s": {"atoms": [[0.5, 0.5]]}, "w": 0.1,
+                     "lambda_c": {"atoms": [[0.5, 1.0]]}, "c": 1.0,
+                     "sigma": 0.0},
+           "x": 0.5, "n": 2, "t": 0.2, "dt": 1e-2, "replicates": 100}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from wfduality.cli import main\n"
+            "try:\n"
+            f"    main(['run', {str(path)!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "o" / "result.json").exists()

@@ -3,11 +3,11 @@ import pytest
 from click.testing import CliRunner
 
 from wfduality import (FiniteMeasure, InvalidArgument, LimitParams,
-                       SelectionKernel, bridge)
+                       SelectionKernel, bridge, rngstreams)
 from wfduality.cli import main
 from wfduality.config import REQUIRED_KEYS
-from wfduality.rngstreams import (ROLES, batch_mean_se, run_batches, stream,
-                                  substream)
+from wfduality.rngstreams import (BATCH_SIZE, ROLES, batch_mean_se,
+                                  run_batches, stream, substream)
 
 from test_config_cli import BASELINE_LIMIT, write_cfg
 
@@ -22,25 +22,32 @@ FINITE = {
     "lambda_c": {"atoms": [[0.5, 1.0]]},
 }
 
-#: One small run per experiment kind; 1100 replicates make two batches.
+#: Replicates that open two batches, the second one short.
+TWO_BATCHES = BATCH_SIZE + 76
+
+#: Three batches, the last one short.
+THREE_BATCHES = 2 * BATCH_SIZE + 452
+
+#: One small run per experiment kind, each over two batches.
 RUNS = {
     "thresholds": {"limit": SURVIVAL_LIMIT},
     "duality-moment": {"limit": BASELINE_LIMIT, "x": 0.5, "n": 2, "t": 0.2,
-                       "dt": 1e-2, "replicates": 1100},
+                       "dt": 1e-2, "replicates": TWO_BATCHES},
     "duality-quenched": {"finite": FINITE, "env": [0.5, 0.0, 0.3], "x": 0.4,
-                         "n": 3, "replicates": 1100},
+                         "n": 3, "replicates": TWO_BATCHES},
     "duality-annealed": {"finite": FINITE, "horizon": 3, "x": 0.4, "n": 3,
-                         "replicates": 1100},
+                         "replicates": TWO_BATCHES},
     "simulate-x": {"limit": BASELINE_LIMIT, "x0": 0.5, "T": 0.2,
-                   "replicates": 1100},
-    "simulate-z": {"limit": BASELINE_LIMIT, "T": 0.2, "replicates": 1100},
+                   "replicates": TWO_BATCHES},
+    "simulate-z": {"limit": BASELINE_LIMIT, "T": 0.2,
+                   "replicates": TWO_BATCHES},
     "simulate-finite": {"finite": FINITE, "x0": 0.5, "generations": 3,
-                        "replicates": 1100},
+                        "replicates": TWO_BATCHES},
     "fixation": {"limit": SURVIVAL_LIMIT, "x_grid": [0.3, 0.6],
-                 "replicates": 1100, "T": 0.5, "dt": 1e-2, "burn_in": 5.0,
-                 "T_stat": 3000.0},
+                 "replicates": TWO_BATCHES, "T": 0.5, "dt": 1e-2,
+                 "burn_in": 5.0, "T_stat": 3000.0},
     "convergence": {"limit": BASELINE_LIMIT, "N_list": [20, 40], "x": 0.5,
-                    "n": 2, "t": 0.2, "dt": 1e-2, "replicates": 1100},
+                    "n": 2, "t": 0.2, "dt": 1e-2, "replicates": TWO_BATCHES},
 }
 
 
@@ -99,8 +106,8 @@ class TestDisjointStreams:
         geo = SelectionKernel.geometric()
         params = LimitParams(geo, FiniteMeasure.point_mass(0.5, 5.0), 0.0,
                              FiniteMeasure.point_mass(0.5, 1.0), 1.0, 0.0)
-        bridge.extinction_corroboration(params, 0.5, [0.2, 0.4], 1100, seed=5,
-                                        dt=1e-2, dual_M=1100)
+        bridge.extinction_corroboration(params, 0.5, [0.2, 0.4], TWO_BATCHES,
+                                        seed=5, dt=1e-2, dual_M=TWO_BATCHES)
         assert len(opened) == 2 + 2 * 2
         assert len(set(opened)) == len(opened)
 
@@ -111,11 +118,13 @@ class TestRunBatches:
             u = rng.random(size)
             return np.stack([u, np.full(size, float(size))])
 
-        out = run_batches(batch, 2500, 3, "rhs", 2)
-        assert out.shape == (2, 2500)
-        assert out[1].tolist() == [1024.0] * 2048 + [452.0] * 452
+        out = run_batches(batch, THREE_BATCHES, 3, "rhs", 2)
+        assert out.shape == (2, THREE_BATCHES)
+        assert out[1].tolist() == ([float(BATCH_SIZE)] * 2 * BATCH_SIZE
+                                   + [452.0] * 452)
         expected = np.concatenate([substream(3, "rhs", idx, 2).random(size)
-                                   for idx, size in ((0, 1024), (1, 1024),
+                                   for idx, size in ((0, BATCH_SIZE),
+                                                     (1, BATCH_SIZE),
                                                      (2, 452))])
         assert out[0].tobytes() == expected.tobytes()
 
@@ -123,18 +132,27 @@ class TestRunBatches:
         with pytest.raises(InvalidArgument):
             run_batches(lambda size, rng: rng.random(size), 0, 3, "lhs")
 
+    def test_follows_the_batch_size(self, monkeypatch):
+        # run_batches reads BATCH_SIZE at call time, as batch_mean_se does,
+        # so the batches and the pooling chunks cannot part
+        monkeypatch.setattr(rngstreams, "BATCH_SIZE", 7)
+        out = run_batches(lambda size, rng: np.full(size, float(size)), 20,
+                          3, "lhs")
+        assert out.tolist() == [7.0] * 14 + [6.0] * 6
+
     def test_opens_each_batch_substream_once(self, opened):
-        run_batches(lambda size, rng: rng.random(size), 2500, 3, "scan", 4)
+        run_batches(lambda size, rng: rng.random(size), THREE_BATCHES, 3,
+                    "scan", 4)
         expected = [((3, idx), (0, 0, 4, ROLES["scan"])) for idx in range(3)]
         assert opened == expected
 
 
 def chunk_loop_mean_se(values):
-    """The reference reduction: one 1024-value slice at a time."""
+    """The reference reduction: one BATCH_SIZE-value slice at a time."""
     values = np.asarray(values, dtype=float)
     n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
-    for start in range(0, values.size, 1024):
-        chunk = values[start:start + 1024]
+    for start in range(0, values.size, BATCH_SIZE):
+        chunk = values[start:start + BATCH_SIZE]
         n, m = chunk.size, float(chunk.mean())
         m2 = float(((chunk - m) ** 2).sum())
         delta = m - mean_tot
@@ -148,13 +166,14 @@ def chunk_loop_mean_se(values):
 
 
 class TestBatchMeanSe:
-    @pytest.mark.parametrize("size", [1, 1023, 1024, 2500, 10**6 + 7])
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 2500, BATCH_SIZE - 1,
+                                      BATCH_SIZE, THREE_BATCHES, 10**6 + 7])
     def test_bits_match_the_chunk_loop(self, size):
         values = np.random.default_rng(size).lognormal(size=size) * 1e3
         assert batch_mean_se(values) == chunk_loop_mean_se(values)
 
     def test_pools_to_the_plain_mean_and_se(self):
-        values = np.random.default_rng(0).random(2500)
+        values = np.random.default_rng(0).random(THREE_BATCHES)
         mean, se = batch_mean_se(values)
         assert mean == pytest.approx(values.mean(), rel=1e-12)
         assert se == pytest.approx(values.std(ddof=1) / np.sqrt(values.size),
