@@ -25,7 +25,6 @@ from .measures import (
     integrate,
     mean_excess,
     pgf,
-    sum_distribution,
 )
 from .params import FiniteModelParams, LimitParams
 from .wf_graph import (
@@ -49,8 +48,6 @@ from .duality import (
     ScalingScheme,
     annealed_check,
     convergence_experiment,
-    eval_H,
-    eval_H_mu,
     moment_check,
     quenched_check,
 )

@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import (binom_pmf, excess_moments, segments, sum_distribution,
-                       sum_pmfs)
+from .measures import binom_pmf, excess_moments, segments, sum_pmfs
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
@@ -252,7 +251,7 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
     """
     mu = params.mu
     tails = np.array([
-        wgt * sum_distribution(params.kernel, float(y), n, k_max).tail
+        wgt * sum_pmfs(params.kernel, float(y), [n], [k_max])[1][0]
         for y, wgt in zip(mu.locations, mu.weights)
     ])
     total = tails.sum()
@@ -262,13 +261,12 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
     width = k_max
     while True:
         width *= 4
-        sd = sum_distribution(params.kernel, y, n, width)
-        cond = sd.probs.copy()
+        cond, tail = sum_pmfs(params.kernel, y, [n], [width])
         cond[: k_max + 1] = 0.0
         mass = cond.sum()
         # infinite parent counts never reach here: the tail of a law with an
         # infinity atom still has finite-window mass growing toward it
-        if sd.tail <= 1e-12 * max(mass, 1e-300) or width >= 2**24:
+        if tail[0] <= 1e-12 * max(mass, 1e-300) or width >= 2**24:
             if mass <= 0:
                 return n + width
             k = int(np.searchsorted(np.cumsum(cond) / mass, rng.random()))

@@ -39,18 +39,6 @@ class FixationReport:
     stationary_tv: float
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "x_grid": self.x_grid.tolist(),
-            "predicted": self.predicted.tolist(),
-            "predicted_se": self.predicted_se.tolist(),
-            "simulated": self.simulated.tolist(),
-            "simulated_se": self.simulated_se.tolist(),
-            "z_scores": self.z_scores.tolist(),
-            "stationary_tv": self.stationary_tv,
-            "params": self.params,
-        }
-
 
 def fixation_via_duality(params: LimitParams, x_grid, seed: int,
                          M: int = 20000, T: float = 8.0, dt: float = 1e-3,
@@ -95,17 +83,6 @@ class ExtinctionTable:
     dual_small_se: np.ndarray
     M0: int
     params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "horizons": self.horizons.tolist(),
-            "fraction_at_0": self.fraction_at_0.tolist(),
-            "fraction_se": self.fraction_se.tolist(),
-            "dual_small_prob": self.dual_small_prob.tolist(),
-            "dual_small_se": self.dual_small_se.tolist(),
-            "M0": self.M0,
-            "params": self.params,
-        }
 
 
 def extinction_corroboration(params: LimitParams, x: float, T_list, M: int,

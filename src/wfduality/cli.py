@@ -3,10 +3,11 @@
 ``wfduality run config.json [--out DIR] [--workers K] [--seed S]`` executes
 the configured experiment and writes ``result.json`` (deterministic payload:
 config echo, build id, metrics, verdicts) plus data CSVs into the output
-directory.  Wall-clock timing goes to ``run_meta.json``, which is excluded
-from the determinism contract.  Exit codes: 0 success, 2 a statistical
-verdict failed, 1 error.  ``--workers`` is accepted and ignored: batches
-always run in order.
+directory.  ``result.json`` is strict JSON: a non-finite float is written
+as the string "Infinity", "-Infinity" or "NaN".  Wall-clock timing goes to
+``run_meta.json``, which is excluded from the determinism contract.  Exit
+codes: 0 success, 2 a statistical verdict failed, 1 error.  ``--workers``
+is accepted and ignored: batches always run in order.
 
 ``wfduality validate config.json`` dry-runs schema and model validation
 without simulating.
@@ -15,6 +16,7 @@ without simulating.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -42,6 +44,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _plain(report, *properties) -> dict:
+    """A report's dataclass fields and the named properties, by name, with
+    arrays as lists."""
+    out = dataclasses.asdict(report)
+    out.update((name, getattr(report, name)) for name in properties)
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in out.items()}
+
+
+def _strict(value):
+    """``value`` with every non-finite float spelled as the string
+    "Infinity", "-Infinity" or "NaN", so that it dumps as strict JSON."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else \
+            ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -58,7 +82,7 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 def _run_thresholds(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     report = thresholds.classify(limit)
-    return report.to_dict(), {}, {}
+    return _plain(report), {}, {}
 
 
 def _run_duality(cfg: dict):
@@ -82,7 +106,7 @@ def _run_duality(cfg: dict):
         ["check", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
         [(kind, rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se, rep.z)],
     )}
-    return rep.to_dict(), verdicts, csvs
+    return _plain(rep, "z"), verdicts, csvs
 
 
 def _run_simulate_x(cfg: dict):
@@ -157,7 +181,7 @@ def _run_fixation(cfg: dict):
                  rep.predicted_se.tolist(), rep.simulated.tolist(),
                  rep.simulated_se.tolist(), rep.z_scores.tolist())),
     )}
-    return rep.to_dict(), verdicts, csvs
+    return _plain(rep), verdicts, csvs
 
 
 def _run_convergence(cfg: dict):
@@ -171,13 +195,7 @@ def _run_convergence(cfg: dict):
     first, last = rows[0], rows[-1]
     margin = 2.0 * math.hypot(first.gap_se, last.gap_se)
     verdicts = {"gap_shrinks": bool(last.gap < first.gap - margin)}
-    results = {"rows": [
-        {"N": r.N, "generations": r.generations,
-         "finite_moment": r.finite_moment, "finite_se": r.finite_se,
-         "limit_moment": r.limit_moment, "limit_se": r.limit_se,
-         "gap": r.gap}
-        for r in rows
-    ]}
+    results = {"rows": [_plain(r, "gap") for r in rows]}
     csvs = {"convergence.csv": (
         ["N", "generations", "finite_moment", "finite_se",
          "limit_moment", "limit_se", "gap"],
@@ -267,14 +285,14 @@ def run(config_path, out, workers, seed):
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
     os.makedirs(out, exist_ok=True)
-    envelope = {
+    envelope = _strict({
         "build": BUILD_ID,
         "config": cfg,
         "results": results,
         "verdicts": verdicts,
-    }
+    })
     with open(os.path.join(out, "result.json"), "w") as fh:
-        json.dump(envelope, fh, sort_keys=True, indent=2)
+        json.dump(envelope, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     for name, (header, rows) in csvs.items():
         _write_csv(os.path.join(out, name), header, rows)

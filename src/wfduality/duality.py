@@ -2,11 +2,15 @@
 
 Three identities are checked by paired Monte Carlo:
 
-* quenched sampling duality: for a fixed environment sequence, the forward
-  frequency chain and the backward block-counting chain give the same
-  expectation of the sampling statistic H(x, n; y) = pgf_y(x)^n,
-* annealed sampling duality: same with iid environments refreshed per
-  replicate and the environment-averaged statistic H_mu,
+* sampling duality, quenched and annealed: the forward frequency chain and
+  the backward block-counting chain give the same expectation of the
+  sampling statistic H(x, n; y) = pgf_y(x)^n.  Both environments run one
+  code path: a forward loop, a backward block count and one score.
+  Quenched means one fixed environment sequence shared by every replicate:
+  the forward side steps through all but its last value and is scored
+  there, the backward side the reverse.  Annealed means every replicate
+  draws its own iid environments, and the score is integrated against the
+  environment law,
 * moment duality: E_x[X(t)^n] = E^n[x^Z(t)] between the limit processes.
 
 Each check reports both estimates with standard errors and the z-score of
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import bcre, fvwrs
 from .errors import InvalidArgument, InvalidScaling
-from .measures import FiniteMeasure, SelectionKernel, integrate, pgf, pgf_many
+from .measures import FiniteMeasure, pgf_many
 from .params import FiniteModelParams, LimitParams
 from .rngstreams import batch_mean_se, run_batches
 from .wf_graph import EnvSequence, simulate_ancestry, step_frequency_many
@@ -44,29 +48,6 @@ class DualityReport:
         if denom == 0.0:
             return 0.0 if self.lhs == self.rhs else math.inf
         return (self.lhs - self.rhs) / denom
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs, "lhs_se": self.lhs_se,
-            "rhs": self.rhs, "rhs_se": self.rhs_se,
-            "z": self.z, "replicates": self.replicates,
-            "params": self.params,
-        }
-
-
-def eval_H(kernel: SelectionKernel, x: float, n: int, y: float) -> float:
-    """Sampling duality statistic pgf_y(x)^n."""
-    if n == 0:
-        return 1.0
-    return pgf(kernel, y, x) ** n
-
-
-def eval_H_mu(kernel: SelectionKernel, env_law: FiniteMeasure, x: float,
-              n: int) -> float:
-    """Environment-averaged statistic: integral of pgf_y(x)^n over the law."""
-    if n == 0:
-        return 1.0
-    return integrate(env_law, lambda y: pgf(kernel, float(y), x) ** n)
 
 
 def _merger_score_many(params: FiniteModelParams, y: float, fs: np.ndarray,
@@ -95,29 +76,51 @@ def _merger_score_many(params: FiniteModelParams, y: float, fs: np.ndarray,
     return out
 
 
-def _score_blocks(params: FiniteModelParams, ys, wts, x: float,
-                  z: np.ndarray) -> np.ndarray:
-    """Backward-side statistic of block counts z: the wts-weighted sum over
-    environments ys of the merger-averaged score of z lineages at x."""
-    return sum(float(w) * _merger_score_many(params, float(y), x, z)
+# ---------------------------------------------------------------------------
+# Sampling duality: one forward loop, one block count, one score
+# ---------------------------------------------------------------------------
+
+
+def _score(params: FiniteModelParams, ys, wts, fs, m) -> np.ndarray:
+    """Sampling statistic of m lineages at frequencies fs: the wts-weighted
+    sum over environments ys of the merger-averaged score."""
+    return sum(float(w) * _merger_score_many(params, float(y), fs, m)
                for y, w in zip(ys, wts))
+
+
+def _forward(params: FiniteModelParams, x: float, size: int, ys,
+             rng: np.random.Generator) -> np.ndarray:
+    """Frequencies of ``size`` forward chains started at x after one
+    generation per entry of ``ys``: a value shared by every replicate, or
+    one value per replicate."""
+    xs = np.full(size, x)
+    for y in ys:
+        xs = step_frequency_many(params, xs, y, rng)
+    return xs
 
 
 def _annealed_forward(params: FiniteModelParams, x: float, generations: int,
                       size: int, rng: np.random.Generator) -> np.ndarray:
-    """Frequencies of ``size`` forward chains started at x after
-    ``generations`` generations, each replicate drawing its own environment
-    every generation."""
-    xs = np.full(size, x)
-    for _ in range(generations):
-        xs = step_frequency_many(params, xs,
-                                 params.env_law.sample(size, rng), rng)
-    return xs
+    """``_forward`` through ``generations`` iid environments per replicate,
+    each generation's drawn just before its step."""
+    return _forward(params, x, size, (params.env_law.sample(size, rng)
+                                      for _ in range(generations)), rng)
 
 
-# ---------------------------------------------------------------------------
-# Quenched sampling duality
-# ---------------------------------------------------------------------------
+def _blocks(params: FiniteModelParams, n: int, env_rows: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """Block counts of n lineages traced back through each row of
+    ``env_rows``, one row per replicate."""
+    return simulate_ancestry(params, n, EnvSequence(env_rows),
+                             rng).values[:, -1]
+
+
+def _paired(lhs_batch, rhs_batch, M: int, seed: int,
+            info: dict) -> DualityReport:
+    """Both sides on their own substreams, M replicates each."""
+    lhs, lhs_se = batch_mean_se(run_batches(lhs_batch, M, seed, "lhs"))
+    rhs, rhs_se = batch_mean_se(run_batches(rhs_batch, M, seed, "rhs"))
+    return DualityReport(lhs, lhs_se, rhs, rhs_se, M, info)
 
 
 def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
@@ -133,33 +136,14 @@ def quenched_check(params: FiniteModelParams, env: EnvSequence, x: float,
     """
     if len(env) < 1:
         raise InvalidArgument("environment sequence must be nonempty")
-    y_vals = env.values
-    fwd_env = y_vals[:-1]
-    y_score = float(y_vals[-1])
-    bwd_env = y_vals[1:]
-
-    def lhs_batch(size, rng):
-        xs = np.full(size, x)
-        for y in fwd_env:
-            xs = step_frequency_many(params, xs, float(y), rng)
-        return _merger_score_many(params, y_score, xs, n)
-
-    def rhs_batch(size, rng):
-        env = EnvSequence(np.broadcast_to(bwd_env, (size, bwd_env.size)))
-        z = simulate_ancestry(params, n, env, rng).values[:, -1]
-        return _score_blocks(params, y_vals[:1], [1.0], x, z)
-
-    lhs, lhs_se = batch_mean_se(run_batches(lhs_batch, M, seed, "lhs"))
-    rhs, rhs_se = batch_mean_se(run_batches(rhs_batch, M, seed, "rhs"))
-    return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
-        "check": "quenched", "N": params.N, "x": x, "n": n,
-        "env": [float(v) for v in y_vals],
-    })
-
-
-# ---------------------------------------------------------------------------
-# Annealed sampling duality
-# ---------------------------------------------------------------------------
+    ys = env.values
+    return _paired(
+        lambda size, rng: _score(params, ys[-1:], [1.0],
+                                 _forward(params, x, size, ys[:-1], rng), n),
+        lambda size, rng: _score(params, ys[:1], [1.0], x, _blocks(
+            params, n, np.broadcast_to(ys[1:], (size, ys.size - 1)), rng)),
+        M, seed, {"check": "quenched", "N": params.N, "x": x, "n": n,
+                  "env": ys.tolist()})
 
 
 def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
@@ -168,27 +152,15 @@ def annealed_check(params: FiniteModelParams, horizon: int, x: float, n: int,
     if horizon < 0:
         raise InvalidArgument("horizon must be nonnegative")
     law = params.env_law
-    locs = law.locations
-    wts = law.weights
-
-    def lhs_batch(size, rng):
-        xs = _annealed_forward(params, x, horizon, size, rng)
-        vals = np.zeros(size)
-        for y, wgt in zip(locs, wts):
-            vals += wgt * _merger_score_many(params, float(y), xs, n)
-        return vals
-
-    def rhs_batch(size, rng):
-        env = law.sample(size * horizon, rng).reshape(size, horizon)
-        z = simulate_ancestry(params, n, EnvSequence(env), rng).values[:, -1]
-        return _score_blocks(params, locs, wts, x, z)
-
-    lhs, lhs_se = batch_mean_se(run_batches(lhs_batch, M, seed, "lhs"))
-    rhs, rhs_se = batch_mean_se(run_batches(rhs_batch, M, seed, "rhs"))
-    return DualityReport(lhs, lhs_se, rhs, rhs_se, M, {
-        "check": "annealed", "N": params.N, "x": x, "n": n,
-        "horizon": horizon,
-    })
+    ys, wts = law.locations, law.weights
+    return _paired(
+        lambda size, rng: _score(params, ys, wts, _annealed_forward(
+            params, x, horizon, size, rng), n),
+        lambda size, rng: _score(params, ys, wts, x, _blocks(
+            params, n, law.sample(size * horizon, rng).reshape(size, horizon),
+            rng)),
+        M, seed, {"check": "annealed", "N": params.N, "x": x, "n": n,
+                  "horizon": horizon})
 
 
 # ---------------------------------------------------------------------------

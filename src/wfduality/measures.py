@@ -278,23 +278,6 @@ def segments(lens) -> tuple[np.ndarray, np.ndarray]:
     return row, np.arange(row.size) - (np.cumsum(lens) - lens)[row]
 
 
-@dataclass(frozen=True)
-class SumPMF:
-    """Truncated law of the sum of n iid parent counts at environment y.
-
-    ``probs[k]`` is P(sum = n + k) for k = 0..k_max; ``tail`` is everything
-    beyond n + k_max, including any mass at infinity.
-    """
-
-    n: int
-    probs: np.ndarray
-    tail: float
-
-    @property
-    def pmf(self) -> dict[int, float]:
-        return {self.n + k: float(p) for k, p in enumerate(self.probs) if p > 0}
-
-
 def sum_pmfs(kernel: SelectionKernel, y: float, ns, k_maxs) -> tuple[np.ndarray, np.ndarray]:
     """Laws of K_{y,1} + ... + K_{y,n} for every n of ``ns`` in one pass.
 
@@ -319,12 +302,6 @@ def sum_pmfs(kernel: SelectionKernel, y: float, ns, k_maxs) -> tuple[np.ndarray,
         probs = _table_sum_pmfs(kernel, y, ns, k_maxs)
     tails = 1.0 - np.bincount(row, weights=probs, minlength=ns.size)
     return probs, np.maximum(tails, 0.0)
-
-
-def sum_distribution(kernel: SelectionKernel, y: float, n: int, k_max: int) -> SumPMF:
-    """Law of K_{y,1} + ... + K_{y,n}, truncated at n + k_max."""
-    probs, tails = sum_pmfs(kernel, y, [n], [k_max])
-    return SumPMF(n, probs, float(tails[0]))
 
 
 def _table_sum_pmfs(kernel: SelectionKernel, y: float, ns: np.ndarray,
@@ -358,14 +335,13 @@ class FiniteMeasure:
     """Finite measure on [0,1], atomic or quadrature-backed.
 
     Density measures are discretised once, at construction, by a composite
-    midpoint rule with ``node_count`` nodes; the node weights are rescaled so
-    their sum equals the requested total mass exactly.
+    midpoint rule; the node weights are rescaled so their sum equals the
+    requested total mass exactly.
     """
 
     locations: np.ndarray
     weights: np.ndarray
     kind: str = "atomic"  # "atomic" | "density"
-    node_count: int = 0
     _allow_negative: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -410,7 +386,7 @@ class FiniteMeasure:
         total = raw.sum()
         if total <= 0:
             raise ModelError("density has zero mass")
-        return FiniteMeasure(locs, raw * (mass / total), kind="density", node_count=nodes)
+        return FiniteMeasure(locs, raw * (mass / total), kind="density")
 
     @property
     def total_mass(self) -> float:
@@ -424,7 +400,6 @@ class FiniteMeasure:
             self.locations,
             self.weights / self.total_mass,
             kind=self.kind,
-            node_count=self.node_count,
             _allow_negative=self._allow_negative,
         )
 
@@ -480,8 +455,5 @@ def derive_env_measure(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> Fini
         locs.append(float(y))
         ws.append(float(w) / m)
     if not locs:
-        return FiniteMeasure(np.empty(0), np.empty(0), kind=lambda_s.kind,
-                             node_count=lambda_s.node_count)
-    return FiniteMeasure(
-        np.array(locs), np.array(ws), kind=lambda_s.kind, node_count=lambda_s.node_count
-    )
+        return FiniteMeasure(np.empty(0), np.empty(0), kind=lambda_s.kind)
+    return FiniteMeasure(np.array(locs), np.array(ws), kind=lambda_s.kind)

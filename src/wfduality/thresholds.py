@@ -110,19 +110,6 @@ class ThresholdReport:
     tol: float
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_star": self.beta_star,
-            "alpha_star": self.alpha_star,
-            "alpha_s": self.alpha_s,
-            "w": self.w,
-            "alpha_eff": self.alpha_eff,
-            "classification": self.classification,
-            "margin": self.margin,
-            "tol": self.tol,
-            "metadata": self.metadata,
-        }
-
 
 def classify(params: LimitParams, tol: float = 1e-6) -> ThresholdReport:
     """Long-term regime of the limit process (sigma must be zero).

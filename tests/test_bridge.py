@@ -7,6 +7,7 @@ from wfduality import (
     fixation_via_duality,
 )
 from wfduality import rngstreams
+from wfduality.cli import _plain
 
 
 class TestRegimeGuards:
@@ -44,7 +45,7 @@ class TestFixation:
         err = np.hypot(report.simulated_se[0], report.predicted_se[0])
         assert report.z_scores[0] == pytest.approx(
             (report.predicted[0] - report.simulated[0]) / err, rel=1e-12)
-        d = report.to_dict()
+        d = _plain(report)
         assert d["x_grid"] == [0.5]
         assert d["predicted_se"] == report.predicted_se.tolist()
 
@@ -77,5 +78,5 @@ class TestExtinction:
         assert fr[-1] > fr[0]
         dz = table.dual_small_prob
         assert dz[-1] < dz[0]
-        d = table.to_dict()
+        d = _plain(table)
         assert d["M0"] == 10

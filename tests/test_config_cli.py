@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfduality import ConfigError, InvalidArgument, InvariantViolation
-from wfduality.cli import main
+from wfduality.cli import _strict, main
 from wfduality.config import (
     REQUIRED_KEYS,
     SCHEMA,
@@ -218,6 +218,33 @@ class TestRunCommand:
         res = CliRunner().invoke(main, [
             "run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
+
+    def test_non_finite_results_are_strict_json(self, tmp_path):
+        # a coalescence atom at 1 makes beta_star infinite
+        cfg = copy.deepcopy(THRESHOLDS_CFG)
+        cfg["limit"]["lambda_c"] = {"atoms": [[1.0, 1.0]]}
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, [
+            "run", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert res.exit_code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        payload = json.loads((out / "result.json").read_text(),
+                             parse_constant=reject)
+        results = payload["results"]
+        assert results["beta_star"] == "Infinity"
+        assert results["margin"] == "-Infinity"
+        assert results["metadata"]["beta_star_normalized"] == "Infinity"
+        assert results["classification"] == "SurvivalPossible"
+
+    def test_strict_spells_non_finite_floats(self):
+        value = {"a": [math.nan, (1.5, -math.inf)], "b": {"c": math.inf},
+                 "d": [2, True, None, "x"]}
+        assert _strict(value) == {"a": ["NaN", [1.5, "-Infinity"]],
+                                  "b": {"c": "Infinity"},
+                                  "d": [2, True, None, "x"]}
 
     def test_seed_override(self, tmp_path):
         path = write_cfg(tmp_path, THRESHOLDS_CFG)

@@ -16,13 +16,13 @@ from wfduality import (
     SelectionKernel,
     annealed_check,
     convergence_experiment,
-    eval_H,
-    eval_H_mu,
     moment_check,
     quenched_check,
 )
-from wfduality.duality import finite_moment
+from wfduality.duality import _score, finite_moment
 from wfduality.measures import pgf
+from wfduality.rngstreams import batch_mean_se, substream
+from wfduality.wf_graph import step_frequency_many
 
 
 def mixed_env_law() -> FiniteMeasure:
@@ -40,24 +40,32 @@ def geo_model(N: int, env_law=None, c_N: float = 0.0,
     )
 
 
+def law_score(params: FiniteModelParams, x: float, n: int) -> float:
+    """The score integrated against the environment law, at one x."""
+    law = params.env_law
+    return float(_score(params, law.locations, law.weights, x, n))
+
+
 class TestStatistics:
-    def test_eval_H_closed_form(self, geo):
+    # without mergers the score is the sampling statistic pgf_y(x)^n
+    def test_score_closed_form(self):
         # pgf at (y,x)=(0.5,0.5) is 1/3
-        assert eval_H(geo, 0.5, 2, 0.5) == pytest.approx(1.0 / 9.0)
-        assert eval_H(geo, 0.5, 0, 0.5) == 1.0
+        params = geo_model(5)
+        assert _score(params, [0.5], [1.0], 0.5, 2) == \
+            pytest.approx(1.0 / 9.0)
+        assert _score(params, [0.5], [1.0], 0.5, 0) == 1.0
 
-    def test_eval_H_mu_point_mass(self, geo):
-        law = FiniteMeasure.point_mass(0.5)
-        assert eval_H_mu(geo, law, 0.5, 3) == \
-            pytest.approx(eval_H(geo, 0.5, 3, 0.5))
+    def test_score_point_mass(self):
+        params = geo_model(5, FiniteMeasure.point_mass(0.5))
+        assert law_score(params, 0.5, 3) == pytest.approx(1.0 / 27.0)
 
-    def test_eval_H_mu_mixture(self, geo):
-        assert eval_H_mu(geo, mixed_env_law(), 0.5, 1) == \
+    def test_score_mixture(self):
+        assert law_score(geo_model(5), 0.5, 1) == \
             pytest.approx(0.9 * 0.5 + 0.1 / 3.0)
 
-    def test_neutral_law_is_identity_power(self, geo):
-        law = FiniteMeasure.point_mass(0.0)
-        assert eval_H_mu(geo, law, 0.7, 4) == pytest.approx(0.7**4)
+    def test_neutral_law_is_identity_power(self):
+        params = geo_model(5, FiniteMeasure.point_mass(0.0))
+        assert law_score(params, 0.7, 4) == pytest.approx(0.7**4)
 
 
 def exact_quenched_sides(x: float, n: int, y0: float, y1: float):
@@ -180,12 +188,27 @@ class TestQuenchedDuality:
             quenched_check(geo_model(5), EnvSequence(np.empty(0)), 0.5, 1,
                            M=10, seed=0)
 
+    @pytest.mark.parametrize("c_N", [0.0, 0.3])
+    def test_one_value_environment_is_exact(self, c_N):
+        # no generation to step through: both sides score x itself at y0,
+        # the quenched counterpart of annealed horizon 0
+        y0, x, n = 0.5, 0.4, 3
+        params = geo_model(10, c_N=c_N,
+                           lambda_c=FiniteMeasure.point_mass(0.5))
+        report = quenched_check(params, EnvSequence(np.array([y0])), x, n,
+                                M=2048, seed=34)
+        assert (report.lhs, report.lhs_se) == (report.rhs, report.rhs_se)
+        assert report.z == 0.0
+        if c_N == 0.0:
+            assert report.lhs == pgf(params.kernel, y0, x) ** n
+
 
 class TestAnnealedDuality:
-    def test_horizon_zero_is_exact_identity(self, geo):
+    def test_horizon_zero_is_exact_identity(self):
         params = geo_model(10)
         report = annealed_check(params, 0, 0.5, 2, M=2048, seed=24)
-        target = eval_H_mu(geo, params.env_law, 0.5, 2)
+        # pgf_0(x) = x and pgf_{1/2}(1/2) = 1/3
+        target = 0.9 * 0.5**2 + 0.1 / 9.0
         assert report.lhs == pytest.approx(target, abs=1e-12)
         assert report.rhs == pytest.approx(target, abs=1e-12)
         assert report.z == 0.0
@@ -278,6 +301,19 @@ class TestScalingScheme:
         params = geo_model(50, FiniteMeasure.point_mass(0.0))
         est, se = finite_moment(params, 0.3, 1, 20, 20_000, seed=30)
         assert abs(est - 0.3) < 4 * se
+
+    def test_draws_each_generation_just_before_its_step(self):
+        # reference loop on the estimator's first batch stream: per
+        # generation, the environments of every replicate, then the step
+        params = geo_model(20, c_N=0.2, lambda_c=FiniteMeasure.point_mass(0.5))
+        x, n, gens, M, seed = 0.4, 2, 6, 300, 35
+        rng = substream(seed, "lhs", 0)
+        xs = np.full(M, x)
+        for _ in range(gens):
+            ys = params.env_law.sample(M, rng)
+            xs = step_frequency_many(params, xs, ys, rng)
+        assert finite_moment(params, x, n, gens, M, seed) == \
+            batch_mean_se(xs ** n)
 
     def test_degenerate_start(self, baseline_params):
         scheme = ScalingScheme(baseline_params)

@@ -17,7 +17,6 @@ from wfduality import (
     integrate,
     mean_excess,
     pgf,
-    sum_distribution,
 )
 from wfduality.measures import (INF_K, binom_pmf, excess_moments,
                                 nbinom_pmf, segments, sum_pmfs)
@@ -141,20 +140,21 @@ class TestMasterCondition:
 
 
 class TestSumDistribution:
+    # one state per call: probs[k] = P(sum = n + k) for k = 0..k_max
     def test_geometric_example(self, geo):
-        sd = sum_distribution(geo, 0.5, 2, 2)
-        assert sd.pmf == pytest.approx({2: 0.25, 3: 0.25, 4: 0.1875})
-        assert sd.tail == pytest.approx(0.3125)
+        probs, tails = sum_pmfs(geo, 0.5, [2], [2])
+        assert probs == pytest.approx([0.25, 0.25, 0.1875])
+        assert tails == pytest.approx([0.3125])
 
     def test_binary_deterministic(self, binary):
-        sd = sum_distribution(binary, 1.0, 3, 3)
-        assert sd.pmf == pytest.approx({6: 1.0})
-        assert sd.tail == pytest.approx(0.0, abs=1e-12)
+        probs, tails = sum_pmfs(binary, 1.0, [3], [3])
+        assert probs == pytest.approx([0.0, 0.0, 0.0, 1.0])
+        assert tails == pytest.approx([0.0], abs=1e-12)
 
     def test_neutral(self, geo, binary):
         for kernel in (geo, binary):
-            sd = sum_distribution(kernel, 0.0, 5, 3)
-            assert sd.pmf == pytest.approx({5: 1.0})
+            probs, _ = sum_pmfs(kernel, 0.0, [5], [3])
+            assert probs == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_geometric_matches_brute_convolution(self, geo):
         k_max = 30
@@ -164,13 +164,13 @@ class TestSumDistribution:
                 acc = np.ones(1)
                 for _ in range(n):
                     acc = np.convolve(acc, single)[: k_max + 1]
-                sd = sum_distribution(geo, float(y), n, k_max)
-                assert np.allclose(sd.probs, acc, atol=1e-12)
+                probs, _ = sum_pmfs(geo, float(y), [n], [k_max])
+                assert np.allclose(probs, acc, atol=1e-12)
 
     def test_infinity_mass_goes_to_tail(self):
         k = SelectionKernel.table({2: 0.5}, inf_mass=0.5)
-        sd = sum_distribution(k, 1.0, 1, 5)
-        assert sd.tail >= 0.5
+        _, tails = sum_pmfs(k, 1.0, [1], [5])
+        assert tails[0] >= 0.5
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("y", [-0.4, 0.0, 0.3, 0.8, 1.0])
@@ -179,9 +179,9 @@ class TestSumDistribution:
         probs, tails = sum_pmfs(kernel, y, ns, k_maxs)
         row, _ = segments(k_maxs + 1)
         for i, (n, k_max) in enumerate(zip(ns.tolist(), k_maxs.tolist())):
-            sd = sum_distribution(kernel, y, n, k_max)
-            np.testing.assert_array_equal(probs[row == i], sd.probs)
-            assert tails[i] == sd.tail
+            one_probs, one_tails = sum_pmfs(kernel, y, [n], [k_max])
+            np.testing.assert_array_equal(probs[row == i], one_probs)
+            assert tails[i] == one_tails[0]
 
 
 class TestExcessMoments:
@@ -189,12 +189,12 @@ class TestExcessMoments:
     @pytest.mark.parametrize("y", [-0.4, 0.3, 0.8])
     def test_moments_of_the_finite_part(self, kernel, y):
         # the finite part of one draw's excess, from a long truncated pmf
-        sd = sum_distribution(kernel, y, 1, 400)
-        ks = np.arange(sd.probs.size)
+        probs, _ = sum_pmfs(kernel, y, [1], [400])
+        ks = np.arange(probs.size)
         mean, var, top = excess_moments(kernel, y)
-        assert mean == pytest.approx(sd.probs @ ks)
-        assert var == pytest.approx(sd.probs @ ks**2 - mean**2)
-        assert top >= ks[sd.probs > 0].max()
+        assert mean == pytest.approx(probs @ ks)
+        assert var == pytest.approx(probs @ ks**2 - mean**2)
+        assert top >= ks[probs > 0].max()
 
     def test_infinite_part_left_out(self, geo):
         assert excess_moments(geo, 1.0) == (0.0, 0.0, 0.0)

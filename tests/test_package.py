@@ -30,13 +30,43 @@ def test_only_rngstreams_splits_batches():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else \
-                    getattr(fn, "id", None)
-                if name == "batches":
-                    found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and _called_name(node) == "batches":
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _called_name(node: ast.Call):
+    fn = node.func
+    return fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+
+
+def test_no_class_defines_to_dict():
+    # every report reaches result.json through dataclasses.asdict in
+    # cli._plain, not through a hand-written field list
+    found = []
+    for path in sorted((SRC / "wfduality").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{item.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for item in node.body
+                  if isinstance(item, ast.FunctionDef)
+                  and item.name == "to_dict"]
+    assert found == []
+
+
+def test_duality_steps_and_traces_back_in_one_place():
+    # quenched and annealed checks share one forward loop and one backward
+    # block count
+    path = SRC / "wfduality" / "duality.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = {"step_frequency_many": set(), "simulate_ancestry": set()}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and _called_name(node) in callers:
+                    callers[_called_name(node)].add(fn.name)
+    assert callers == {"step_frequency_many": {"_forward"},
+                       "simulate_ancestry": {"_blocks"}}
 
 
 def test_cli_import_leaves_out_scipy():

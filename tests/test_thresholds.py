@@ -16,6 +16,7 @@ from wfduality import (
     beta_star_mc,
     classify,
 )
+from wfduality.cli import _plain
 from wfduality.thresholds import EXTINCTION, INDETERMINATE, SURVIVAL
 
 from conftest import rng
@@ -178,6 +179,6 @@ class TestClassify:
             pytest.approx(2 * classify(base).beta_star)
 
     def test_report_round_trip(self, survival_params):
-        d = classify(survival_params).to_dict()
+        d = _plain(classify(survival_params))
         assert d["classification"] == SURVIVAL
         assert d["margin"] == pytest.approx(d["alpha_eff"] - d["beta_star"])
