@@ -169,10 +169,15 @@ def jump_rates(params: LimitParams, n: int) -> RateTable:
 
 
 def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
-    """``a`` padded with ``fill`` to at least ``size`` entries, doubling."""
-    if size <= a.size:
+    """``a`` padded with ``fill`` to at least ``size`` rows, doubling; a zero
+    pad is left unwritten, so the OS maps its pages only once they are used."""
+    if size <= len(a):
         return a
-    return np.concatenate([a, np.full(max(size, 2 * a.size) - a.size, fill)])
+    out = np.zeros((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    if fill:
+        out[len(a):] = fill
+    return out
 
 
 class RateCache:
@@ -205,10 +210,10 @@ class RateCache:
         not grow with its number of new states.
         """
         self.row_of = _grown(self.row_of, int(states.max()) + 1, -1)
-        new = states[self.row_of[states] < 0]
-        if new.size:
+        rows = self.row_of[states]
+        if (rows < 0).any():
             # sort and drop repeats: np.unique would import numpy.ma
-            new = np.sort(new)
+            new = np.sort(states[rows < 0])
             new = new[np.concatenate(([True], new[1:] != new[:-1]))]
             k_max, limit = _windows(self.params, new)
             lo = 0
@@ -218,7 +223,8 @@ class RateCache:
                 hi = lo + max(1, int(fits.sum()))
                 self._append(new[lo:hi], k_max[lo:hi], limit[lo:hi])
                 lo = hi
-        return self.row_of[states]
+            rows = self.row_of[states]
+        return rows
 
     def _append(self, ns: np.ndarray, k_max: np.ndarray, limit: np.ndarray):
         """Build and append the rows of the new states ``ns``."""
@@ -273,13 +279,6 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
             return n + k
 
 
-def _pool(parts) -> tuple[np.ndarray, np.ndarray]:
-    """(key, time) array pairs summed into distinct sorted keys."""
-    keys, times = (np.concatenate(a) for a in zip(*parts))
-    keys, inverse = np.unique(keys, return_inverse=True)
-    return keys, np.bincount(inverse, weights=times)
-
-
 def _paths(params: LimitParams, n0: int, T: float, size: int,
            rng: np.random.Generator, cache: RateCache, ceiling: int,
            cut: bool = False, keep_from: float | None = None):
@@ -291,27 +290,31 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     (r the row of its state), or draws a rare lumped-tail jump alone.  A
     jump above ``ceiling`` raises StateExplosionGuard, or with ``cut`` stops
     the path at state ``ceiling + 1``.  Returns the states at T and the
-    occupation times on [keep_from, T] (keys state * size + path, times).
+    occupation times on [keep_from, T] as a dense table ``occ[r, path]`` over
+    the cache's rows r, or None without ``keep_from``; a path adds to one
+    cell per round, so each cell is its round-ordered sum from 0.0.
     """
     if n0 < 1:
         raise InvalidArgument("initial state must be >= 1")
     finals = np.empty(size, dtype=np.int64)
-    occ = [(np.empty(0, dtype=np.int64), np.empty(0))]
+    occ = None if keep_from is None else np.zeros((0, size))
     ids, n, t = np.arange(size), np.full(size, n0, dtype=np.int64), np.zeros(size)
     while ids.size:
         rows = cache.rows(n)
         with np.errstate(divide="ignore"):  # total 0: no event, ever
-            t_next = t + rng.standard_exponential(ids.size) / cache.total[rows]
-        if keep_from is not None:
+            wait = rng.standard_exponential(ids.size) / cache.total[rows]
+        t_prev, t = t, t + wait
+        if occ is not None:
             # fmin: an absorbing state's 0/0 holding time lasts to T
-            held = np.fmin(t_next, T) - np.maximum(t, keep_from)
+            held = np.fmin(t, T) - np.maximum(t_prev, keep_from)
             on = held > 0
-            occ.append((n[on] * size + ids[on], held[on]))
-            if len(occ) > 16:  # memory follows the distinct (state, path)
-                occ = [_pool(occ)]
-        go = t_next <= T
-        finals[ids[~go]] = n[~go]
-        ids, n, t, rows = ids[go], n[go], t_next[go], rows[go]
+            on = slice(None) if on.all() else on  # a view, not a copy
+            occ = _grown(occ, cache.n_rows)
+            occ[rows[on], ids[on]] += held[on]
+        go = t <= T
+        if not go.all():
+            finals[ids[~go]] = n[~go]
+            ids, n, t, rows = ids[go], n[go], t[go], rows[go]
         lo, hi = cache.indptr[rows], cache.indptr[rows + 1]
         pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
                               rows + rng.random(ids.size), side="right")
@@ -328,7 +331,7 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
                     f"state {n[over].max()} exceeded ceiling {ceiling}")
             finals[ids[over]] = ceiling + 1
             ids, n, t = ids[~over], n[~over], t[~over]
-    return finals, _pool(occ)
+    return finals, occ
 
 
 def final_state(params: LimitParams, n0: int, T: float,
@@ -416,18 +419,19 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     """
     if T <= burn_in:
         raise InvalidArgument("T must exceed burn_in")
-    K = STATIONARY_CHAINS
-    _, (keys, times) = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng,
-                              RateCache(params), ceiling, keep_from=burn_in)
-    chain, state = keys % K, keys // K
+    K, cache = STATIONARY_CHAINS, RateCache(params)
+    _, occ = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng, cache,
+                    ceiling, keep_from=burn_in)
+    states = np.flatnonzero(cache.row_of >= 0)
+    occ = occ[cache.row_of[states]]  # rows by state: cells in (state, chain)
+    at, chain = np.nonzero(occ)
+    state, times = states[at], occ[at, chain]
     h1, h2 = (np.bincount(state, weights=times * half, minlength=state.max() + 1)
               for half in (chain < K // 2, chain >= K // 2))
     tv = 0.5 * float(np.abs(h1 / h1.sum() - h2 / h2.sum()).sum())
     if tv > tv_threshold:
-        warnings.warn(
-            f"half-sample occupation laws differ by TV={tv:.3f}",
-            NonConvergenceWarning,
-        )
+        warnings.warn(f"half-sample occupation laws differ by TV={tv:.3f}",
+                      NonConvergenceWarning)
     pmf = h1 + h2
     mass = times / np.bincount(chain, weights=times)[chain]
     return StationaryEstimate(pmf / pmf.sum(), T - burn_in, tv,

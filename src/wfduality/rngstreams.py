@@ -62,15 +62,8 @@ def stream(seed: int, index: int) -> np.random.Generator:
 def batches(total: int) -> list[tuple[int, int]]:
     """Deterministic split of ``total`` replicates into (index, size) batches
     of ``BATCH_SIZE``, read at call time as ``batch_mean_se`` reads it."""
-    out = []
-    index = 0
-    remaining = total
-    while remaining > 0:
-        size = min(BATCH_SIZE, remaining)
-        out.append((index, size))
-        index += 1
-        remaining -= size
-    return out
+    return [(index, min(BATCH_SIZE, total - start))
+            for index, start in enumerate(range(0, total, BATCH_SIZE))]
 
 
 def run_batches(batch, M: int, seed: int, role: str,
@@ -90,8 +83,11 @@ def batch_mean_se(values) -> tuple[float, float]:
 
     Each batch's (count, mean, sum of squared deviations) is pooled into the
     running total in batch order, so the reduction is fixed by the batching.
+    A finite constant v gives exactly (v, 0.0), not a rounded chunk mean.
     """
     values = np.asarray(values, dtype=float)
+    if values.size and values.min() == values.max() and np.isfinite(values[0]):
+        return float(values[0]) + 0.0, 0.0  # -0.0 pools to 0.0
     full = values.size - values.size % BATCH_SIZE
     n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
     for chunk in (values[:full].reshape(-1, BATCH_SIZE), values[None, full:]):

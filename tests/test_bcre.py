@@ -362,6 +362,109 @@ class TestStationaryEstimate:
         assert runs[0] == runs[1] == runs[2]
 
 
+# short stationary window: the half-sample warning is expected here
+@pytest.mark.filterwarnings("ignore::wfduality.NonConvergenceWarning")
+class TestOccupationTable:
+    """Exact bookkeeping of the (row, chain) occupation table."""
+
+    BURN_IN, T = 10.0, 2000.0
+
+    @pytest.fixture
+    def est(self, survival_params):
+        return stationary_estimate(survival_params, 1, self.BURN_IN, self.T,
+                                   rng(6))
+
+    def test_each_chain_keeps_its_share_of_the_time(self, survival_params):
+        K = bcre.STATIONARY_CHAINS
+        horizon = self.BURN_IN + (self.T - self.BURN_IN) / K
+        _, occ = bcre._paths(survival_params, 1, horizon, K, rng(6),
+                             RateCache(survival_params), bcre.DEFAULT_CEILING,
+                             keep_from=self.BURN_IN)
+        assert (occ >= 0).all()
+        per_chain = occ.sum(axis=0)
+        assert per_chain == pytest.approx(np.full(K, horizon - self.BURN_IN),
+                                          rel=1e-9)
+        assert per_chain.sum() == pytest.approx(self.T - self.BURN_IN,
+                                                rel=1e-9)
+
+    def test_cells_equal_the_sorted_key_pooling(self, survival_params):
+        # reference: the sparse bookkeeping the table replaced.  Each round's
+        # (state * size + path, held time) pairs, pooled by sorted key with
+        # bincount, which sums each key in round order from 0.0
+        K, burn_in, horizon = 64, 2.0, 6.0
+        seen, waits = [], []
+
+        class Cache(RateCache):
+            def rows(self, states):
+                seen.append(states.copy())
+                return super().rows(states)
+
+        class Draws:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+            def standard_exponential(self, size):
+                waits.append(self.gen.standard_exponential(size))
+                return waits[-1]
+
+        cache = Cache(survival_params)
+        _, occ = bcre._paths(survival_params, 1, horizon, K, Draws(rng(9)),
+                             cache, bcre.DEFAULT_CEILING, keep_from=burn_in)
+        ids, t, keys, times = np.arange(K), np.zeros(K), [], []
+        for n, wait in zip(seen, waits):
+            t_next = t + wait / cache.total[cache.row_of[n]]
+            held = np.fmin(t_next, horizon) - np.maximum(t, burn_in)
+            keys.append(n[held > 0] * K + ids[held > 0])
+            times.append(held[held > 0])
+            ids, t = ids[t_next <= horizon], t_next[t_next <= horizon]
+        assert ids.size == 0 and len(seen) > 10
+        keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        pooled = np.bincount(inverse, weights=np.concatenate(times))
+        cells = occ[cache.row_of[keys // K], keys % K]
+        assert cells.tobytes() == pooled.tobytes()
+        assert np.count_nonzero(occ) == keys.size
+
+    def test_no_table_without_keep_from(self, survival_params):
+        _, occ = bcre._paths(survival_params, 1, 1.0, 8, rng(6),
+                             RateCache(survival_params), bcre.DEFAULT_CEILING)
+        assert occ is None
+
+    def test_each_chain_mass_sums_to_one(self, est):
+        chain, _, mass = est.chains
+        sums = np.bincount(chain, weights=mass)
+        assert sums.size == bcre.STATIONARY_CHAINS
+        assert sums == pytest.approx(np.ones(sums.size), rel=1e-12)
+
+    def test_triples_are_unique_sorted_and_positive(self, est):
+        chain, state, mass = est.chains
+        assert (mass > 0).all() and (state >= 1).all()
+        # strictly increasing (state, chain): sorted, with no repeats
+        assert ((np.diff(state) > 0)
+                | ((np.diff(state) == 0) & (np.diff(chain) > 0))).all()
+
+    def test_pmf_is_the_bincount_of_the_triples(self, est):
+        # every chain keeps the same time, so the pooled law is the mean of
+        # the chains' laws
+        chain, state, mass = est.chains
+        law = np.bincount(state, weights=mass) / bcre.STATIONARY_CHAINS
+        assert est.pmf.size == law.size
+        assert est.pmf == pytest.approx(law, rel=1e-12, abs=1e-15)
+        assert est.pmf.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_absorbing_state_one_holds_all_the_time(self):
+        # pairwise coalescence only: state 1 has total rate 0
+        est = stationary_estimate(params_with(sigma=1.0), 1, 5.0, 100.0,
+                                  rng(8))
+        chain, state, mass = est.chains
+        assert est.pmf.tolist() == [0.0, 1.0]
+        assert chain.tolist() == list(range(bcre.STATIONARY_CHAINS))
+        assert (state == 1).all() and (mass == 1.0).all()
+        assert est.half_sample_tv == 0.0
+
+
 class TestConservativeness:
     def test_mean_bounded_by_pure_growth(self, baseline_params):
         # every path stays finite and the mean is dominated by the

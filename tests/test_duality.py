@@ -198,6 +198,9 @@ class TestQuenchedDuality:
         report = quenched_check(params, EnvSequence(np.array([y0])), x, n,
                                 M=2048, seed=34)
         assert (report.lhs, report.lhs_se) == (report.rhs, report.rhs_se)
+        # each side's score is one constant: its SE is exactly 0, not the
+        # ulp-sized spread of a rounded chunk mean
+        assert report.lhs_se == report.rhs_se == 0.0
         assert report.z == 0.0
         if c_N == 0.0:
             assert report.lhs == pgf(params.kernel, y0, x) ** n

@@ -69,6 +69,31 @@ def test_duality_steps_and_traces_back_in_one_place():
                        "simulate_ancestry": {"_blocks"}}
 
 
+def test_dual_engine_sorts_nothing():
+    # the occupation times of stationary chains accumulate in a dense
+    # (row, chain) table; a sort of the occupation keys every 16 rounds cost
+    # the fixation run about 15% of its stationary time
+    # (RateCache.rows sorts a round's new states, a method left out here)
+    path = SRC / "wfduality" / "bcre.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {fn.name: fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    todo, seen, found = ["_paths"], set(), []
+    while todo:  # _paths and the module functions it calls, transitively
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            if _called_name(node) in {"unique", "sort", "argsort"}:
+                found.append(f"{name}:{node.lineno}")
+            if (isinstance(node.func, ast.Name) and node.func.id in functions
+                    and node.func.id not in seen):
+                todo.append(node.func.id)
+    assert "_sample_tail_jump" in seen
+    assert found == []
+
+
 def test_cli_import_leaves_out_scipy():
     # scipy took most of the CLI's start-up time, and the runtime needs
     # numpy only: no scipy module may be loaded

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -167,10 +169,34 @@ def chunk_loop_mean_se(values):
 
 class TestBatchMeanSe:
     @pytest.mark.parametrize("size", [1, 1023, 1024, 2500, BATCH_SIZE - 1,
-                                      BATCH_SIZE, THREE_BATCHES, 10**6 + 7])
+                                      BATCH_SIZE, BATCH_SIZE + 1, 10_000,
+                                      THREE_BATCHES, 10**6 + 7])
     def test_bits_match_the_chunk_loop(self, size):
         values = np.random.default_rng(size).lognormal(size=size) * 1e3
         assert batch_mean_se(values) == chunk_loop_mean_se(values)
+
+    @pytest.mark.parametrize("size", [1, BATCH_SIZE - 1, BATCH_SIZE + 1,
+                                      10_000])
+    def test_constant_is_exact(self, size):
+        for v in np.random.default_rng(size).random(50).tolist() + [0.0, 1.0]:
+            assert batch_mean_se(np.full(size, v)) == (v, 0.0)
+
+    def test_random_constants_are_exact(self):
+        # the chunk means of these round away from v, for most of them
+        values = np.random.default_rng(11).random(200) * 10.0
+        for v in values.tolist():
+            assert batch_mean_se(np.full(2048, v)) == (v, 0.0)
+
+    def test_negative_zero_pools_to_zero(self):
+        values = np.full(BATCH_SIZE + 1, -0.0)
+        mean, se = batch_mean_se(values)
+        assert (mean, se) == chunk_loop_mean_se(values) == (0.0, 0.0)
+        assert math.copysign(1.0, mean) == 1.0
+
+    def test_nonfinite_constant_keeps_the_chunk_loop(self):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            mean, se = batch_mean_se(np.full(10, np.inf))
+        assert mean == np.inf and math.isnan(se)
 
     def test_pools_to_the_plain_mean_and_se(self):
         values = np.random.default_rng(0).random(THREE_BATCHES)
