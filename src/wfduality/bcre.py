@@ -51,6 +51,9 @@ K_MAX_CAP = 2**20
 #: Most (state, category) entries built in one pass of ``RateCache.rows``.
 ENTRY_CAP = 2**15
 
+#: Half-sample total variation above which ``stationary_estimate`` warns.
+TV_WARN = 0.05
+
 #: Independent chains of ``stationary_estimate``, run as one batch; fixed
 #: apart from ``rngstreams.BATCH_SIZE``, so each chain's burn-in and kept
 #: time do not follow the replicate batching.
@@ -287,15 +290,16 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     Each round every active path draws its holding time Exp(1)/total[n].  A
     path whose next event falls past T records its state and leaves; each
     other path picks its jump by one ``searchsorted`` of r + U in the rows
-    (r the row of its state), or draws a rare lumped-tail jump alone.  A
-    jump above ``ceiling`` raises StateExplosionGuard, or with ``cut`` stops
-    the path at state ``ceiling + 1``.  Returns the states at T and the
-    occupation times on [keep_from, T] as a dense table ``occ[r, path]`` over
-    the cache's rows r, or None without ``keep_from``; a path adds to one
-    cell per round, so each cell is its round-ordered sum from 0.0.
+    (r the row of its state), or draws a rare lumped-tail jump alone.  n0
+    must lie in [1, ceiling]; a jump above ``ceiling`` raises
+    StateExplosionGuard, or with ``cut`` stops the path at state
+    ``ceiling + 1``.  Returns the states at T and the occupation times on
+    [keep_from, T] as a dense table ``occ[r, path]`` over the cache's rows
+    r, or None without ``keep_from``; a path adds to one cell per round, so
+    each cell is its round-ordered sum from 0.0.
     """
-    if n0 < 1:
-        raise InvalidArgument("initial state must be >= 1")
+    if not 1 <= n0 <= ceiling:
+        raise InvalidArgument(f"initial state {n0} must lie in [1, {ceiling}]")
     finals = np.empty(size, dtype=np.int64)
     occ = None if keep_from is None else np.zeros((0, size))
     ids, n, t = np.arange(size), np.full(size, n0, dtype=np.int64), np.zeros(size)
@@ -360,14 +364,13 @@ def final_states(params: LimitParams, n0: int, T: float, M: int, seed: int,
 
 
 def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
-                seed: int, role: str = "lhs",
-                ceiling: int = DEFAULT_CEILING) -> tuple[float, float]:
+                seed: int, role: str = "lhs") -> tuple[float, float]:
     """Monte Carlo mean and SE of x**Z(t) over M independent chain paths."""
     if not 0.0 <= x <= 1.0:
         raise InvalidArgument("x must lie in [0,1]")
     if t == 0:
         return x**n0, 0.0
-    zs = final_states(params, n0, t, M, seed, role, ceiling=ceiling)
+    zs = final_states(params, n0, t, M, seed, role)
     # one scalar pow per distinct state: numpy's SIMD power loop can differ
     # from it in the last bit, and so from one CPU to another
     states, inverse = np.unique(zs, return_inverse=True)
@@ -379,7 +382,6 @@ class StationaryEstimate:
     """Occupation-time estimate of the stationary law from parallel chains."""
 
     pmf: np.ndarray  # pmf[k] is the pooled occupation mass of state k (k >= 1)
-    total_time: float
     half_sample_tv: float
     chains: tuple  # (chain, state, mass): each chain's occupation law
 
@@ -405,8 +407,7 @@ class StationaryEstimate:
 
 
 def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
-                        rng: np.random.Generator, tv_threshold: float = 0.05,
-                        ceiling: int = DEFAULT_CEILING) -> StationaryEstimate:
+                        rng: np.random.Generator) -> StationaryEstimate:
     """Occupation-time estimate of the stationary law of the chain.
 
     Runs K = ``STATIONARY_CHAINS`` independent chains from n0.  Each discards
@@ -415,13 +416,13 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     chain pays the burn-in.  The estimate is the pooled occupation law, and
     the spread of the chains' laws gives the SE of its pgf.  Warns if the
     pooled laws of the two halves of the chains differ by more than
-    ``tv_threshold`` in total variation.
+    ``TV_WARN`` in total variation.
     """
     if T <= burn_in:
         raise InvalidArgument("T must exceed burn_in")
     K, cache = STATIONARY_CHAINS, RateCache(params)
     _, occ = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng, cache,
-                    ceiling, keep_from=burn_in)
+                    DEFAULT_CEILING, keep_from=burn_in)
     states = np.flatnonzero(cache.row_of >= 0)
     occ = occ[cache.row_of[states]]  # rows by state: cells in (state, chain)
     at, chain = np.nonzero(occ)
@@ -429,10 +430,9 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     h1, h2 = (np.bincount(state, weights=times * half, minlength=state.max() + 1)
               for half in (chain < K // 2, chain >= K // 2))
     tv = 0.5 * float(np.abs(h1 / h1.sum() - h2 / h2.sum()).sum())
-    if tv > tv_threshold:
+    if tv > TV_WARN:
         warnings.warn(f"half-sample occupation laws differ by TV={tv:.3f}",
                       NonConvergenceWarning)
     pmf = h1 + h2
     mass = times / np.bincount(chain, weights=times)[chain]
-    return StationaryEstimate(pmf / pmf.sum(), T - burn_in, tv,
-                              (chain, state, mass))
+    return StationaryEstimate(pmf / pmf.sum(), tv, (chain, state, mass))

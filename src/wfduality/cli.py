@@ -109,27 +109,27 @@ def _run_duality(cfg: dict):
     return _plain(rep, "z"), verdicts, csvs
 
 
+def _finals(finals: np.ndarray, **results):
+    """Report of a simulate run: the mean and SE of the final states, then
+    ``results``, no verdicts, and the states in ``finals.csv``."""
+    mean, se = batch_mean_se(finals)
+    csvs = {"finals.csv": (["replicate", "value"],
+                           list(enumerate(finals.tolist())))}
+    return {"mean": mean, "se": se, **results}, {}, csvs
+
+
 def _run_simulate_x(cfg: dict):
     limit = build_limit_params(cfg["limit"])
     x0 = float(cfg["x0"])
     T = float(cfg["T"])
     dt = float(cfg.get("dt", 1e-3))
     M = int(cfg.get("replicates", 10000))
-    seed = int(cfg["seed"])
-    finals = fvwrs.ensemble_states(limit, x0, [T], dt, M, seed)[0]
+    finals = fvwrs.ensemble_states(limit, x0, [T], dt, M, int(cfg["seed"]))[0]
     eps0 = float(cfg.get("eps0", fvwrs.EPS0))
-    mean, se = batch_mean_se(finals)
-    results = {
-        "mean": mean, "se": se,
-        "fraction_at_0": float((finals <= eps0).mean()),
-        "fraction_at_1": float((finals >= 1.0 - eps0).mean()),
-        "T": T, "dt": dt, "replicates": M,
-    }
-    csvs = {"finals.csv": (
-        ["replicate", "value"],
-        [(i, float(v)) for i, v in enumerate(finals)],
-    )}
-    return results, {}, csvs
+    return _finals(finals,
+                   fraction_at_0=float((finals <= eps0).mean()),
+                   fraction_at_1=float((finals >= 1.0 - eps0).mean()),
+                   T=T, dt=dt, replicates=M)
 
 
 def _run_simulate_z(cfg: dict):
@@ -138,17 +138,7 @@ def _run_simulate_z(cfg: dict):
     T = float(cfg["T"])
     M = int(cfg.get("replicates", 10000))
     finals = bcre.final_states(limit, n0, T, M, int(cfg["seed"]))
-    mean, se = batch_mean_se(finals)
-    results = {
-        "mean": mean, "se": se,
-        "max": int(finals.max()),
-        "T": T, "n0": n0, "replicates": M,
-    }
-    csvs = {"finals.csv": (
-        ["replicate", "value"],
-        [(i, int(v)) for i, v in enumerate(finals)],
-    )}
-    return results, {}, csvs
+    return _finals(finals, max=int(finals.max()), T=T, n0=n0, replicates=M)
 
 
 def _run_simulate_finite(cfg: dict):
@@ -234,8 +224,12 @@ def _semantic_validate(cfg: dict) -> list[str]:
         if kind == "fixation" and (cfg.get("burn_in", FIXATION_BURN_IN)
                                    >= cfg.get("T_stat", FIXATION_T_STAT)):
             raise ConfigError("T_stat must exceed burn_in")
-        if kind == "duality-moment" and cfg["n"] < 1:
-            raise ConfigError(f"moment order n={cfg['n']} must be >= 1")
+        if kind == "duality-moment" and not 1 <= cfg["n"] <= bcre.DEFAULT_CEILING:
+            raise ConfigError(f"moment order n={cfg['n']} must lie in [1, "
+                              f"{bcre.DEFAULT_CEILING}], the dual state ceiling")
+        if kind == "simulate-z" and cfg.get("n0", 1) > bcre.DEFAULT_CEILING:
+            raise ConfigError(f"initial state n0={cfg['n0']} must not exceed "
+                              f"the state ceiling {bcre.DEFAULT_CEILING}")
         if kind == "convergence":
             # gap_shrinks compares the smallest N with the largest
             sizes = cfg["N_list"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidStep, InvariantViolation
-from .measures import pgf_many
+from .measures import pgf_many, segments
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
@@ -134,15 +134,12 @@ def _paths(params: LimitParams, x0: float, ts: np.ndarray, dt: float,
         if jumps.size:  # the paths that jumped draw their next event
             t_ev[jumps] = ta[jumps] + rng.exponential(1.0 / rate, jumps.size)
         if exact:
-            while True:
-                due = np.flatnonzero(
-                    (ka <= last) & (ts[np.minimum(ka, last)] < t_ev))
-                if due.size == 0:
-                    break
-                k = ka[due]
-                out[k, ids[due]] = _snap(_flow(xa[due], params.w,
-                                               ts[k] - ta[due]))
-                ka[due] += 1
+            end = np.searchsorted(ts, t_ev)  # requested times before it
+            due, off = segments(end - ka)
+            k = ka[due] + off
+            out[k, ids[due]] = _snap(_flow(xa[due], params.w,
+                                           ts[k] - ta[due]))
+            ka = end
             ev = ka <= last
             jumps = np.flatnonzero(ev)
             stop = t_ev.copy()

@@ -12,10 +12,9 @@ for the number of potential parents an individual draws, supported on
   form guarantees Q(0) = d_1 and Q(y) != d_1 for y > 0 whenever the base
   pmf is not d_1 itself.
 
-Finite measures are either atomic or density-backed; density measures are
-reduced at construction to a fixed composite midpoint rule with a recorded
-node count, so every downstream integral is a plain weighted sum and results
-are bit-reproducible.
+Finite measures are weighted atoms; a density is reduced at construction to
+the nodes of a fixed composite midpoint rule, so every downstream integral
+is a plain weighted sum and results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -332,16 +331,15 @@ def _table_sum_pmfs(kernel: SelectionKernel, y: float, ns: np.ndarray,
 
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """Finite measure on [0,1], atomic or quadrature-backed.
+    """Finite measure: positive weights at locations in [0,1].
 
-    Density measures are discretised once, at construction, by a composite
-    midpoint rule; the node weights are rescaled so their sum equals the
-    requested total mass exactly.
+    A density is discretised once, by ``from_density``, into the nodes of a
+    composite midpoint rule; the node weights are rescaled so their sum
+    equals the requested total mass exactly.
     """
 
     locations: np.ndarray
     weights: np.ndarray
-    kind: str = "atomic"  # "atomic" | "density"
     _allow_negative: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -386,22 +384,19 @@ class FiniteMeasure:
         total = raw.sum()
         if total <= 0:
             raise ModelError("density has zero mass")
-        return FiniteMeasure(locs, raw * (mass / total), kind="density")
+        return FiniteMeasure(locs, raw * (mass / total))
 
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
     def has_atom_at(self, y: float) -> bool:
-        return bool(self.kind == "atomic" and np.any(self.locations == y))
+        """Whether a location equals y; a midpoint node is never 0 or 1."""
+        return bool(np.any(self.locations == y))
 
     def normalized(self) -> "FiniteMeasure":
-        return FiniteMeasure(
-            self.locations,
-            self.weights / self.total_mass,
-            kind=self.kind,
-            _allow_negative=self._allow_negative,
-        )
+        return FiniteMeasure(self.locations, self.weights / self.total_mass,
+                             _allow_negative=self._allow_negative)
 
     @cached_property
     def _cdf(self) -> np.ndarray:  # normalised cumulative weights, once
@@ -455,5 +450,5 @@ def derive_env_measure(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> Fini
         locs.append(float(y))
         ws.append(float(w) / m)
     if not locs:
-        return FiniteMeasure(np.empty(0), np.empty(0), kind=lambda_s.kind)
-    return FiniteMeasure(np.array(locs), np.array(ws), kind=lambda_s.kind)
+        return FiniteMeasure(np.empty(0), np.empty(0))
+    return FiniteMeasure(np.array(locs), np.array(ws))

@@ -25,7 +25,7 @@ def merger_law(lambda_c: FiniteMeasure) -> FiniteMeasure | None:
     weights = lambda_c.weights / lambda_c.locations**2
     if not np.all(np.isfinite(weights)):
         raise InfiniteJumpIntensity("z^{-2} Lambda_c has infinite mass")
-    return FiniteMeasure(lambda_c.locations, weights, kind=lambda_c.kind)
+    return FiniteMeasure(lambda_c.locations, weights)
 
 
 @dataclass(frozen=True)

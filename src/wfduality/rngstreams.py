@@ -18,7 +18,8 @@ changes which numbers a given seed draws.
 
 Two rules carry every Monte Carlo estimate, and each is coded once, here:
 ``run_batches`` is the one batch loop, which splits replicates and hands
-each batch its substream, and ``batch_mean_se`` is the one mean/SE rule.
+each batch its substream, and ``batch_mean_se`` is the one mean/SE rule:
+the plain mean and SE of the joined replicates, whatever their batches.
 """
 
 from __future__ import annotations
@@ -59,49 +60,32 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return substream(seed, "lhs", index)
 
 
-def batches(total: int) -> list[tuple[int, int]]:
-    """Deterministic split of ``total`` replicates into (index, size) batches
-    of ``BATCH_SIZE``, read at call time as ``batch_mean_se`` reads it."""
-    return [(index, min(BATCH_SIZE, total - start))
-            for index, start in enumerate(range(0, total, BATCH_SIZE))]
-
-
 def run_batches(batch, M: int, seed: int, role: str,
                 sub: int = 0) -> np.ndarray:
-    """Outputs of ``batch(size, rng)`` over the batches of M replicates,
-    joined along the last axis in batch order; batch ``idx`` draws from
+    """Outputs of ``batch(size, rng)`` over M replicates split into batches
+    of ``BATCH_SIZE`` (read at call time, the last batch short), joined
+    along the last axis in batch order; batch ``idx`` draws from
     ``substream(seed, role, idx, sub)``.  Raises ``InvalidArgument`` for
     M < 1: an estimate needs at least one replicate."""
     if M < 1:
         raise InvalidArgument(f"replicates M={M} must be >= 1")
-    return np.concatenate([batch(size, substream(seed, role, idx, sub))
-                           for idx, size in batches(M)], axis=-1)
+    return np.concatenate([
+        batch(min(BATCH_SIZE, M - start), substream(seed, role, idx, sub))
+        for idx, start in enumerate(range(0, M, BATCH_SIZE))], axis=-1)
 
 
 def batch_mean_se(values) -> tuple[float, float]:
-    """Mean and SE of per-replicate values laid out in ``batches`` order.
+    """Mean and SE of per-replicate values: the plain mean of the whole
+    array, and sqrt(sum((v - mean)**2) / (n - 1) / n) by a second pass.
 
-    Each batch's (count, mean, sum of squared deviations) is pooled into the
-    running total in batch order, so the reduction is fixed by the batching.
-    A finite constant v gives exactly (v, 0.0), not a rounded chunk mean.
+    A finite constant v gives exactly (v, 0.0), not a rounded mean, and an
+    infinite one (v, nan); fewer than two values give SE 0.
     """
     values = np.asarray(values, dtype=float)
     if values.size and values.min() == values.max() and np.isfinite(values[0]):
-        return float(values[0]) + 0.0, 0.0  # -0.0 pools to 0.0
-    full = values.size - values.size % BATCH_SIZE
-    n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
-    for chunk in (values[:full].reshape(-1, BATCH_SIZE), values[None, full:]):
-        n = chunk.shape[1]  # one row per batch, then the remainder, if any
-        if n == 0:
-            continue
-        means = chunk.mean(axis=1)
-        m2s = ((chunk - means[:, None]) ** 2).sum(axis=1)
-        for m, m2 in zip(means.tolist(), m2s.tolist()):
-            delta = m - mean_tot
-            new_n = n_tot + n
-            m2_tot += m2 + delta * delta * n_tot * n / new_n
-            mean_tot += delta * n / new_n
-            n_tot = new_n
-    if n_tot < 2:
-        return mean_tot, 0.0
-    return mean_tot, float(np.sqrt(m2_tot / (n_tot - 1) / n_tot))
+        return float(values[0]) + 0.0, 0.0  # -0.0 reads 0.0
+    mean = float(values.mean())
+    if values.size < 2:
+        return mean, 0.0
+    m2 = float(((values - mean) ** 2).sum())
+    return mean, float(np.sqrt(m2 / (values.size - 1) / values.size))

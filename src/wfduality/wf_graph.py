@@ -69,7 +69,6 @@ def draw_env(env_law: FiniteMeasure, length: int,
 class BlockCountPath:
     values: np.ndarray  # block counts in {1,...,N}, length len(env)+1
     # (one row per replicate for a batched env)
-    env: EnvSequence
     saturations: int = 0  # parent-count cap hits, over all replicates
 
 
@@ -184,5 +183,5 @@ def simulate_ancestry(params: FiniteModelParams, n0: int, env: EnvSequence,
         out[:, g + 1], sat = step_ancestry_many(params, out[:, g],
                                                 ys[:, gens - 1 - g], rng)
         saturations += int(sat.sum())
-    return BlockCountPath(out if env.values.ndim == 2 else out[0], env,
+    return BlockCountPath(out if env.values.ndim == 2 else out[0],
                           saturations)

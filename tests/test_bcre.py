@@ -8,6 +8,7 @@ from scipy import stats
 
 from wfduality import (
     FiniteMeasure,
+    InvalidArgument,
     LimitParams,
     SelectionKernel,
     StateExplosionGuard,
@@ -132,6 +133,18 @@ class TestSimulate:
             final_states(p, 10, 5.0, 2000, seed=300, ceiling=50)
         with pytest.raises(StateExplosionGuard):
             final_state(p, 10, 5.0, rng(300), RateCache(p), ceiling=50)
+
+    def test_start_above_the_ceiling_rejected(self):
+        # such a path was never guarded: it built its rate row and reported
+        # its start state at T
+        p = params_with(sigma=1.0)
+        cache = RateCache(p)
+        with pytest.raises(InvalidArgument):
+            final_state(p, 51, 1e-9, rng(0), cache, ceiling=50)
+        assert cache.n_rows == 0
+        with pytest.raises(InvalidArgument):
+            final_states(p, 51, 1e-9, 10, seed=0, ceiling=50)
+        assert (final_states(p, 50, 1e-9, 10, seed=0, ceiling=50) == 50).all()
 
     def test_explosion_guard_cut_reports_ceiling_plus_one(self):
         p = params_with(lambda_s=FiniteMeasure.point_mass(0.5, 5.0))

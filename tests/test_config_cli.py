@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfduality import ConfigError, InvalidArgument, InvariantViolation
+from wfduality.bcre import DEFAULT_CEILING
 from wfduality.cli import _strict, main
 from wfduality.config import (
     REQUIRED_KEYS,
@@ -328,6 +329,14 @@ class TestValidateMatchesRun:
           "x_grid": [0.5], "burn_in": 6000.0}, "T_stat must exceed burn_in"),
         ({"experiment": "duality-moment", "seed": 3, "limit": BASELINE_LIMIT,
           "x": 0.5, "n": 0, "t": 0.5}, "moment order"),
+        # the order is the dual chain's start state: run raised
+        # InvalidArgument, or at the parent built a rate row of 2 * n entries
+        ({"experiment": "duality-moment", "seed": 3, "limit": BASELINE_LIMIT,
+          "x": 0.5, "n": DEFAULT_CEILING + 1, "t": 1e-9, "replicates": 10},
+         "moment order"),
+        # ran to exit 0 after building a rate row of 2 * n0 entries
+        ({"experiment": "simulate-z", "seed": 3, "limit": BASELINE_LIMIT,
+          "T": 1e-9, "n0": DEFAULT_CEILING + 1}, "state ceiling"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_rejected_with_config_error(self, tmp_path, cfg, message, command):

@@ -21,18 +21,29 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_only_rngstreams_splits_batches():
-    # the replicate split into batches is coded once, in
-    # rngstreams.run_batches; every other module goes through it
-    found = []
+def test_only_run_batches_reads_batch_size():
+    # the batch layout is known to rngstreams.run_batches alone: the mean/SE
+    # rule and every engine see only the joined replicates
+    found, inside = [], 0
     for path in sorted((SRC / "wfduality").rglob("*.py")):
-        if path.name == "rngstreams.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "rngstreams.py":
+            allowed = {id(node) for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef)
+                       and fn.name == "run_batches" for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _called_name(node) == "batches":
+            if isinstance(node, ast.alias):
+                read = node.name == "BATCH_SIZE"
+            else:
+                read = (isinstance(getattr(node, "ctx", None), ast.Load)
+                        and "BATCH_SIZE" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None)))
+            if read and id(node) in allowed:
+                inside += 1
+            elif read:
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    assert found == [] and inside > 0
 
 
 def _called_name(node: ast.Call):

@@ -135,8 +135,7 @@ class TestRunBatches:
             run_batches(lambda size, rng: rng.random(size), 0, 3, "lhs")
 
     def test_follows_the_batch_size(self, monkeypatch):
-        # run_batches reads BATCH_SIZE at call time, as batch_mean_se does,
-        # so the batches and the pooling chunks cannot part
+        # run_batches reads BATCH_SIZE at call time
         monkeypatch.setattr(rngstreams, "BATCH_SIZE", 7)
         out = run_batches(lambda size, rng: np.full(size, float(size)), 20,
                           3, "lhs")
@@ -149,31 +148,30 @@ class TestRunBatches:
         assert opened == expected
 
 
-def chunk_loop_mean_se(values):
-    """The reference reduction: one BATCH_SIZE-value slice at a time."""
-    values = np.asarray(values, dtype=float)
-    n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
-    for start in range(0, values.size, BATCH_SIZE):
-        chunk = values[start:start + BATCH_SIZE]
-        n, m = chunk.size, float(chunk.mean())
-        m2 = float(((chunk - m) ** 2).sum())
-        delta = m - mean_tot
-        new_n = n_tot + n
-        m2_tot += m2 + delta * delta * n_tot * n / new_n
-        mean_tot += delta * n / new_n
-        n_tot = new_n
-    if n_tot < 2:
-        return mean_tot, 0.0
-    return mean_tot, float(np.sqrt(m2_tot / (n_tot - 1) / n_tot))
+def plain_mean_se(values):
+    """The reference: the mean of the whole array and its two-pass SE."""
+    n = values.size
+    mean = values.sum() / n
+    if n < 2:
+        return float(mean), 0.0
+    return float(mean), math.sqrt(((values - mean) ** 2).sum() / (n - 1) / n)
 
 
 class TestBatchMeanSe:
     @pytest.mark.parametrize("size", [1, 1023, 1024, 2500, BATCH_SIZE - 1,
                                       BATCH_SIZE, BATCH_SIZE + 1, 10_000,
                                       THREE_BATCHES, 10**6 + 7])
-    def test_bits_match_the_chunk_loop(self, size):
+    def test_bits_match_the_plain_formula(self, size):
         values = np.random.default_rng(size).lognormal(size=size) * 1e3
-        assert batch_mean_se(values) == chunk_loop_mean_se(values)
+        assert batch_mean_se(values) == plain_mean_se(values)
+
+    def test_bits_do_not_follow_the_batch_size(self, monkeypatch):
+        values = np.random.default_rng(3).lognormal(size=THREE_BATCHES)
+        got = set()
+        for batch in (7, 4096):
+            monkeypatch.setattr(rngstreams, "BATCH_SIZE", batch)
+            got.add(batch_mean_se(values))
+        assert len(got) == 1
 
     @pytest.mark.parametrize("size", [1, BATCH_SIZE - 1, BATCH_SIZE + 1,
                                       10_000])
@@ -190,10 +188,10 @@ class TestBatchMeanSe:
     def test_negative_zero_pools_to_zero(self):
         values = np.full(BATCH_SIZE + 1, -0.0)
         mean, se = batch_mean_se(values)
-        assert (mean, se) == chunk_loop_mean_se(values) == (0.0, 0.0)
+        assert (mean, se) == (0.0, 0.0)
         assert math.copysign(1.0, mean) == 1.0
 
-    def test_nonfinite_constant_keeps_the_chunk_loop(self):
+    def test_infinite_constant_has_nan_se(self):
         with np.errstate(invalid="ignore"):  # inf - inf
             mean, se = batch_mean_se(np.full(10, np.inf))
         assert mean == np.inf and math.isnan(se)
