@@ -175,10 +175,9 @@ def _run_fixation(cfg: dict):
 
 
 def _run_convergence(cfg: dict):
-    limit = build_limit_params(cfg["limit"])
-    scheme = duality.ScalingScheme(limit)
+    scheme = duality.ScalingScheme(build_limit_params(cfg["limit"]))
     rows = duality.convergence_experiment(
-        limit, [int(N) for N in cfg["N_list"]], scheme, float(cfg["x"]),
+        [int(N) for N in cfg["N_list"]], scheme, float(cfg["x"]),
         int(cfg["n"]), float(cfg["t"]), int(cfg.get("replicates", 100000)),
         float(cfg.get("dt", 1e-3)), int(cfg["seed"]),
     )
@@ -221,6 +220,9 @@ def _semantic_validate(cfg: dict) -> list[str]:
             raise SigmaNotZero("classification requires sigma = 0")
         if kind == "fixation":
             bridge.require_regime(limit, thresholds.SURVIVAL, "fixation")
+        if kind == "fixation" and len(set(cfg["x_grid"])) < len(cfg["x_grid"]):
+            # each point names one verdict, z_within_threshold_x{x}
+            raise ConfigError(f"x_grid={cfg['x_grid']} repeats a value")
         if kind == "fixation" and (cfg.get("burn_in", FIXATION_BURN_IN)
                                    >= cfg.get("T_stat", FIXATION_T_STAT)):
             raise ConfigError("T_stat must exceed burn_in")

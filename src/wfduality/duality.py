@@ -260,12 +260,12 @@ def finite_moment(params: FiniteModelParams, x: float, n: int,
         M, seed, role, sub))
 
 
-def convergence_experiment(limit: LimitParams, N_list, scaling: ScalingScheme,
-                           x: float, n: int, t: float, M: int, dt: float,
+def convergence_experiment(N_list, scaling: ScalingScheme, x: float, n: int,
+                           t: float, M: int, dt: float,
                            seed: int) -> list[ConvergenceRow]:
-    """Finite-model moments against the limit moment across N."""
-    lim_est, lim_se = fvwrs.moment_estimate(limit, x, n, t, M, dt, seed,
-                                            "rhs")
+    """Finite-model moments across N against the scheme's limit moment."""
+    lim_est, lim_se = fvwrs.moment_estimate(scaling.limit, x, n, t, M, dt,
+                                            seed, "rhs")
     rows = []
     for j, N in enumerate(N_list):
         fp = scaling.finite_params(N)

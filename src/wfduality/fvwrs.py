@@ -18,7 +18,9 @@ is the closed-form logistic flow of the drift, so paths are sampled exactly
 from exponential event gaps (as in Gillespie's algorithm) with no time
 grid.  With sigma > 0 each path also stops at every grid time k*dt and
 moves by one Euler piece of drift and diffusion between consecutive stops;
-requested times are snapped to the grid.  0 and 1 are absorbing.
+requested times are snapped to grid times.  One rule records for every
+sigma: before each move, a path records every requested time before its
+next stop.  0 and 1 are absorbing.
 """
 
 from __future__ import annotations
@@ -100,80 +102,63 @@ def _paths(params: LimitParams, x0: float, ts: np.ndarray, dt: float,
            size: int, rng: np.random.Generator) -> np.ndarray:
     """States of ``size`` paths at the sorted distinct requested times.
 
-    ``ts`` holds the times when sigma = 0 and their dt-grid indices when
-    sigma > 0.  Each path keeps its next event time, drawn Exp(R) after its
-    previous event (R the total jump rate); an event is a selection jump
-    with probability |mu| / R, else a coalescence jump.  Each round moves
-    every active path by one stop.  When sigma = 0 the stop is the path's
-    next event: the flowed state is recorded at every requested time before
-    it, then the path flows to the event and jumps.  When sigma > 0 the stop
-    is the earlier of the next event and the next grid time k*dt, the move
-    is one Euler piece, and a grid stop at a requested index records the
-    state.  A path leaves the active set once it is absorbed or has recorded
-    its last requested time; an absorbed path holds its state thereafter.
+    Each path keeps its next event time, drawn Exp(R) after its previous
+    event (R the total jump rate); an event is a selection jump with
+    probability |mu| / R, else a coalescence jump.  Each round moves every
+    active path by one stop: its next event when sigma = 0, else the earlier
+    of its next event and its next grid time k*dt, moving by one Euler piece.
+    One rule records: before its move, a path at time ``ta`` records every
+    requested time in [ta, stop) as its state flowed over the gap.  At
+    sigma > 0 the requested times are grid times and every grid time is a
+    stop, so that is ``ta`` alone, over a zero gap.  A path that has recorded
+    its last time leaves before its move, and an absorbed one draws no next
+    event time and leaves before the next move, so neither draws again; an
+    absorbed path holds its state thereafter.
     """
     mu_mass = params.mu_mass
     rate = mu_mass + params.coalescence_rate
-    exact = params.sigma == 0
+    step = dt if params.sigma > 0 else np.inf  # time between grid stops
     last = ts.size - 1
+    ts_end = np.append(ts, np.inf)  # ts_end[ka] is inf once ka > last
     out = np.empty((ts.size, size))
     x = _snap(np.full(size, float(x0)))
-    k0 = int(ts.size > 0 and ts[0] == 0)  # time 0 is recorded at the start
-    out[:k0] = x
-    nxt = np.full(size, k0, dtype=np.intp)  # next unrecorded time, per path
-    ids = np.arange(size if k0 <= last and 0.0 < x[0] < 1.0 else 0)
+    nxt = np.zeros(size, dtype=np.intp)  # next unrecorded time, per path
+    ids = np.arange(size if ts.size and 0.0 < x[0] < 1.0 else 0)
     xa, ta, ka = x[ids], np.zeros(ids.size), nxt[ids]
-    t_ev = np.full(ids.size, np.inf)
-    cell = np.ones(ids.size)  # next grid index (integer-valued), sigma > 0
-    ev = np.full(ids.size, rate > 0)  # paths that stop at their event
-    jumps = np.flatnonzero(ev)
-    # sigma > 0: after r rounds no path is past grid index r, so the record
-    # check waits for ``first``, the least unrecorded requested index
-    rounds, first = 0, ts[k0] if ids.size else 0
+    t_ev = (rng.exponential(1.0 / rate, ids.size) if rate > 0
+            else np.full(ids.size, np.inf))
+    cell = np.ones(ids.size)  # next grid index (integer-valued)
+    t_next = ts_end[0]  # least time still to record
     while ids.size:
-        if jumps.size:  # the paths that jumped draw their next event
-            t_ev[jumps] = ta[jumps] + rng.exponential(1.0 / rate, jumps.size)
-        if exact:
-            end = np.searchsorted(ts, t_ev)  # requested times before it
-            due, off = segments(end - ka)
-            k = ka[due] + off
-            out[k, ids[due]] = _snap(_flow(xa[due], params.w,
-                                           ts[k] - ta[due]))
-            ka = end
-            ev = ka <= last
-            jumps = np.flatnonzero(ev)
-            stop = t_ev.copy()
-            done = jumps.size < ids.size
-        else:
-            stop = cell * dt
-            if rate > 0:  # else every stop is a grid stop
-                ev = t_ev <= stop
-                jumps = np.flatnonzero(ev)
-                stop = np.minimum(t_ev, stop)
-        xa = _move(params, xa, stop - ta, rng)
-        ta = stop
-        if jumps.size:
-            xa[jumps] = _jump(params, xa[jumps],
-                              rng.random(jumps.size) * rate < mu_mass, rng)
-        if not exact:
-            cell += 1.0
-            cell[jumps] -= 1.0
-            rounds += 1
-            done = False
-            if rounds >= first:
-                due = np.flatnonzero(cell == ts[ka] + 1)
-                out[ka[due], ids[due]] = xa[due]
-                ka[due] += 1
-                done = ka.max() > last
-                first = ts[np.minimum(ka, last)].min()
-        if done or xa.min() == 0.0 or xa.max() == 1.0:
+        # with rate 0 no path jumps and every stop is a grid stop
+        stop = np.minimum(t_ev, cell * step) if rate > 0 else cell * step
+        leave = xa.min() == 0.0 or xa.max() == 1.0  # absorbed paths
+        if stop.max() >= t_next:
+            rec = np.flatnonzero(ts_end[ka] < stop)
+            end = np.searchsorted(ts, stop[rec])  # requested times before it
+            due, off = segments(end - ka[rec])
+            k, due = ka[rec][due] + off, rec[due]
+            out[k, ids[due]] = _snap(_flow(xa[due], params.w, ts[k] - ta[due]))
+            ka[rec] = end
+            t_next = ts_end[ka].min()
+            leave = leave or end.max(initial=0) > last  # done recording
+        if leave:
             gone = (ka > last) | (xa == 0.0) | (xa == 1.0)
             x[ids[gone]] = xa[gone]
             nxt[ids[gone]] = ka[gone]
             keep = ~gone
-            ids, xa, ta, ka, t_ev, ev, cell = (
-                a[keep] for a in (ids, xa, ta, ka, t_ev, ev, cell))
-            jumps = np.flatnonzero(ev)
+            ids, xa, ta, ka, t_ev, cell, stop = (
+                a[keep] for a in (ids, xa, ta, ka, t_ev, cell, stop))
+        jumps = np.flatnonzero(t_ev == stop) if rate > 0 else ids[:0]
+        np.add(cell, 1.0, out=cell, where=stop < t_ev)  # grid stops move on
+        xa = _move(params, xa, stop - ta, rng)
+        ta = stop
+        if jumps.size:
+            post = _jump(params, xa[jumps],
+                         rng.random(jumps.size) * rate < mu_mass, rng)
+            xa[jumps] = post
+            live = jumps[(post > 0.0) & (post < 1.0)]  # absorbed: no draw
+            t_ev[live] = ta[live] + rng.exponential(1.0 / rate, live.size)
     return np.where(np.arange(ts.size)[:, None] < nxt, out, x)
 
 
@@ -182,13 +167,12 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     """States of M independent paths at each requested time.
 
     Returns an array of shape (len(times), M).  Requested times may come in
-    any order and repeat.  One event-driven engine serves every sigma.  With
-    sigma = 0 paths move by the exact flow between events and each
-    requested time is used as given; dt is then only checked.  With
-    sigma > 0 paths also stop at every dt-grid time and move by one Euler
-    piece of drift and diffusion between stops; each requested time is
-    snapped to the nearest grid time, so recording it adds no stop and no
-    draw.  Replicates run through ``rngstreams.run_batches``.
+    any order and repeat.  With sigma = 0 each is used as given and dt is
+    only checked; with sigma > 0 each is snapped to its nearest grid time
+    round(t/dt)*dt, a stop of every path, so recording it adds no stop and
+    no draw.  For every sigma a path records each requested time before its
+    next stop (see ``_paths``).  Replicates run through
+    ``rngstreams.run_batches``.
     """
     if dt <= 0:
         raise InvalidStep("dt must be positive")
@@ -198,7 +182,7 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     if (times < 0).any():
         raise InvalidStep("requested times must be nonnegative")
     if params.sigma > 0:
-        times = np.rint(times / dt).astype(np.int64)
+        times = np.rint(times / dt) * dt
     ts, inverse = np.unique(times, return_inverse=True)
     return run_batches(
         lambda size, rng: _paths(params, x0, ts, dt, size, rng)[inverse],

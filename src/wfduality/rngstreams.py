@@ -8,7 +8,7 @@ the replicate batch; ``role`` names which part of an experiment draws (see
 sizes of one role.  Draws advance only the low counter words, so substreams
 with different (seed, index, role, sub) never overlap; each batch owns a
 fixed substream and batches run in order, so results are a pure function of
-the seed.  Role 0 with sub-index 0 is ``stream(seed, index)``.
+the seed.
 
 A batch holds ``BATCH_SIZE`` = 4096 replicates, so each engine call works on
 arrays wide enough that numpy's fixed cost per call is small beside its
@@ -56,7 +56,7 @@ def substream(seed: int, role: str, index: int,
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for (seed, index): role 0, sub-index 0."""
+    """``substream(seed, "lhs", index)``; only ``perfbench`` still calls it."""
     return substream(seed, "lhs", index)
 
 

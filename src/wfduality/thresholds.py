@@ -28,6 +28,10 @@ from .measures import FiniteMeasure, SelectionKernel, integrate, mean_excess
 from .params import LimitParams
 from .rngstreams import batch_mean_se
 
+#: Relative band around beta_star within which ``classify`` calls the
+#: regime indeterminate.
+TOL = 1e-6
+
 EXTINCTION = "ExtinctionAlmostSure"
 SURVIVAL = "SurvivalPossible"
 INDETERMINATE = "Indeterminate"
@@ -111,7 +115,7 @@ class ThresholdReport:
     metadata: dict = field(default_factory=dict)
 
 
-def classify(params: LimitParams, tol: float = 1e-6) -> ThresholdReport:
+def classify(params: LimitParams) -> ThresholdReport:
     """Long-term regime of the limit process (sigma must be zero).
 
     The drift threshold scales linearly in the coalescence measure, so the
@@ -121,10 +125,8 @@ def classify(params: LimitParams, tol: float = 1e-6) -> ThresholdReport:
     if params.sigma != 0:
         raise SigmaNotZero("classification requires sigma = 0")
     mass = params.lambda_c.total_mass
-    if params.c > 0 and mass > 0:
-        beta_eff = params.c * mass * beta_star(params.lambda_c.normalized())
-    else:
-        beta_eff = 0.0
+    b_star = beta_star(params.lambda_c.normalized()) if mass > 0 else None
+    beta_eff = params.c * mass * b_star if params.c > 0 and mass > 0 else 0.0
     a_star = alpha_star(params.kernel, params.lambda_s) \
         if params.alpha_s > 0 else 1.0
     a_eff = alpha_eff(params.alpha_s, a_star, params.w)
@@ -134,17 +136,13 @@ def classify(params: LimitParams, tol: float = 1e-6) -> ThresholdReport:
         margin = -math.inf
     else:
         margin = a_eff - beta_eff
-        if a_eff > beta_eff * (1.0 + tol) and a_eff > 0.0:
+        if a_eff > beta_eff * (1.0 + TOL) and a_eff > 0.0:
             verdict = EXTINCTION
-        elif a_eff < beta_eff * (1.0 - tol):
+        elif a_eff < beta_eff * (1.0 - TOL):
             verdict = SURVIVAL
         else:
             verdict = INDETERMINATE
-    meta = {
-        "coalescence_mass": mass,
-        "c": params.c,
-        "beta_star_normalized": (beta_star(params.lambda_c.normalized())
-                                 if mass > 0 else None),
-    }
+    meta = {"coalescence_mass": mass, "c": params.c,
+            "beta_star_normalized": b_star}
     return ThresholdReport(beta_eff, a_star, params.alpha_s, params.w,
-                           a_eff, verdict, margin, tol, meta)
+                           a_eff, verdict, margin, TOL, meta)

@@ -239,8 +239,8 @@ class TestAC7Convergence:
     def test_gap_shrinks(self, baseline_params, capsys):
         scheme = ScalingScheme(baseline_params)
         rows = convergence_experiment(
-            baseline_params, [50, 100, 200, 400], scheme, 0.5, 2, 0.5,
-            M=400_000, dt=1e-3, seed=7000)
+            [50, 100, 200, 400], scheme, 0.5, 2, 0.5, M=400_000, dt=1e-3,
+            seed=7000)
         first, last = rows[0], rows[-1]
         margin = 2.0 * math.hypot(first.gap_se, last.gap_se)
         ok = last.gap < first.gap - margin

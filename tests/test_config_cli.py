@@ -20,7 +20,7 @@ from wfduality.config import (
     load_config,
     violations,
 )
-from wfduality.rngstreams import stream
+from wfduality.rngstreams import substream
 
 ORACLE_TYPE = jsonschema.Draft202012Validator
 
@@ -337,6 +337,11 @@ class TestValidateMatchesRun:
         # ran to exit 0 after building a rate row of 2 * n0 entries
         ({"experiment": "simulate-z", "seed": 3, "limit": BASELINE_LIMIT,
           "T": 1e-9, "n0": DEFAULT_CEILING + 1}, "state ceiling"),
+        # ran, and the second 0.5 overwrote the first's verdict, which is
+        # keyed by x: three rows in fixation.csv, two verdicts
+        ({"experiment": "fixation", "seed": 3, "limit": THRESHOLDS_CFG["limit"],
+          "x_grid": [0.5, 0.5, 0.25], "replicates": 10, "T": 0.01,
+          "T_stat": 100.0}, "repeats a value"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_rejected_with_config_error(self, tmp_path, cfg, message, command):
@@ -457,9 +462,9 @@ class TestSeedRange:
     def test_stream_rejects_instead_of_aliasing(self):
         for seed in (-1, 2**64, 2**65 - 1):
             with pytest.raises(InvalidArgument):
-                stream(seed, 0)
+                substream(seed, "lhs", 0)
         # seeds at and above 2**63 keep distinct streams
-        draws = [stream(s, 0).random(4).tobytes()
+        draws = [substream(s, "lhs", 0).random(4).tobytes()
                  for s in (0, 2**63, 2**63 + 1, 2**64 - 1)]
         assert len(set(draws)) == 4
 

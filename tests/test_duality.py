@@ -329,8 +329,8 @@ class TestScalingScheme:
 class TestConvergence:
     def test_rows_structure_and_small_gap(self, baseline_params):
         scheme = ScalingScheme(baseline_params)
-        rows = convergence_experiment(baseline_params, [100, 400], scheme,
-                                      0.5, 2, 0.5, M=20_000, dt=1e-3, seed=32)
+        rows = convergence_experiment([100, 400], scheme, 0.5, 2, 0.5,
+                                      M=20_000, dt=1e-3, seed=32)
         assert [r.N for r in rows] == [100, 400]
         for row in rows:
             assert row.gap_se == pytest.approx(

@@ -112,8 +112,19 @@ class TestExactEngine:
             np.testing.assert_array_equal(out[3], out[0])
             final = ensemble_states(params, 0.5, [1.0], 1e-3, 1500, seed=22)
             np.testing.assert_array_equal(final[0], out[0])
+            # time 0 alone records the start; no time gives no row
+            assert (ensemble_states(params, 0.5, [0.0], 1e-3, 1500,
+                                    seed=22) == 0.5).all()
+            assert ensemble_states(params, 0.5, [], 1e-3, 1500,
+                                   seed=22).shape == (0, 1500)
             with pytest.raises(InvalidStep):
                 ensemble_states(params, 0.5, [-0.1], 1e-3, 10, seed=22)
+        # 0.5004 snaps to the grid time 0.5
+        params = with_sigma(baseline_params, SIGMA)
+        near = ensemble_states(params, 0.5, [0.5, 0.5004], 1e-3, 1500,
+                               seed=22)
+        alone = ensemble_states(params, 0.5, [0.5], 1e-3, 1500, seed=22)
+        np.testing.assert_array_equal(near, np.repeat(alone, 2, axis=0))
 
     def test_boundary_starts_hold(self, baseline_params):
         for sigma in (0.0, SIGMA):
@@ -124,12 +135,18 @@ class TestExactEngine:
 
     def test_absorbed_paths_hold_their_state(self, extinction_params):
         for sigma in (0.0, SIGMA):
-            out = ensemble_states(with_sigma(extinction_params, sigma), 0.5,
-                                  [1.0, 4.0, 8.0], 1e-3, 2000, seed=24)
+            params = with_sigma(extinction_params, sigma)
+            out = ensemble_states(params, 0.5, [1.0, 4.0, 8.0], 1e-3, 2000,
+                                  seed=24)
             for i in range(2):
                 for b in (0.0, 1.0):
                     assert (out[i + 1][out[i] == b] == b).all()
             assert (out[-1] == 0.0).mean() > 0.9
+            # recording earlier times and absorbing leave the draws alone
+            many = ensemble_states(params, 0.5, [1.0, 4.0, 0.5, 8.0], 1e-3,
+                                   2000, seed=24)
+            final = ensemble_states(params, 0.5, [8.0], 1e-3, 2000, seed=24)
+            np.testing.assert_array_equal(many[3], final[0])
 
     def test_selection_increasing_the_frequency_raises(self, baseline_params,
                                                        monkeypatch):
