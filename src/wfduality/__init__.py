@@ -20,7 +20,6 @@ from .errors import (
 from .measures import (
     FiniteMeasure,
     SelectionKernel,
-    check_master_condition,
     derive_env_measure,
     integrate,
     mean_excess,

@@ -116,13 +116,13 @@ def _branch_rates(params: LimitParams, ns: np.ndarray, k_max: np.ndarray) -> np.
 def _coalesce_rates(params: LimitParams, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Rates of n -> n-k, elementwise over the arrays n and k."""
     rates = np.zeros(n.size)
-    lc = params.lambda_c
-    if params.c > 0 and lc.total_mass > 0:
-        for y, wgt in zip(lc.locations.tolist(), lc.weights.tolist()):
+    law = params.merger_law  # y^{-2} Lambda_c
+    if params.c > 0 and law is not None:
+        for y, wgt in zip(law.locations.tolist(), law.weights.tolist()):
             # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n,y) pmf at
             # k+1; the pmf form stays finite for large n where the
             # binomial coefficient alone overflows
-            rates += params.c * wgt / y**2 * binom_pmf(k + 1, n, y)
+            rates += params.c * wgt * binom_pmf(k + 1, n, y)
     if params.sigma > 0:
         pair = k == 1
         rates[pair] += params.sigma * n[pair] * (n[pair] - 1) / 2.0

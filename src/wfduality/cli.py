@@ -38,12 +38,6 @@ FIXATION_BURN_IN = 50.0
 FIXATION_T_STAT = 5000.0
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _plain(report, *properties) -> dict:
     """A report's dataclass fields and the named properties, by name, with
     arrays as lists."""
@@ -70,8 +64,7 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +225,20 @@ def _semantic_validate(cfg: dict) -> list[str]:
         if kind == "simulate-z" and cfg.get("n0", 1) > bcre.DEFAULT_CEILING:
             raise ConfigError(f"initial state n0={cfg['n0']} must not exceed "
                               f"the state ceiling {bcre.DEFAULT_CEILING}")
+        time_key = {"duality-moment": "t", "convergence": "t",
+                    "simulate-x": "T"}.get(kind)
+        if time_key and limit.sigma > 0:
+            # the X engine reads states at grid times k*dt only
+            dt = cfg.get("dt", 1e-3)
+            steps = cfg[time_key] / dt
+            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+                raise ConfigError(f"{time_key}={cfg[time_key]} must be a "
+                                  f"multiple of dt={dt} when sigma > 0")
         if kind == "convergence":
+            if cfg["n"] == 0 or cfg["t"] == 0:
+                # every gap is then 0, so gap_shrinks cannot hold
+                raise ConfigError(f"n={cfg['n']} and t={cfg['t']} must be "
+                                  "positive for a moment gap")
             # gap_shrinks compares the smallest N with the largest
             sizes = cfg["N_list"]
             if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):

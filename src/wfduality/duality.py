@@ -28,7 +28,7 @@ import numpy as np
 from . import bcre, fvwrs
 from .errors import InvalidArgument, InvalidScaling
 from .measures import FiniteMeasure, pgf_many
-from .params import FiniteModelParams, LimitParams
+from .params import FiniteModelParams, LimitParams, merged
 from .rngstreams import batch_mean_se, run_batches
 from .wf_graph import EnvSequence, simulate_ancestry, step_frequency_many
 
@@ -59,7 +59,8 @@ def _merger_score_many(params: FiniteModelParams, y: float, fs: np.ndarray,
 
     Averages over the sampled generation's merger event: with probability
     c_N the picks are redirected to a shared central parent with strength V,
-    which conditions the statistic on the central parent's type.  Without
+    which conditions the statistic on the central parent's type: the weak
+    frequency becomes one of the pair ``params.merged``.  Without
     mergers this is the plain pgf power.  Exactness with mergers is verified
     against full graph enumeration at N=2 in the test suite.
     """
@@ -68,11 +69,10 @@ def _merger_score_many(params: FiniteModelParams, y: float, fs: np.ndarray,
     if params.c_N <= 0 or law is None:
         return base
     out = (1.0 - params.c_N) * base
-    for v, wgt in zip(law.locations, law.weights):
-        v = float(v)
-        weak = pgf_many(params.kernel, y, v + (1.0 - v) * fs) ** m
-        strong = pgf_many(params.kernel, y, (1.0 - v) * fs) ** m
-        out += params.c_N * float(wgt) * (fs * weak + (1.0 - fs) * strong)
+    for v, wgt in zip(law.locations.tolist(), law.weights.tolist()):
+        strong, weak = (pgf_many(params.kernel, y, f) ** m
+                        for f in merged(fs, v))
+        out += params.c_N * wgt * (fs * weak + (1.0 - fs) * strong)
     return out
 
 

@@ -4,8 +4,9 @@ The process lives on [0,1] and combines four mechanisms:
 
 * selection shocks at rate |mu|: draw y from the normalised environment
   measure and jump x -> pgf_y(x),
-* coalescence shocks at rate c * |z^{-2} Lambda_c|: draw a merger strength z
-  and jump x -> x(1-z) + z with probability x, else x -> x(1-z),
+* coalescence shocks at rate c * |z^{-2} Lambda_c|: the merger step
+  ``params.merge`` draws a strength z and jumps x -> x(1-z) + z with
+  probability x, else x -> x(1-z),
 * weak-selection drift -w x(1-x) dt,
 * neutral diffusion sqrt(sigma x(1-x)) dB.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidStep, InvariantViolation
 from .measures import pgf_many, segments
-from .params import LimitParams
+from .params import LimitParams, merge
 from .rngstreams import batch_mean_se, run_batches
 
 #: Snap-to-boundary tolerance: Euler noise may overshoot [0,1] slightly, and
@@ -76,8 +77,9 @@ def _jump(params: LimitParams, x: np.ndarray, selection,
     """One jump per entry of x: a selection jump where the boolean mask
     ``selection`` holds, a coalescence jump elsewhere.
 
-    The jump laws are the module's; they raise InvariantViolation if a
-    selection jump raises the frequency or a coalescence jump leaves [0,1].
+    A selection jump is x -> pgf_y(x), a coalescence jump the merger step
+    ``params.merge``; they raise InvariantViolation if a selection jump
+    raises the frequency or a coalescence jump leaves [0,1].
     """
     out = np.empty_like(x)
     sel = np.flatnonzero(selection)
@@ -89,9 +91,7 @@ def _jump(params: LimitParams, x: np.ndarray, selection,
         out[sel] = post
     coal = np.flatnonzero(~selection)
     if coal.size:
-        pre = x[coal]
-        z = params.merger_law.sample(coal.size, rng)
-        post = pre * (1.0 - z) + z * (rng.random(coal.size) < pre)
+        post = merge(params.merger_law, x[coal], rng)
         if ((post < -1e-12) | (post > 1.0 + 1e-12)).any():
             raise InvariantViolation("coalescence jump left [0,1]")
         out[coal] = post

@@ -153,12 +153,11 @@ def _pgf_geometric(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def mean_excess(kernel: SelectionKernel, y: float) -> float:
-    """m(y) = E[K_y] - 1; +inf when Q(y) charges infinity."""
-    if y < 0:  # weak-selection encoding
-        y = -y
-        return math.inf if y >= 1.0 else y / (1.0 - y)
-    if kernel.variant == "geometric":
-        return math.inf if y >= 1.0 else y / (1.0 - y)
+    """m(y) = E[K_y] - 1; +inf when Q(y) charges infinity.  As in ``pgf``,
+    y < 0 encodes a geometric kernel with parameter -y."""
+    if y < 0 or kernel.variant == "geometric":
+        q = abs(y)
+        return math.inf if q >= 1.0 else q / (1.0 - q)
     if kernel.variant == "binary":
         return y
     if kernel.table_inf_mass > 0 and y > 0:
@@ -417,38 +416,21 @@ def integrate(measure: FiniteMeasure, f) -> float:
     return float(np.dot(vals, measure.weights))
 
 
-def check_master_condition(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> float:
-    """Admissibility check for a selection pair (kernel, Lambda_s).
-
-    The selection environment law has density 1/m(y) with respect to
-    Lambda_s on (0,1], so the integral of m against it collapses to the
-    total mass of Lambda_s; admissibility reduces to Lambda_s being finite,
-    carrying no atom at 0, and m(y) > 0 on its support.  Returns the total
-    mass of Lambda_s.
-    """
-    if lambda_s.has_atom_at(0.0):
-        raise DegenerateKernelAtAtom("selection measure must not charge 0")
-    for y in lambda_s.locations:
-        if mean_excess(kernel, float(y)) == 0.0:
-            raise DegenerateKernelAtAtom(
-                f"kernel is degenerate (mean excess 0) at y={y}"
-            )
-    return lambda_s.total_mass
-
-
 def derive_env_measure(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> FiniteMeasure:
     """Selection-event environment measure: density 1/m(y) w.r.t. Lambda_s.
 
-    Points where m(y) is infinite carry zero weight and are dropped.
+    One pass over the atoms of Lambda_s, which also checks that the pair
+    (kernel, Lambda_s) is admissible: Lambda_s must not charge 0 and m must
+    be positive on its support, else ``DegenerateKernelAtAtom``.  Atoms
+    where m is infinite carry zero weight and are dropped, so the integral
+    of m against the result is the mass of Lambda_s where m is finite.
     """
-    check_master_condition(kernel, lambda_s)
-    locs, ws = [], []
-    for y, w in zip(lambda_s.locations, lambda_s.weights):
-        m = mean_excess(kernel, float(y))
-        if math.isinf(m):
-            continue
-        locs.append(float(y))
-        ws.append(float(w) / m)
-    if not locs:
-        return FiniteMeasure(np.empty(0), np.empty(0))
-    return FiniteMeasure(np.array(locs), np.array(ws))
+    if lambda_s.has_atom_at(0.0):
+        raise DegenerateKernelAtAtom("selection measure must not charge 0")
+    ys = lambda_s.locations
+    m = np.array([mean_excess(kernel, y) for y in ys.tolist()])
+    if (m == 0.0).any():
+        raise DegenerateKernelAtAtom(
+            f"kernel is degenerate (mean excess 0) at y={ys[m == 0.0][0]}")
+    keep = m < math.inf
+    return FiniteMeasure(ys[keep], lambda_s.weights[keep] / m[keep])

@@ -28,6 +28,22 @@ def merger_law(lambda_c: FiniteMeasure) -> FiniteMeasure | None:
     return FiniteMeasure(lambda_c.locations, weights)
 
 
+def merged(x, v):
+    """Weak-type frequencies after a merger of strength v at frequency x:
+    x(1-v) when the central parent is strong, x(1-v) + v when it is weak."""
+    strong = x * (1.0 - v)
+    return strong, strong + v
+
+
+def merge(law: FiniteMeasure, x: np.ndarray,
+          rng: np.random.Generator) -> np.ndarray:
+    """One merger per entry of x: the strength V from ``law``, then a
+    central parent that is weak with probability x."""
+    v = law.sample(x.size, rng)
+    strong, weak = merged(x, v)
+    return np.where(rng.random(x.size) < x, weak, strong)
+
+
 @dataclass(frozen=True)
 class LimitParams:
     """Parameters of the limit pair: the two-type jump-diffusion X and its
@@ -49,9 +65,8 @@ class LimitParams:
             raise ModelError("w, c, sigma must be nonnegative")
         if self.lambda_c.has_atom_at(0.0):
             raise ModelError("coalescence measure must not charge 0")
-        # validates admissibility (no atom at 0, mean excess positive)
-        mu = derive_env_measure(self.kernel, self.lambda_s)
-        if mu.total_mass + self.w + self.c + self.sigma <= 0:
+        # deriving mu checks admissibility (no atom at 0, mean excess > 0)
+        if self.mu_mass + self.w + self.c + self.sigma <= 0:
             raise ModelError("degenerate model: no selection and no drift")
 
     @cached_property

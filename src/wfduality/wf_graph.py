@@ -10,7 +10,8 @@ central-individual type b, children are iid and each is of type 0 iff all
 of its potential parents are, each parent independently of type 0 with
 probability (1-V)x + V(1-b).  The next-generation 0-count is therefore
 Binomial(N, pgf_y(p)) with p = (1-V)x + V(1-b), which we sample directly
-instead of materialising parent lists.
+instead of materialising parent lists; the merger step ``params.merge``
+draws p.
 
 Backward direction: the block-counting chain of the ancestry,
 ``step_ancestry_many``, which ``simulate_ancestry`` runs over an environment
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .measures import FiniteMeasure, pgf_many
-from .params import FiniteModelParams
+from .params import FiniteModelParams, merge
 
 #: Per-lineage parent-count cap, as a multiple of N. A draw at or above the
 #: cap is treated as reaching every label (saturation), recorded in path
@@ -77,24 +78,6 @@ class BlockCountPath:
 # ---------------------------------------------------------------------------
 
 
-def _merger_draw(params: FiniteModelParams, x, rng, size: int):
-    """Per-replicate parent-success probability adjustment for mergers.
-
-    Returns the type-0 probability p seen by each child's parent picks:
-    (1-V)x + V(1-b), where V = 0 when no merger occurs.
-    """
-    x = np.asarray(x, dtype=float)
-    p = x.copy()
-    if params.c_N > 0:
-        hit = rng.random(size) < params.c_N
-        n_hit = int(hit.sum())
-        if n_hit:
-            v = params.merger_strength_law.sample(n_hit, rng)
-            central_is_0 = rng.random(n_hit) < x[hit]
-            p[hit] = (1.0 - v) * x[hit] + v * central_is_0
-    return p
-
-
 def step_frequency_many(params: FiniteModelParams, x: np.ndarray, y,
                         rng: np.random.Generator) -> np.ndarray:
     """One forward generation for a vector of independent replicates.
@@ -102,8 +85,10 @@ def step_frequency_many(params: FiniteModelParams, x: np.ndarray, y,
     ``y`` may be a scalar (shared environment, quenched) or a per-replicate
     array (annealed).
     """
-    x = np.asarray(x, dtype=float)
-    p = _merger_draw(params, x, rng, x.size)
+    p = np.array(x, dtype=float)  # the type-0 probability of a parent pick
+    if params.c_N > 0:
+        hit = rng.random(p.size) < params.c_N
+        p[hit] = merge(params.merger_strength_law, p[hit], rng)
     succ = pgf_many(params.kernel, y, p)
     counts = rng.binomial(params.N, succ)
     return counts / params.N

@@ -342,6 +342,26 @@ class TestValidateMatchesRun:
         ({"experiment": "fixation", "seed": 3, "limit": THRESHOLDS_CFG["limit"],
           "x_grid": [0.5, 0.5, 0.25], "replicates": 10, "T": 0.01,
           "T_stat": 100.0}, "repeats a value"),
+        # every gap is exactly 0, so run exited 2 on every seed
+        ({"experiment": "convergence", "seed": 3, "limit": BASELINE_LIMIT,
+          "N_list": [20, 80], "x": 0.5, "n": 0, "t": 0.2, "dt": 1e-2,
+          "replicates": 100}, "must be positive"),
+        ({"experiment": "convergence", "seed": 3, "limit": BASELINE_LIMIT,
+          "N_list": [20, 80], "x": 0.5, "n": 2, "t": 0.0, "dt": 1e-2,
+          "replicates": 100}, "must be positive"),
+        # at sigma > 0 X is read at the grid time round(t/dt)*dt: 0.2 here,
+        # against Z at 0.25, so run exited 2 with z = -6.9
+        ({"experiment": "duality-moment", "seed": 3,
+          "limit": dict(BASELINE_LIMIT, sigma=0.5), "x": 0.5, "n": 2,
+          "t": 0.25, "dt": 0.1, "replicates": 100}, "multiple of dt"),
+        ({"experiment": "convergence", "seed": 3,
+          "limit": dict(BASELINE_LIMIT, sigma=0.5), "N_list": [20, 80],
+          "x": 0.5, "n": 2, "t": 0.25, "dt": 0.1, "replicates": 100},
+         "multiple of dt"),
+        # ran to exit 0, reporting T = 0.25 for states taken at 0.2
+        ({"experiment": "simulate-x", "seed": 3,
+          "limit": dict(BASELINE_LIMIT, sigma=0.5), "x0": 0.5, "T": 0.25,
+          "dt": 0.1, "replicates": 100}, "multiple of dt"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_rejected_with_config_error(self, tmp_path, cfg, message, command):
@@ -352,6 +372,21 @@ class TestValidateMatchesRun:
         assert res.exit_code == 1
         assert "ConfigError" in res.output and message in res.output
         assert not (tmp_path / "o").exists()
+
+
+class TestGridTimes:
+    # at sigma > 0 a time that is a multiple of dt up to rounding passes:
+    # 0.7 / 1e-3 is 699.9999999999999
+    @pytest.mark.parametrize("kind,keys", [
+        ("duality-moment", {"x": 0.5, "n": 2, "t": 0.7}),
+        ("convergence", {"N_list": [20, 80], "x": 0.5, "n": 2, "t": 0.7}),
+        ("simulate-x", {"x0": 0.5, "T": 0.7}),
+    ])
+    def test_time_on_the_grid_accepted(self, tmp_path, kind, keys):
+        cfg = dict(keys, experiment=kind, seed=3, dt=1e-3,
+                   limit=dict(BASELINE_LIMIT, sigma=0.5))
+        res = CliRunner().invoke(main, ["validate", write_cfg(tmp_path, cfg)])
+        assert res.exit_code == 0, res.output
 
 
 class TestConvergenceSizes:

@@ -12,7 +12,6 @@ from wfduality import (
     ModelError,
     NonFiniteIntegrand,
     SelectionKernel,
-    check_master_condition,
     derive_env_measure,
     integrate,
     mean_excess,
@@ -121,22 +120,33 @@ class TestMeanExcess:
         assert mean_excess(k, 0.5) == math.inf
         assert mean_excess(k, 0.0) == 0.0
 
+    @pytest.mark.parametrize("k", KERNELS)
+    def test_negative_y_is_weak_geometric(self, k):
+        # as in pgf, y = -q encodes a geometric kernel with parameter q
+        assert mean_excess(k, -0.5) == 1.0
+        assert mean_excess(k, -1.0) == math.inf
+
 
 class TestMasterCondition:
-    def test_reduces_to_total_mass(self, geo):
-        lam = FiniteMeasure.point_mass(0.3, 0.5)
-        assert check_master_condition(geo, lam) == pytest.approx(0.5)
+    def test_reduces_to_total_mass(self):
+        # mu has density 1/m against Lambda_s, so integral m dmu = |Lambda_s|
+        lam = FiniteMeasure.atomic([(0.3, 0.5), (0.8, 0.25)])
+        for kernel in (SelectionKernel.geometric(), SelectionKernel.binary(),
+                       SelectionKernel.table({1: 0.5, 3: 0.5})):
+            mu = derive_env_measure(kernel, lam)
+            assert integrate(mu, lambda y: mean_excess(kernel, y)) == \
+                pytest.approx(0.75, rel=1e-14)
 
     def test_atom_at_zero_rejected(self, binary):
         lam = FiniteMeasure.atomic([(0.0, 1.0), (0.5, 1.0)])
         with pytest.raises(DegenerateKernelAtAtom):
-            check_master_condition(binary, lam)
+            derive_env_measure(binary, lam)
 
     def test_degenerate_kernel_rejected(self):
         # base pmf delta_1 means every Q(y) is delta_1: zero mean excess
         k = SelectionKernel.table({1: 1.0})
         with pytest.raises(DegenerateKernelAtAtom):
-            check_master_condition(k, FiniteMeasure.point_mass(0.5, 1.0))
+            derive_env_measure(k, FiniteMeasure.point_mass(0.5, 1.0))
 
 
 class TestSumDistribution:
@@ -299,6 +309,29 @@ class TestEnvMeasure:
         mu = derive_env_measure(geo, lam)
         assert 1.0 not in mu.locations
         assert mu.total_mass == pytest.approx(1.0)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel=st.sampled_from(KERNELS + [
+               SelectionKernel.table({1: 0.5, 3: 0.5}),
+               SelectionKernel.table({1: 1.0})]),
+           atoms=st.lists(st.tuples(st.sampled_from([0.0, 1.0])
+                                    | st.floats(0.0, 1.0),
+                                    st.floats(1e-3, 10.0)),
+                          min_size=1, max_size=6, unique_by=lambda a: a[0]))
+    def test_equals_per_atom_rule(self, kernel, atoms):
+        # the weight of atom y is Lambda_s(y) / m(y), bit for bit; an atom
+        # with m = inf is dropped, one at 0 or with m = 0 is rejected
+        lam = FiniteMeasure.atomic(atoms)
+        ms = [mean_excess(kernel, y) for y, _ in atoms]
+        if 0.0 in ms:  # also every atom at 0
+            with pytest.raises(DegenerateKernelAtAtom):
+                derive_env_measure(kernel, lam)
+            return
+        mu = derive_env_measure(kernel, lam)
+        kept = [(y, w / m) for (y, w), m in zip(atoms, ms) if m != math.inf]
+        assert mu.locations.tolist() == [y for y, _ in kept]
+        assert mu.weights.tolist() == [w for _, w in kept]
 
 
 class TestKernelSampling:

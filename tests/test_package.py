@@ -80,6 +80,43 @@ def test_duality_steps_and_traces_back_in_one_place():
                        "simulate_ancestry": {"_blocks"}}
 
 
+def test_merger_strength_drawn_in_one_place():
+    # the merger step x -> x(1-V) + V 1{central parent weak} is params.merge;
+    # the backward ancestry step draws its own V to redirect parent picks.
+    # A merger law is the attribute merger_law or merger_strength_law, a
+    # name bound to one, or a parameter that some call passes one to.
+    laws = {"merger_law", "merger_strength_law"}
+    functions = {}
+    for path in sorted((SRC / "wfduality").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions.update(((path.stem, fn.name), fn) for fn in ast.walk(tree)
+                         if isinstance(fn, ast.FunctionDef))
+
+    def is_law(node, names=()):
+        return ((isinstance(node, ast.Attribute) and node.attr in laws)
+                or (isinstance(node, ast.Name) and node.id in names))
+
+    passed = {}  # function name -> positions of the arguments given a law
+    for fn in functions.values():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                passed.setdefault(_called_name(node), set()).update(
+                    i for i, arg in enumerate(node.args) if is_law(arg))
+    found = set()
+    for (module, name), fn in functions.items():
+        params = fn.args.args
+        names = {params[i].arg for i in passed.get(name, ())
+                 if i < len(params)}
+        names |= {target.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Assign) and is_law(node.value)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        if any(isinstance(node, ast.Call) and _called_name(node) == "sample"
+               and isinstance(node.func, ast.Attribute)
+               and is_law(node.func.value, names) for node in ast.walk(fn)):
+            found.add(f"{module}.{name}")
+    assert found == {"params.merge", "wf_graph.step_ancestry_many"}
+
+
 def test_dual_engine_sorts_nothing():
     # the occupation times of stationary chains accumulate in a dense
     # (row, chain) table; a sort of the occupation keys every 16 rounds cost
