@@ -14,9 +14,10 @@ Branch rates are truncated at a window k_max sized once per state from the
 mean and variance of the summed excess (mean + 12 sd + 16), widened only if
 the lumped tail still carries more than TAIL_REL of the state's rate; the
 tail is kept as an explicit rate, and a tail draw is resolved exactly by
-conditional sampling, never discarded.  ``RateCache.rows`` builds all of a
-round's new states in one numpy pass over a (state, category) grid, and
-``jump_rates`` is the one-state case of the same builder.
+conditional sampling, never discarded.  The rates and tail draws come from
+``measures.log_space_pmfs`` (a table kernel's branch rates by convolution).
+``RateCache.rows`` builds all of a round's new states in one numpy pass over
+a (state, category) grid; ``jump_rates`` is its one-state case.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
@@ -35,7 +36,8 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import binom_pmf, excess_moments, segments, sum_pmfs
+from .measures import (ENTRY_CAP, excess_moments, log_space_pmfs,
+                       mixed_sum_pmfs)
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
@@ -47,9 +49,6 @@ DEFAULT_CEILING = 10**6
 
 #: Widest branch window, in categories.
 K_MAX_CAP = 2**20
-
-#: Most (state, category) entries built in one pass of ``RateCache.rows``.
-ENTRY_CAP = 2**15
 
 #: Half-sample total variation above which ``stationary_estimate`` warns.
 TV_WARN = 0.05
@@ -99,36 +98,6 @@ def _windows(params: LimitParams, ns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.minimum(size, limit).astype(np.int64), limit.astype(np.int64)
 
 
-def _branch_rates(params: LimitParams, ns: np.ndarray, k_max: np.ndarray) -> np.ndarray:
-    """Branch rows of k = 1..k_max then the lumped tail, laid end to end."""
-    ends = np.cumsum(k_max + 1)
-    rates = np.zeros(ends[-1])
-    for y, wgt in zip(params.mu.locations.tolist(), params.mu.weights.tolist()):
-        probs, tails = sum_pmfs(params.kernel, y, ns, k_max)
-        probs[:-1] = probs[1:]  # each row drops k = 0 and ends in its tail
-        probs[ends - 1] = tails
-        rates += wgt * probs
-    if params.w > 0:
-        rates[ends - k_max - 1] += params.w * ns
-    return rates
-
-
-def _coalesce_rates(params: LimitParams, n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Rates of n -> n-k, elementwise over the arrays n and k."""
-    rates = np.zeros(n.size)
-    law = params.merger_law  # y^{-2} Lambda_c
-    if params.c > 0 and law is not None:
-        for y, wgt in zip(law.locations.tolist(), law.weights.tolist()):
-            # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n,y) pmf at
-            # k+1; the pmf form stays finite for large n where the
-            # binomial coefficient alone overflows
-            rates += params.c * wgt * binom_pmf(k + 1, n, y)
-    if params.sigma > 0:
-        pair = k == 1
-        rates[pair] += params.sigma * n[pair] * (n[pair] - 1) / 2.0
-    return rates
-
-
 def _rate_rows(params: LimitParams, ns: np.ndarray, k_max: np.ndarray,
                limit: np.ndarray):
     """Jump rates out of every state of ``ns``, built in one numpy pass.
@@ -140,20 +109,31 @@ def _rate_rows(params: LimitParams, ns: np.ndarray, k_max: np.ndarray,
     windows from ``_windows`` are doubled, within ``limit``, only while a
     lumped tail exceeds TAIL_REL of its state's total rate.
     """
-    crow, ccol = segments(ns - 1)
-    coal = _coalesce_rates(params, ns[crow], ccol + 1)
-    i = np.arange(ns.size)
+    i, mu, top = np.arange(ns.size), params.mu, int(ns.max())
+    law = params.merger_law  # y^{-2} Lambda_c
+    coal = np.zeros((ns.size, top - 1))  # n -> n-k in column k-1
+    if params.c > 0 and law is not None:
+        # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n, y) pmf at k+1,
+        # zero past k = n-1
+        coal = log_space_pmfs(-1, law.locations, params.c * law.weights,
+                              ns, np.arange(top + 1.0))[:, 2:]
+    if params.sigma > 0:
+        coal[:, :1] += params.sigma * ns[:, None] * (ns[:, None] - 1) / 2.0
     while True:
-        brow, bcol = segments(k_max + 1)
-        rates = np.zeros((ns.size, int((k_max + ns).max())))
-        rates[brow, bcol] = _branch_rates(params, ns, k_max)
-        rates[crow, k_max[crow] + 1 + ccol] = coal
-        cum = np.cumsum(rates, axis=1)
-        wide = (rates[i, k_max] > TAIL_REL * cum[:, -1]) & (k_max < limit)
+        probs, tails = mixed_sum_pmfs(params.kernel, mu.locations,
+                                      mu.weights, ns, k_max)
+        rates = np.zeros((ns.size, int(k_max.max()) + top))
+        rates[:, :probs.shape[1] - 1] = probs[:, 1:]  # from k = 1
+        rates[i, k_max] = tails
+        if params.w > 0:
+            rates[:, 0] += params.w * ns
+        rates[i[:, None], k_max[:, None] + np.arange(1, top)] = coal
+        cum = np.add.accumulate(rates, axis=1)
+        wide = (tails > TAIL_REL * cum[:, -1]) & (k_max < limit)
         if not wide.any():
             break
         k_max = np.where(wide, np.minimum(2 * k_max, limit), k_max)
-    if (rates < 0).any():
+    if rates.min() < 0:
         raise InvariantViolation("negative jump rate")
     branch = cum[i, k_max]  # with the lumped tail
     if (branch > ns * (params.alpha_s + params.w) + 1e-9 * (1.0 + branch)).any():
@@ -244,7 +224,7 @@ class RateCache:
         self.cum[lo:lo + vals.size] = vals
         self.indptr, self.k_max, self.total = (
             _grown(a, r[-1] + 2) for a in (self.indptr, self.k_max, self.total))
-        self.indptr[r + 1] = lo + np.cumsum(keep)
+        self.indptr[r + 1] = lo + np.add.accumulate(keep)
         self.k_max[r], self.total[r] = k_max, total
         self.row_of[ns] = r
         self.n_rows += ns.size
@@ -260,8 +240,8 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
     """
     mu = params.mu
     tails = np.array([
-        wgt * sum_pmfs(params.kernel, float(y), [n], [k_max])[1][0]
-        for y, wgt in zip(mu.locations, mu.weights)
+        mixed_sum_pmfs(params.kernel, [y], [wgt], [n], [k_max])[1][0]
+        for y, wgt in zip(mu.locations.tolist(), mu.weights.tolist())
     ])
     total = tails.sum()
     if total <= 0:
@@ -270,7 +250,8 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
     width = k_max
     while True:
         width *= 4
-        cond, tail = sum_pmfs(params.kernel, y, [n], [width])
+        (cond,), tail = mixed_sum_pmfs(params.kernel, [y], [1.0], [n],
+                                       [width])
         cond[: k_max + 1] = 0.0
         mass = cond.sum()
         # infinite parent counts never reach here: the tail of a law with an

@@ -12,6 +12,10 @@ for the number of potential parents an individual draws, supported on
   form guarantees Q(0) = d_1 and Q(y) != d_1 for y > 0 whenever the base
   pmf is not d_1 itself.
 
+Sums of parent counts, mixed over the atoms of a measure, come from one
+log-space recurrence over every atom (``log_space_pmfs``); Loader's
+``binom_pmf`` and ``nbinom_pmf`` are the accurate reference for them.
+
 Finite measures are weighted atoms; a density is reduced at construction to
 the nodes of a fixed composite midpoint rule, so every downstream integral
 is a plain weighted sum and results are bit-reproducible.
@@ -25,10 +29,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateKernelAtAtom, ModelError, NonFiniteIntegrand
+from .errors import (DegenerateKernelAtAtom, InfiniteJumpIntensity, ModelError,
+                     NonFiniteIntegrand)
 
 #: Sentinel for an infinite parent count in integer samples.
 INF_K = np.iinfo(np.int64).max
+
+#: Most (atom, state, k) entries ``log_space_pmfs`` builds at once, and most
+#: (state, category) entries one pass of ``bcre.RateCache.rows`` builds.
+ENTRY_CAP = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -276,51 +285,77 @@ def segments(lens) -> tuple[np.ndarray, np.ndarray]:
     return row, np.arange(row.size) - (np.cumsum(lens) - lens)[row]
 
 
-def sum_pmfs(kernel: SelectionKernel, y: float, ns, k_maxs) -> tuple[np.ndarray, np.ndarray]:
-    """Laws of K_{y,1} + ... + K_{y,n} for every n of ``ns`` in one pass.
+def mixed_sum_pmfs(kernel: SelectionKernel, ys, wgts, ns,
+                   k_maxs) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: sum_a wgts[a] P(K_{y,1} + ... + K_{y,n_i} = n_i + k) at
+    y = ys[a], k = 0..k_maxs[i], zero-padded; ``tails[i]``: the mass beyond.
 
-    Row i, P(sum = n_i + k) for k = 0..k_maxs[i], is evaluated on one flat
-    (state, k) grid, the rows laid end to end in ``probs``.  ``tails[i]`` is
-    the mass beyond n_i + k_maxs[i], including any mass at infinity.  Every
-    entry depends on its own (n, k) only, so a row does not depend on the
-    other rows of the batch.
+    The geometric kernel (and y < 0) and the binary one take
+    ``log_space_pmfs``, the table kernel convolves; no row reads another.
     """
+    ys, wgts = np.asarray(ys, dtype=float), np.asarray(wgts, dtype=float)
     ns = np.asarray(ns, dtype=np.int64)
     k_maxs = np.asarray(k_maxs, dtype=np.int64)
     if ns.min() < 1:
         raise ModelError("n must be >= 1")
-    row, ks = segments(k_maxs + 1)
-    if y < 0 or kernel.variant == "geometric":
-        # k failures before the n-th success; all zero at |y| = 1, where
-        # every parent count is infinite
-        probs = nbinom_pmf(ks, ns[row], 1.0 - abs(y))
-    elif kernel.variant == "binary":
-        probs = binom_pmf(ks, ns[row], y)
-    else:
-        probs = _table_sum_pmfs(kernel, y, ns, k_maxs)
-    tails = 1.0 - np.bincount(row, weights=probs, minlength=ns.size)
+    ks = np.arange(int(k_maxs.max()) + 1.0)
+    nb = (ys < 0) | (kernel.variant == "geometric")
+    probs = log_space_pmfs(1, np.abs(ys[nb]), wgts[nb], ns, ks)
+    if kernel.variant == "binary":
+        probs += log_space_pmfs(-1, ys[~nb], wgts[~nb], ns, ks)
+    elif kernel.variant == "table":
+        for y, wgt in zip(ys[~nb].tolist(), wgts[~nb].tolist()):
+            probs += wgt * _table_sum_pmfs(kernel, y, ns, ks.size)
+    probs[ks > k_maxs[:, None]] = 0.0
+    # an accumulation adds in sequence, so padding leaves a row's tail as is
+    tails = wgts.sum() - np.add.accumulate(probs, axis=1)[:, -1]
     return probs, np.maximum(tails, 0.0)
 
 
+def log_space_pmfs(sign: int, ys: np.ndarray, wgts: np.ndarray,
+                    ns: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """sum_a wgts[a] p_a(k) on the (state, k) grid: p_a is NB(n, 1 - y)
+    (sign 1, k failures before the n-th success) or Binomial(n, y) (sign -1).
+
+    log p(0) = n log1p(-y); log p(k+1) - log p(k) = log((n + sign k)/(k + 1))
+    plus log y, or log(y / (1 - y)) for the binomial.  One cumulative sum
+    along k, over (atom, state, k) chunks of at most ``ENTRY_CAP`` entries,
+    summed over the atoms in order.  Bin(n, 1) is the exact point mass at n.
+    """
+    probs = np.zeros((ns.size, ks.size))
+    if sign < 0 and (ys == 1.0).any():
+        probs += wgts[ys == 1.0].sum() * (ks == ns[:, None])
+        ys, wgts = ys[ys < 1.0], wgts[ys < 1.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(np.maximum(ns[:, None] + sign * ks[:-1], 0) / ks[1:])
+        odds = np.log(ys / (1.0 - ys) if sign < 0 else ys)
+        start = np.log(wgts)[:, None] + np.log1p(-ys)[:, None] * ns
+        step = max(1, ENTRY_CAP // probs.size)
+        for lo in range(0, ys.size, step):
+            logp = np.concatenate((start[lo:lo + step, :, None], steps
+                                   + odds[lo:lo + step, None, None]), axis=2)
+            np.add.accumulate(logp, axis=2, out=logp)
+            for p in np.exp(logp, out=logp):
+                probs += p
+    return probs
+
+
 def _table_sum_pmfs(kernel: SelectionKernel, y: float, ns: np.ndarray,
-                    k_maxs: np.ndarray) -> np.ndarray:
+                    width: int) -> np.ndarray:
     # pmf of one draw's finite excess over 0..K_top-1
     single = np.zeros(max(kernel.table_values, default=1))
     single[0] = 1.0 - y
     for k, p in zip(kernel.table_values, kernel.table_probs):
         single[k - 1] += y * p
     # one chain of n-fold convolutions up to the largest n, truncated to
-    # the widest window; entry k of a convolution only reads entries <= k
-    width = int(k_maxs.max()) + 1
-    rows, acc, drawn = [None] * ns.size, np.ones(1), 0
+    # the window; entry k of a convolution only reads entries <= k
+    out, acc, drawn = np.zeros((ns.size, width)), np.ones(1), 0
     for i in np.argsort(ns, kind="stable").tolist():
         for _ in range(drawn, int(ns[i])):
             acc = np.convolve(acc, single)[:width]
         drawn = int(ns[i])
-        rows[i] = np.zeros(k_maxs[i] + 1)
-        head = acc[:k_maxs[i] + 1]
-        rows[i][:head.size] = head
-    return np.concatenate(rows)
+        out[i, :acc.size] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,4 +468,8 @@ def derive_env_measure(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> Fini
         raise DegenerateKernelAtAtom(
             f"kernel is degenerate (mean excess 0) at y={ys[m == 0.0][0]}")
     keep = m < math.inf
-    return FiniteMeasure(ys[keep], lambda_s.weights[keep] / m[keep])
+    with np.errstate(over="ignore"):
+        weights = lambda_s.weights[keep] / m[keep]
+    if not np.isfinite(weights).all():
+        raise InfiniteJumpIntensity("selection jump rate is infinite")
+    return FiniteMeasure(ys[keep], weights)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from wfduality import (
 )
 from wfduality import bcre, rngstreams
 from wfduality.bcre import RateCache, final_state, final_states
-from wfduality.measures import nbinom_pmf
+from wfduality.measures import binom_pmf, mixed_sum_pmfs, nbinom_pmf
 from wfduality.rngstreams import batch_mean_se
 
 from conftest import limit_params, rng
@@ -284,13 +285,116 @@ class TestRateRows:
         assert table.branch_tail <= bcre.TAIL_REL * table.total
 
 
+def table_sum_law(kernel, y, n, size):
+    """Law of the summed excess of n table-kernel draws at y, k < size, by
+    n plain convolutions."""
+    single = np.zeros(max(kernel.table_values))
+    single[0] = 1.0 - y
+    for k, q in zip(kernel.table_values, kernel.table_probs):
+        single[k - 1] += y * q
+    law = np.ones(1)
+    for _ in range(n):
+        law = np.convolve(law, single)[:size]
+    return np.pad(law, (0, size - law.size))
+
+
+def reference_row(params, n, k_max):
+    """The rates out of n in ``RateTable`` order, from Loader's pmfs (and
+    plain convolutions for the table kernel), one atom at a time."""
+    ks = np.arange(k_max + 1)
+    branch, tail = np.zeros(k_max + 1), 0.0
+    for y, wgt in zip(params.mu.locations.tolist(),
+                      params.mu.weights.tolist()):
+        if params.kernel.variant == "geometric":
+            law = nbinom_pmf(ks, n, 1.0 - y)
+        elif params.kernel.variant == "binary":
+            law = binom_pmf(ks, n, y)
+        else:
+            law = table_sum_law(params.kernel, y, n, k_max + 1)
+        branch += wgt * law
+        tail += wgt * max(1.0 - law.sum(), 0.0)
+    branch[1] += params.w * n
+    coal = np.zeros(n - 1)
+    law = params.merger_law
+    for y, wgt in zip(law.locations.tolist(), law.weights.tolist()):
+        coal += params.c * wgt * binom_pmf(np.arange(2, n + 1), n, y)
+    coal[:1] += params.sigma * n * (n - 1) / 2.0
+    return np.concatenate([branch[1:], [tail], coal])
+
+
+def _unit_atoms():
+    # atoms in (0, 1], with 1 drawn often
+    return st.lists(st.tuples(st.one_of(st.just(1.0), st.floats(0.01, 0.95)),
+                              st.floats(0.05, 3.0)),
+                    min_size=1, max_size=3).map(FiniteMeasure.atomic)
+
+
+class TestRowsAgainstLoader:
+    """Rows of the log-space recurrence against rows built from Loader's
+    pmfs: every entry, the lumped tail included, within 1e-10 of the row's
+    total rate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.sampled_from([SelectionKernel.geometric(),
+                                   SelectionKernel.binary(), table_kernel()]),
+           lambda_s=_unit_atoms(), lambda_c=_unit_atoms(),
+           w=st.floats(0.0, 2.0), c=st.floats(0.1, 2.0),
+           sigma=st.floats(0.0, 1.0),
+           n=st.one_of(st.integers(1, 60), st.integers(1, 5000)))
+    def test_rows_match(self, kernel, lambda_s, lambda_c, w, c, sigma, n):
+        p = LimitParams(kernel, lambda_s, w=w, lambda_c=lambda_c, c=c,
+                        sigma=sigma)
+        table = jump_rates(p, n)
+        ref = reference_row(p, n, table.k_max)
+        got = np.concatenate([table.branch_rates, [table.branch_tail],
+                              table.coalesce_rates])
+        tol = 1e-10 * ref.sum()
+        assert np.abs(got - ref).max() <= tol
+        # the same state as row 1 of a cache, between two other states
+        cache = RateCache(p)
+        assert cache.rows(np.array([n, n + 1, max(n - 1, 1)]))[0] == (
+            0 if n == 1 else 1)
+        r = int(cache.row_of[n])
+        row = cache.cum[cache.indptr[r]:cache.indptr[r + 1]]
+        rates = np.diff(np.concatenate([[r], row])) * cache.total[r]
+        assert abs(cache.total[r] - ref.sum()) <= tol
+        assert np.abs(rates - ref[:row.size]).max() <= tol
+        assert ref[row.size:].sum() <= tol  # what the cut leaves out
+
+    def test_binary_atom_at_one_is_exact(self, binary):
+        # Q(1) = d_2, so n draws exceed n by exactly n
+        p = params_with(lambda_s=FiniteMeasure.point_mass(1.0, 0.7),
+                        kernel=binary)
+        for n in (1, 7, 300):
+            table = jump_rates(p, n)
+            expected = np.zeros(table.k_max)
+            expected[n - 1] = 0.7
+            np.testing.assert_array_equal(table.branch_rates, expected)
+            assert table.branch_tail == 0.0
+        (probs,), tails = mixed_sum_pmfs(binary, [1.0], [1.0], [5], [5])
+        np.testing.assert_array_equal(probs, [0, 0, 0, 0, 0, 1])
+        assert tails[0] == 0.0
+
+    def test_merger_atom_at_one_leaves_only_the_collapse(self):
+        p = params_with(lambda_c=FiniteMeasure.point_mass(1.0), c=0.7,
+                        w=1e-12)
+        for n in (2, 6, 300):
+            expected = np.zeros(n - 1)
+            expected[-1] = 0.7
+            np.testing.assert_array_equal(jump_rates(p, n).coalesce_rates,
+                                          expected)
+
+
 class TestTailJump:
     """The lumped tail, drawn alone, against its exact conditional law."""
 
-    @pytest.mark.parametrize("atoms", [[(0.5, 1.0)], [(0.3, 1.0), (0.7, 0.5)]],
-                             ids=["one-atom", "two-atoms"])
-    def test_conditional_law(self, atoms):
-        p = params_with(lambda_s=FiniteMeasure.atomic(atoms))
+    @pytest.mark.parametrize("atoms, kernel", [
+        ([(0.5, 1.0)], None), ([(0.3, 1.0), (0.7, 0.5)], None),
+        ([(0.5, 1.0)], table_kernel()),
+        ([(0.3, 1.0), (0.7, 0.5)], table_kernel())],
+        ids=["one-atom", "two-atoms", "table-one-atom", "table-two-atoms"])
+    def test_conditional_law(self, atoms, kernel):
+        p = params_with(lambda_s=FiniteMeasure.atomic(atoms), kernel=kernel)
         n, k_max, M = 3, 4, 2000
         gen = rng(700)
         draws = np.array([bcre._sample_tail_jump(p, n, k_max, gen)
@@ -298,7 +402,7 @@ class TestTailJump:
         assert draws.min() > k_max
         # P(excess = k | excess > k_max), mixed over the environment atoms
         ks = np.arange(k_max + 1, 4000)
-        law = sum(wgt * nbinom_pmf(ks, n, 1.0 - y)
+        law = sum(wgt * self.excess_law(p.kernel, y, n, ks)
                   for y, wgt in zip(p.mu.locations, p.mu.weights))
         law /= law.sum()
         top = k_max + 12
@@ -306,8 +410,25 @@ class TestTailJump:
                              law[top - k_max - 1:].sum()) * M
         observed = np.bincount(np.minimum(draws, top) - k_max - 1,
                                minlength=top - k_max)
-        _, pval = stats.chisquare(observed, expected)
+        some = expected > 0  # a table kernel's sum is bounded
+        assert observed[~some].sum() == 0
+        _, pval = stats.chisquare(observed[some], expected[some])
         assert pval > 0.001
+
+    @staticmethod
+    def excess_law(kernel, y, n, ks):
+        """P(K_1 + ... + K_n - n = k) at ks: the negative binomial for the
+        geometric kernel, and for the table kernel every n-tuple of draws
+        summed by brute force."""
+        if kernel.variant == "geometric":
+            return nbinom_pmf(ks, n, 1.0 - y)
+        single = {0: 1.0 - y}
+        for k, q in zip(kernel.table_values, kernel.table_probs):
+            single[k - 1] = single.get(k - 1, 0.0) + y * q
+        law = np.zeros(ks.max() + 1)
+        for draw in itertools.product(single.items(), repeat=n):
+            law[sum(k for k, _ in draw)] += math.prod(q for _, q in draw)
+        return law[ks]
 
 
 def birth_death_stationary_oracle(w: float, sigma: float, n_max: int = 200):

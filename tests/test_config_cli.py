@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
@@ -463,6 +464,27 @@ class TestRegimeChecked:
         assert res.exit_code == 1
         assert "RegimeMismatch" in res.output
         assert "ExtinctionAlmostSure" in res.output
+        assert not (tmp_path / "o").exists()
+
+
+class TestInfiniteSelectionRate:
+    # Lambda_s(y)/m(y) overflows at this atom: validate printed a selection
+    # jump rate of inf and OK, and run exited 0
+    TINY_ATOM = {"experiment": "simulate-x", "seed": 3, "x0": 0.5, "T": 0.5,
+                 "replicates": 100,
+                 "limit": dict(BASELINE_LIMIT,
+                               lambda_s={"atoms": [[1e-310, 0.5]]})}
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected(self, tmp_path, command):
+        args = [command, write_cfg(tmp_path, self.TINY_ATOM)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "InfiniteJumpIntensity" in res.output
         assert not (tmp_path / "o").exists()
 
 

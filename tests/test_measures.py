@@ -9,6 +9,7 @@ from scipy import stats
 from wfduality import (
     DegenerateKernelAtAtom,
     FiniteMeasure,
+    InfiniteJumpIntensity,
     ModelError,
     NonFiniteIntegrand,
     SelectionKernel,
@@ -18,7 +19,7 @@ from wfduality import (
     pgf,
 )
 from wfduality.measures import (INF_K, binom_pmf, excess_moments,
-                                nbinom_pmf, segments, sum_pmfs)
+                                mixed_sum_pmfs, nbinom_pmf)
 
 from conftest import KERNELS, rng
 
@@ -149,21 +150,26 @@ class TestMasterCondition:
             derive_env_measure(k, FiniteMeasure.point_mass(0.5, 1.0))
 
 
+def sum_pmfs(kernel, y, ns, k_maxs):
+    """The law of one atom y of weight 1: probs[i, k] = P(sum = n_i + k)."""
+    return mixed_sum_pmfs(kernel, [y], [1.0], ns, k_maxs)
+
+
 class TestSumDistribution:
-    # one state per call: probs[k] = P(sum = n + k) for k = 0..k_max
+    # one state per call: probs[0, k] = P(sum = n + k) for k = 0..k_max
     def test_geometric_example(self, geo):
-        probs, tails = sum_pmfs(geo, 0.5, [2], [2])
+        (probs,), tails = sum_pmfs(geo, 0.5, [2], [2])
         assert probs == pytest.approx([0.25, 0.25, 0.1875])
         assert tails == pytest.approx([0.3125])
 
     def test_binary_deterministic(self, binary):
-        probs, tails = sum_pmfs(binary, 1.0, [3], [3])
+        (probs,), tails = sum_pmfs(binary, 1.0, [3], [3])
         assert probs == pytest.approx([0.0, 0.0, 0.0, 1.0])
         assert tails == pytest.approx([0.0], abs=1e-12)
 
     def test_neutral(self, geo, binary):
         for kernel in (geo, binary):
-            probs, _ = sum_pmfs(kernel, 0.0, [5], [3])
+            (probs,), _ = sum_pmfs(kernel, 0.0, [5], [3])
             assert probs == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_geometric_matches_brute_convolution(self, geo):
@@ -174,7 +180,7 @@ class TestSumDistribution:
                 acc = np.ones(1)
                 for _ in range(n):
                     acc = np.convolve(acc, single)[: k_max + 1]
-                probs, _ = sum_pmfs(geo, float(y), [n], [k_max])
+                (probs,), _ = sum_pmfs(geo, float(y), [n], [k_max])
                 assert np.allclose(probs, acc, atol=1e-12)
 
     def test_infinity_mass_goes_to_tail(self):
@@ -187,10 +193,10 @@ class TestSumDistribution:
     def test_batch_rows_equal_one_state_rows(self, kernel, y):
         ns, k_maxs = np.array([7, 1, 30, 2, 7]), np.array([3, 40, 9, 1, 20])
         probs, tails = sum_pmfs(kernel, y, ns, k_maxs)
-        row, _ = segments(k_maxs + 1)
         for i, (n, k_max) in enumerate(zip(ns.tolist(), k_maxs.tolist())):
-            one_probs, one_tails = sum_pmfs(kernel, y, [n], [k_max])
-            np.testing.assert_array_equal(probs[row == i], one_probs)
+            (one_probs,), one_tails = sum_pmfs(kernel, y, [n], [k_max])
+            np.testing.assert_array_equal(probs[i, :k_max + 1], one_probs)
+            assert (probs[i, k_max + 1:] == 0.0).all()
             assert tails[i] == one_tails[0]
 
 
@@ -199,7 +205,7 @@ class TestExcessMoments:
     @pytest.mark.parametrize("y", [-0.4, 0.3, 0.8])
     def test_moments_of_the_finite_part(self, kernel, y):
         # the finite part of one draw's excess, from a long truncated pmf
-        probs, _ = sum_pmfs(kernel, y, [1], [400])
+        (probs,), _ = sum_pmfs(kernel, y, [1], [400])
         ks = np.arange(probs.size)
         mean, var, top = excess_moments(kernel, y)
         assert mean == pytest.approx(probs @ ks)
@@ -321,15 +327,20 @@ class TestEnvMeasure:
                           min_size=1, max_size=6, unique_by=lambda a: a[0]))
     def test_equals_per_atom_rule(self, kernel, atoms):
         # the weight of atom y is Lambda_s(y) / m(y), bit for bit; an atom
-        # with m = inf is dropped, one at 0 or with m = 0 is rejected
+        # with m = inf is dropped, one at 0 or with m = 0 is rejected, and so
+        # is one whose weight overflows
         lam = FiniteMeasure.atomic(atoms)
         ms = [mean_excess(kernel, y) for y, _ in atoms]
         if 0.0 in ms:  # also every atom at 0
             with pytest.raises(DegenerateKernelAtAtom):
                 derive_env_measure(kernel, lam)
             return
-        mu = derive_env_measure(kernel, lam)
         kept = [(y, w / m) for (y, w), m in zip(atoms, ms) if m != math.inf]
+        if any(w == math.inf for _, w in kept):
+            with pytest.raises(InfiniteJumpIntensity):
+                derive_env_measure(kernel, lam)
+            return
+        mu = derive_env_measure(kernel, lam)
         assert mu.locations.tolist() == [y for y, _ in kept]
         assert mu.weights.tolist() == [w for _, w in kept]
 

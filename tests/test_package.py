@@ -117,6 +117,19 @@ def test_merger_strength_drawn_in_one_place():
     assert found == {"params.merge", "wf_graph.step_ancestry_many"}
 
 
+def test_dual_rates_come_from_one_builder():
+    # every rate row of the dual chain, and every tail draw, comes from
+    # measures' one builder (mixed_sum_pmfs, log_space_pmfs); Loader's pmfs
+    # are the reference the tests hold the rows against
+    path = SRC / "wfduality" / "bcre.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and _called_name(node) in {"binom_pmf", "nbinom_pmf", "sum_pmfs"}}
+    assert found == set()
+
+
 def test_dual_engine_sorts_nothing():
     # the occupation times of stationary chains accumulate in a dense
     # (row, chain) table; a sort of the occupation keys every 16 rounds cost
