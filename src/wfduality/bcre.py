@@ -17,11 +17,15 @@ tail is kept as an explicit rate, and a tail draw is resolved exactly by
 conditional sampling, never discarded.  The rates and tail draws come from
 ``measures.log_space_pmfs`` (a table kernel's branch rates by convolution).
 ``RateCache.rows`` builds all of a round's new states in one numpy pass over
-a (state, category) grid; ``jump_rates`` is its one-state case.
+a (state, category) grid, from the state-free terms it takes once per cache
+(the window moments, and the log weights and log odds of the environment and
+merger atoms), and stores each row by slices; ``jump_rates`` is its
+one-state case.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
-``np.searchsorted`` in the flat rate rows of ``RateCache``.  ``final_states``
+``np.searchsorted`` in the flat rate rows of ``RateCache`` and reading the
+next state from its flat target table.  ``final_states``
 runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
 pools the occupation times of ``STATIONARY_CHAINS`` independent chains.
 """
@@ -36,8 +40,8 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import (ENTRY_CAP, excess_moments, log_space_pmfs,
-                       mixed_sum_pmfs)
+from .measures import (ENTRY_CAP, SumLaw, excess_moments, log_atoms,
+                       log_space_pmfs, mixed_sum_pmfs)
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
@@ -82,24 +86,41 @@ class RateTable:
         self.k_max = self.branch_rates.size
 
 
-def _windows(params: LimitParams, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _RowTerms:
+    """The parts of every rate row that do not depend on the state, taken
+    once per ``RateCache``: the window moments of the environment atoms, the
+    branch law and the merger law with their per-atom log terms."""
+
+    def __init__(self, params: LimitParams):
+        mu, law = params.mu, params.merger_law
+        moments = np.array([excess_moments(params.kernel, y)
+                            for y in mu.locations.tolist()]).reshape(-1, 3)
+        self.mean, self.var = moments[:, :1], moments[:, 1:2]  # (atom, 1)
+        self.most = float(moments[:, 2].max(initial=0.0))
+        self.branch = SumLaw(params.kernel, mu.locations, mu.weights)
+        self.merger = None  # y^{-2} Lambda_c, one Binomial(n, y) law per atom
+        if params.c > 0 and law is not None:
+            self.merger = log_atoms(-1, law.locations, params.c * law.weights)
+        self.bound = params.alpha_s + params.w  # Markov bound per lineage
+
+
+def _windows(params: LimitParams, ns: np.ndarray,
+             terms: _RowTerms | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Branch window of each state, and the most it may be widened to.
 
     The window is mean + 12 sd + 16 of the summed excess K_{y,1} + ... +
     K_{y,n} - n, the largest over the environment atoms, and never more than
     the sum's finite support (n for the binary kernel) or ``K_MAX_CAP``.
     """
-    size, top = np.ones(ns.size), np.ones(ns.size)
-    for y in params.mu.locations.tolist():
-        mean, var, most = excess_moments(params.kernel, y)
-        size = np.maximum(size, ns * mean + 12.0 * np.sqrt(ns * var) + 16.0)
-        top = np.maximum(top, ns * most)
-    limit = np.minimum(top, K_MAX_CAP)
+    terms = terms or _RowTerms(params)
+    size = (ns * terms.mean + 12.0 * np.sqrt(ns * terms.var)
+            + 16.0).max(axis=0, initial=1.0)
+    limit = np.minimum(np.maximum(ns * terms.most, 1.0), K_MAX_CAP)
     return np.minimum(size, limit).astype(np.int64), limit.astype(np.int64)
 
 
 def _rate_rows(params: LimitParams, ns: np.ndarray, k_max: np.ndarray,
-               limit: np.ndarray):
+               limit: np.ndarray, terms: _RowTerms | None = None):
     """Jump rates out of every state of ``ns``, built in one numpy pass.
 
     Returns (rates, cum, k_max).  Row i of the zero-padded (state, category)
@@ -109,34 +130,41 @@ def _rate_rows(params: LimitParams, ns: np.ndarray, k_max: np.ndarray,
     windows from ``_windows`` are doubled, within ``limit``, only while a
     lumped tail exceeds TAIL_REL of its state's total rate.
     """
-    i, mu, top = np.arange(ns.size), params.mu, int(ns.max())
-    law = params.merger_law  # y^{-2} Lambda_c
-    coal = np.zeros((ns.size, top - 1))  # n -> n-k in column k-1
-    if params.c > 0 and law is not None:
+    terms = terms or _RowTerms(params)
+    top = int(ns.max())
+    if terms.merger is None:
+        coal = np.zeros((ns.size, top - 1))  # n -> n-k in column k-1
+    else:
         # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n, y) pmf at k+1,
         # zero past k = n-1
-        coal = log_space_pmfs(-1, law.locations, params.c * law.weights,
-                              ns, np.arange(top + 1.0))[:, 2:]
+        coal = log_space_pmfs(terms.merger, ns, np.arange(top + 1.0))[:, 2:]
     if params.sigma > 0:
         coal[:, :1] += params.sigma * ns[:, None] * (ns[:, None] - 1) / 2.0
+    i = np.arange(ns.size)
     while True:
-        probs, tails = mixed_sum_pmfs(params.kernel, mu.locations,
-                                      mu.weights, ns, k_max)
-        rates = np.zeros((ns.size, int(k_max.max()) + top))
-        rates[:, :probs.shape[1] - 1] = probs[:, 1:]  # from k = 1
-        rates[i, k_max] = tails
+        probs, tails = terms.branch.pmfs(ns, k_max)
+        if ns.size == 1:  # one row: its window is the grid's
+            rates = np.concatenate((probs[:, 1:], tails[:, None], coal),
+                                   axis=1)
+        else:
+            rates = np.zeros((ns.size, probs.shape[1] - 1 + top))
+            rates[:, :probs.shape[1] - 1] = probs[:, 1:]  # from k = 1
+            rates[i, k_max] = tails
+            rates[i[:, None], k_max[:, None] + np.arange(1, top)] = coal
         if params.w > 0:
             rates[:, 0] += params.w * ns
-        rates[i[:, None], k_max[:, None] + np.arange(1, top)] = coal
         cum = np.add.accumulate(rates, axis=1)
-        wide = (tails > TAIL_REL * cum[:, -1]) & (k_max < limit)
+        heavy = tails > TAIL_REL * cum[:, -1]
+        if not heavy.any():
+            break
+        wide = heavy & (k_max < limit)
         if not wide.any():
             break
         k_max = np.where(wide, np.minimum(2 * k_max, limit), k_max)
     if rates.min() < 0:
         raise InvariantViolation("negative jump rate")
     branch = cum[i, k_max]  # with the lumped tail
-    if (branch > ns * (params.alpha_s + params.w) + 1e-9 * (1.0 + branch)).any():
+    if (branch > ns * terms.bound + 1e-9 * (1.0 + branch)).any():
         raise InvariantViolation("branch rate exceeds the Markov bound")
     return rates, cum, k_max
 
@@ -145,18 +173,21 @@ def jump_rates(params: LimitParams, n: int) -> RateTable:
     """Rate table out of state n: the one-state case of ``_rate_rows``."""
     if n < 1:
         raise InvalidArgument("state must be >= 1")
-    ns = np.array([n])
-    rates, _, k_max = _rate_rows(params, ns, *_windows(params, ns))
+    ns, terms = np.array([n]), _RowTerms(params)
+    rates, _, k_max = _rate_rows(params, ns, *_windows(params, ns, terms),
+                                 terms)
     k, row = int(k_max[0]), rates[0]
     return RateTable(n, row[:k], float(row[k]), row[k + 1:])
 
 
 def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
-    """``a`` padded with ``fill`` to at least ``size`` rows, doubling; a zero
-    pad is left unwritten, so the OS maps its pages only once they are used."""
+    """``a`` padded with ``fill`` to at least ``size`` rows, four times as
+    many at a time, so the appends copy each entry about a third of a time;
+    a zero pad is left unwritten, so the OS maps its pages only once they
+    are used."""
     if size <= len(a):
         return a
-    out = np.zeros((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out = np.zeros((max(size, 4 * len(a)),) + a.shape[1:], dtype=a.dtype)
     out[:len(a)] = a
     if fill:
         out[len(a):] = fill
@@ -168,18 +199,26 @@ class RateCache:
 
     Row r, of the r-th state built, holds r + cum_rates/total in
     ``cum[indptr[r]:indptr[r+1]]`` up to its first entry that rounds to r + 1
-    (no float draw reaches beyond).  So ``cum`` stays sorted as rows are
-    appended, one ``np.searchsorted`` of r + U, U ~ U[0, 1), picks a jump per
-    path, and the float resolution is r * eps, whatever the state.
-    ``row_of`` maps a state to its row, -1 before its first visit.
+    (no float draw reaches beyond), and ``last[r]`` is the index of that
+    entry.  So ``cum`` stays sorted as rows are appended, one
+    ``np.searchsorted`` of r + U, U ~ U[0, 1), picks a jump per path, and
+    the float resolution is r * eps, whatever the state.  Next to each entry
+    of ``cum``, ``to`` holds the state its category jumps to: n+1+j for the
+    branch j, n-k for a merger of k+1 lineages, 0 for the lumped tail.
+    ``row_of`` maps a state to its row, -1 before its first visit; its last
+    entry is always -1.  The state-free parts of the rows are taken once,
+    in ``_RowTerms``.
     """
 
     def __init__(self, params: LimitParams):
         self.params, self.n_rows = params, 0
+        self.terms = _RowTerms(params)
         self.row_of = np.full(64, -1, dtype=np.int64)
         self.indptr = np.zeros(64, dtype=np.int64)
+        self.last = np.zeros(64, dtype=np.int64)
         self.k_max = np.zeros(64, dtype=np.int64)
         self.cum, self.total = np.empty(1024), np.empty(64)
+        self.to = np.empty(1024, dtype=np.int64)
 
     def get(self, n: int) -> int:
         """Row of state n, built on its first visit."""
@@ -188,46 +227,56 @@ class RateCache:
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Row of each state, building the rows of states not seen before.
 
-        The new states are appended in sorted order, in chunks of at most
+        A state past the end of ``row_of`` reads its last entry, -1.  The
+        new states are appended in sorted order, in chunks of at most
         ``ENTRY_CAP`` (state, category) entries, so a round's memory does
         not grow with its number of new states.
         """
-        self.row_of = _grown(self.row_of, int(states.max()) + 1, -1)
-        rows = self.row_of[states]
-        if (rows < 0).any():
-            # sort and drop repeats: np.unique would import numpy.ma
+        rows = self.row_of.take(states, mode="clip")
+        if rows.min() < 0:
             new = np.sort(states[rows < 0])
-            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
-            k_max, limit = _windows(self.params, new)
-            lo = 0
-            while lo < new.size:  # row lengths k_max + n grow with n
-                fits = (np.arange(1, new.size - lo + 1) * (k_max + new)[lo:]
-                        <= ENTRY_CAP)
-                hi = lo + max(1, int(fits.sum()))
-                self._append(new[lo:hi], k_max[lo:hi], limit[lo:hi])
-                lo = hi
+            if new.size > 1:  # drop repeats: np.unique would import numpy.ma
+                new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+            self.row_of = _grown(self.row_of, int(new[-1]) + 2, -1)
+            k_max, limit = _windows(self.params, new, self.terms)
+            lengths, lo = (k_max + new).tolist(), 0  # row lengths grow with n
+            for hi in range(1, new.size + 1):
+                if hi == new.size or (hi + 1 - lo) * lengths[hi] > ENTRY_CAP:
+                    self._append(new[lo:hi], k_max[lo:hi], limit[lo:hi])
+                    lo = hi
             rows = self.row_of[states]
         return rows
 
     def _append(self, ns: np.ndarray, k_max: np.ndarray, limit: np.ndarray):
-        """Build and append the rows of the new states ``ns``."""
-        _, cum, k_max = _rate_rows(self.params, ns, k_max, limit)
-        total = cum[:, -1]  # a padded entry repeats its row's total
-        r = self.n_rows + np.arange(ns.size)
-        with np.errstate(invalid="ignore"):
-            cum = r[:, None] + cum / total[:, None]
-        cum[total == 0, 0] = r[total == 0] + 1.0  # never drawn from
-        keep = np.argmax(cum >= (r + 1.0)[:, None], axis=1) + 1
-        vals = cum[np.arange(cum.shape[1]) < keep[:, None]]
-        lo = int(self.indptr[self.n_rows])
-        self.cum = _grown(self.cum, lo + vals.size)
-        self.cum[lo:lo + vals.size] = vals
-        self.indptr, self.k_max, self.total = (
-            _grown(a, r[-1] + 2) for a in (self.indptr, self.k_max, self.total))
-        self.indptr[r + 1] = lo + np.add.accumulate(keep)
-        self.k_max[r], self.total[r] = k_max, total
-        self.row_of[ns] = r
-        self.n_rows += ns.size
+        """Build and append the rows of the new states ``ns``, one by one
+        with slices: a row's targets are n+1, n+2, ..., 0, n-1, n-2, ..."""
+        _, cum, k_max = _rate_rows(self.params, ns, k_max, limit, self.terms)
+        r1 = self.n_rows + ns.size
+        size = int(self.indptr[self.n_rows]) + cum.size  # kept entries, at most
+        self.cum, self.to = (_grown(a, size) for a in (self.cum, self.to))
+        self.indptr, self.last, self.k_max, self.total = (
+            _grown(a, r1 + 1)
+            for a in (self.indptr, self.last, self.k_max, self.total))
+        for row, n, k, total in zip(cum, ns.tolist(), k_max.tolist(),
+                                    cum[:, -1].tolist()):
+            r = self.n_rows
+            lo = int(self.indptr[r])
+            if total > 0:
+                row = r + row / total
+                end = lo + int(np.searchsorted(row, r + 1.0)) + 1
+            else:  # no event, ever: one entry, never drawn from
+                row, end = [r + 1.0], lo + 1
+            self.cum[lo:end] = row[:end - lo]
+            tail = lo + k  # the cut may come before the lumped tail
+            self.to[lo:min(tail, end)] = np.arange(n + 1,
+                                                   n + 1 + min(k, end - lo))
+            if tail < end:
+                self.to[tail] = 0
+                self.to[tail + 1:end] = np.arange(n - 1, n + tail - end, -1)
+            self.indptr[r + 1], self.last[r] = end, end - 1
+            self.k_max[r], self.total[r] = k, total
+            self.row_of[n] = r
+            self.n_rows = r + 1
 
 
 def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
@@ -271,52 +320,56 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     Each round every active path draws its holding time Exp(1)/total[n].  A
     path whose next event falls past T records its state and leaves; each
     other path picks its jump by one ``searchsorted`` of r + U in the rows
-    (r the row of its state), or draws a rare lumped-tail jump alone.  n0
-    must lie in [1, ceiling]; a jump above ``ceiling`` raises
-    StateExplosionGuard, or with ``cut`` stops the path at state
-    ``ceiling + 1``.  Returns the states at T and the occupation times on
-    [keep_from, T] as a dense table ``occ[r, path]`` over the cache's rows
-    r, or None without ``keep_from``; a path adds to one cell per round, so
-    each cell is its round-ordered sum from 0.0.
+    (r the row of its state) and reads its next state from the cache's
+    target table, or draws a rare lumped-tail jump alone.  n0 must lie in
+    [1, ceiling]; a jump above ``ceiling`` raises StateExplosionGuard, or
+    with ``cut`` stops the path at state ``ceiling + 1``.  Returns the
+    states at T and the occupation times on [keep_from, T] as a dense table
+    ``occ[r, path]`` over the cache's rows r, or None without
+    ``keep_from``; a path adds to one cell per round, so each cell is its
+    round-ordered sum from 0.0.
     """
     if not 1 <= n0 <= ceiling:
         raise InvalidArgument(f"initial state {n0} must lie in [1, {ceiling}]")
     finals = np.empty(size, dtype=np.int64)
-    occ = None if keep_from is None else np.zeros((0, size))
+    occ = None if keep_from is None else np.zeros(0)  # flat (row, path)
     ids, n, t = np.arange(size), np.full(size, n0, dtype=np.int64), np.zeros(size)
-    while ids.size:
-        rows = cache.rows(n)
-        with np.errstate(divide="ignore"):  # total 0: no event, ever
+    with np.errstate(divide="ignore"):  # total 0: no event, ever
+        while ids.size:
+            rows = cache.rows(n)
             wait = rng.standard_exponential(ids.size) / cache.total[rows]
-        t_prev, t = t, t + wait
-        if occ is not None:
-            # fmin: an absorbing state's 0/0 holding time lasts to T
-            held = np.fmin(t, T) - np.maximum(t_prev, keep_from)
-            on = held > 0
-            on = slice(None) if on.all() else on  # a view, not a copy
-            occ = _grown(occ, cache.n_rows)
-            occ[rows[on], ids[on]] += held[on]
-        go = t <= T
-        if not go.all():
-            finals[ids[~go]] = n[~go]
-            ids, n, t, rows = ids[go], n[go], t[go], rows[go]
-        lo, hi = cache.indptr[rows], cache.indptr[rows + 1]
-        pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
-                              rows + rng.random(ids.size), side="right")
-        j = np.clip(pos, lo, hi - 1) - lo  # r + U may round up to r + 1
-        jump = j - cache.k_max[rows]  # < 0 branch, 0 lumped tail, > 0 merge
-        n = np.where(jump < 0, n + 1 + j, n - jump)
-        for i in np.flatnonzero(jump == 0).tolist():  # n[i] is still the state
-            n[i] = _sample_tail_jump(params, int(n[i]),
-                                     int(cache.k_max[rows[i]]), rng)
-        over = n > ceiling
-        if over.any():
-            if not cut:
-                raise StateExplosionGuard(
-                    f"state {n[over].max()} exceeded ceiling {ceiling}")
-            finals[ids[over]] = ceiling + 1
-            ids, n, t = ids[~over], n[~over], t[~over]
-    return finals, occ
+            t_prev, t = t, t + wait
+            latest = t.max()  # NaN if a 0/0 holding time: it lasts to T
+            if occ is not None and not latest <= keep_from:
+                # a cell plus 0.0 is the cell, so time outside adds nothing
+                held = np.fmin(t, T) - np.maximum(t_prev, keep_from)
+                occ = _grown(occ, cache.n_rows * size)
+                np.add.at(occ, rows * size + ids, np.maximum(held, 0.0))
+            if not latest <= T:
+                go = t <= T
+                finals[ids[~go]] = n[~go]
+                ids, n, t, rows = ids[go], n[go], t[go], rows[go]
+            pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
+                                  rows + rng.random(ids.size), side="right")
+            # r + U may round up to r + 1, past the row's last entry
+            nxt = cache.to[np.minimum(pos, cache.last[rows])]
+            if nxt.size and nxt.min() == 0:  # the lumped tail
+                for i in np.flatnonzero(nxt == 0).tolist():
+                    nxt[i] = _sample_tail_jump(params, int(n[i]),
+                                               int(cache.k_max[rows[i]]), rng)
+            n = nxt
+            if n.size and n.max() > ceiling:
+                over = n > ceiling
+                if not cut:
+                    raise StateExplosionGuard(
+                        f"state {n[over].max()} exceeded ceiling {ceiling}")
+                finals[ids[over]] = ceiling + 1
+                ids, n, t = ids[~over], n[~over], t[~over]
+    if occ is None:
+        return finals, None
+    # rows built after the last kept round hold no time
+    occ = _grown(occ, cache.n_rows * size)[:cache.n_rows * size]
+    return finals, occ.reshape(-1, size)
 
 
 def final_state(params: LimitParams, n0: int, T: float,

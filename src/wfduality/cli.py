@@ -7,7 +7,8 @@ directory.  ``result.json`` is strict JSON: a non-finite float is written
 as the string "Infinity", "-Infinity" or "NaN".  Wall-clock timing goes to
 ``run_meta.json``, which is excluded from the determinism contract.  Exit
 codes: 0 success, 2 a statistical verdict failed, 1 error.  ``--workers``
-is accepted and ignored: batches always run in order.
+must be at least 1, as the config key ``workers`` must, and is otherwise
+ignored: batches always run in order.
 
 ``wfduality validate config.json`` dry-runs schema and model validation
 without simulating.
@@ -274,12 +275,16 @@ def main():
 @click.argument("config_path", type=click.Path(exists=False))
 @click.option("--out", default=".", type=click.Path(), help="output directory")
 @click.option("--workers", default=None, type=int,
-              help="accepted and ignored: batches always run in order")
+              help="at least 1, and ignored: batches always run in order")
 @click.option("--seed", default=None, type=int, help="override config seed")
 def run(config_path, out, workers, seed):
     """Execute the experiment described by CONFIG_PATH."""
     t_start = time.monotonic()
     try:
+        # checked here, not by click's range type, whose exit code 2 is a
+        # failed verdict's
+        if workers is not None and workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {workers}")
         cfg = load_config(config_path, seed)
         _semantic_validate(cfg)
         results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg)

@@ -13,8 +13,9 @@ for the number of potential parents an individual draws, supported on
   pmf is not d_1 itself.
 
 Sums of parent counts, mixed over the atoms of a measure, come from one
-log-space recurrence over every atom (``log_space_pmfs``); Loader's
-``binom_pmf`` and ``nbinom_pmf`` are the accurate reference for them.
+log-space recurrence over every atom (``log_space_pmfs``), whose per-atom
+terms ``SumLaw`` and ``log_atoms`` take once; Loader's ``binom_pmf`` and
+``nbinom_pmf`` are the accurate reference for them.
 
 Finite measures are weighted atoms; a density is reduced at construction to
 the nodes of a fixed composite midpoint rule, so every downstream integral
@@ -290,65 +291,121 @@ def mixed_sum_pmfs(kernel: SelectionKernel, ys, wgts, ns,
     """Row i: sum_a wgts[a] P(K_{y,1} + ... + K_{y,n_i} = n_i + k) at
     y = ys[a], k = 0..k_maxs[i], zero-padded; ``tails[i]``: the mass beyond.
 
-    The geometric kernel (and y < 0) and the binary one take
-    ``log_space_pmfs``, the table kernel convolves; no row reads another.
+    The one-call form of ``SumLaw``.
     """
-    ys, wgts = np.asarray(ys, dtype=float), np.asarray(wgts, dtype=float)
-    ns = np.asarray(ns, dtype=np.int64)
-    k_maxs = np.asarray(k_maxs, dtype=np.int64)
-    if ns.min() < 1:
-        raise ModelError("n must be >= 1")
-    ks = np.arange(int(k_maxs.max()) + 1.0)
-    nb = (ys < 0) | (kernel.variant == "geometric")
-    probs = log_space_pmfs(1, np.abs(ys[nb]), wgts[nb], ns, ks)
-    if kernel.variant == "binary":
-        probs += log_space_pmfs(-1, ys[~nb], wgts[~nb], ns, ks)
-    elif kernel.variant == "table":
-        for y, wgt in zip(ys[~nb].tolist(), wgts[~nb].tolist()):
-            probs += wgt * _table_sum_pmfs(kernel, y, ns, ks.size)
-    probs[ks > k_maxs[:, None]] = 0.0
-    # an accumulation adds in sequence, so padding leaves a row's tail as is
-    tails = wgts.sum() - np.add.accumulate(probs, axis=1)[:, -1]
-    return probs, np.maximum(tails, 0.0)
+    return SumLaw(kernel, ys, wgts).pmfs(ns, k_maxs)
 
 
-def log_space_pmfs(sign: int, ys: np.ndarray, wgts: np.ndarray,
-                    ns: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """sum_a wgts[a] p_a(k) on the (state, k) grid: p_a is NB(n, 1 - y)
-    (sign 1, k failures before the n-th success) or Binomial(n, y) (sign -1).
+class SumLaw:
+    """Sums of n parent counts, mixed over the weighted atoms of a measure.
 
-    log p(0) = n log1p(-y); log p(k+1) - log p(k) = log((n + sign k)/(k + 1))
-    plus log y, or log(y / (1 - y)) for the binomial.  One cumulative sum
-    along k, over (atom, state, k) chunks of at most ``ENTRY_CAP`` entries,
-    summed over the atoms in order.  Bin(n, 1) is the exact point mass at n.
+    The per-atom terms are prepared once, so ``pmfs`` rows cost the same
+    few numpy calls however many times they are built.  The geometric kernel
+    (and y < 0) and the binary one take ``log_space_pmfs``, the table kernel
+    convolves; no row reads another.
     """
-    probs = np.zeros((ns.size, ks.size))
-    if sign < 0 and (ys == 1.0).any():
-        probs += wgts[ys == 1.0].sum() * (ks == ns[:, None])
+
+    def __init__(self, kernel: SelectionKernel, ys, wgts):
+        ys, wgts = np.asarray(ys, dtype=float), np.asarray(wgts, dtype=float)
+        nb = (ys < 0) | (kernel.variant == "geometric")
+        self.mass = wgts.sum()
+        self.laws = [log_atoms(1, np.abs(ys[nb]), wgts[nb])]
+        self.singles = []  # table kernel: (weight, pmf of one draw's excess)
+        if kernel.variant == "binary":
+            self.laws.append(log_atoms(-1, ys[~nb], wgts[~nb]))
+        elif kernel.variant == "table":
+            self.singles = [(wgt, _table_single(kernel, y)) for y, wgt
+                            in zip(ys[~nb].tolist(), wgts[~nb].tolist())]
+
+    def pmfs(self, ns, k_maxs) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and tails of ``mixed_sum_pmfs`` for the states ``ns``."""
+        ns = np.asarray(ns, dtype=np.int64)
+        k_maxs = np.asarray(k_maxs, dtype=np.int64)
+        if ns.min() < 1:
+            raise ModelError("n must be >= 1")
+        ks = np.arange(int(k_maxs.max()) + 1.0)
+        probs = log_space_pmfs(self.laws[0], ns, ks)
+        for law in self.laws[1:]:
+            probs += log_space_pmfs(law, ns, ks)
+        for wgt, single in self.singles:
+            probs += wgt * _table_sum_pmfs(single, ns, ks.size)
+        if ns.size > 1:  # one row is exactly as wide as its window
+            probs[ks > k_maxs[:, None]] = 0.0
+        # an accumulation adds in sequence, so padding leaves a row's tail as is
+        tails = self.mass - np.add.accumulate(probs, axis=1)[:, -1]
+        return probs, np.maximum(tails, 0.0)
+
+
+@dataclass(frozen=True)
+class LogAtoms:
+    """Weighted NB(n, 1 - y) (sign 1) or Binomial(n, y) (sign -1) laws, with
+    the per-atom terms of ``log_space_pmfs`` taken once: the weight of the
+    binomial atoms at y = 1, and for the others log weight, log(1 - y) and
+    the log odds of a step, log y or log(y / (1 - y))."""
+
+    sign: int
+    point: float
+    log_w: np.ndarray
+    log1m: np.ndarray
+    odds: np.ndarray
+
+
+def log_atoms(sign: int, ys: np.ndarray, wgts: np.ndarray) -> LogAtoms:
+    """The ``LogAtoms`` of the atoms ``ys`` with weights ``wgts``."""
+    point = 0.0
+    if sign < 0 and (ys == 1.0).any():  # Bin(n, 1) is the point mass at n
+        point = float(wgts[ys == 1.0].sum())
         ys, wgts = ys[ys < 1.0], wgts[ys < 1.0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.log(np.maximum(ns[:, None] + sign * ks[:-1], 0) / ks[1:])
-        odds = np.log(ys / (1.0 - ys) if sign < 0 else ys)
-        start = np.log(wgts)[:, None] + np.log1p(-ys)[:, None] * ns
-        step = max(1, ENTRY_CAP // probs.size)
-        for lo in range(0, ys.size, step):
+        return LogAtoms(sign, point, np.log(wgts), np.log1p(-ys),
+                        np.log(ys / (1.0 - ys) if sign < 0 else ys))
+
+
+def log_space_pmfs(atoms: LogAtoms, ns: np.ndarray,
+                   ks: np.ndarray) -> np.ndarray:
+    """sum_a wgts[a] p_a(k) on the (state, k) grid, p_a the law of atom a
+    of ``atoms``.
+
+    log p(0) = n log1p(-y); log p(k+1) - log p(k) = log((n + sign k)/(k + 1))
+    plus the log odds.  One cumulative sum along k, over (atom, state, k)
+    chunks of at most ``ENTRY_CAP`` entries, summed over the atoms in order.
+    """
+    # 0.0 + p is p for the nonnegative p here, so the sum starts from the
+    # first term instead of from zeros
+    probs = atoms.point * (ks == ns[:, None]) if atoms.point else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # n + k >= 1 for the negative binomial; the binomial stops at k = n
+        ratio = (ns[:, None] + ks[:-1] if atoms.sign > 0
+                 else np.maximum(ns[:, None] - ks[:-1], 0))
+        steps = np.log(ratio / ks[1:])
+        start = atoms.log_w[:, None] + atoms.log1m[:, None] * ns
+        step = max(1, ENTRY_CAP // (ns.size * ks.size))
+        for lo in range(0, atoms.odds.size, step):
             logp = np.concatenate((start[lo:lo + step, :, None], steps
-                                   + odds[lo:lo + step, None, None]), axis=2)
+                                   + atoms.odds[lo:lo + step, None, None]),
+                                  axis=2)
             np.add.accumulate(logp, axis=2, out=logp)
             for p in np.exp(logp, out=logp):
-                probs += p
-    return probs
+                if probs is None:
+                    probs = p
+                else:
+                    probs += p
+    return np.zeros((ns.size, ks.size)) if probs is None else probs
 
 
-def _table_sum_pmfs(kernel: SelectionKernel, y: float, ns: np.ndarray,
-                    width: int) -> np.ndarray:
-    # pmf of one draw's finite excess over 0..K_top-1
+def _table_single(kernel: SelectionKernel, y: float) -> np.ndarray:
+    """pmf of one table-kernel draw's finite excess over 0..K_top-1 at y."""
     single = np.zeros(max(kernel.table_values, default=1))
     single[0] = 1.0 - y
     for k, p in zip(kernel.table_values, kernel.table_probs):
         single[k - 1] += y * p
-    # one chain of n-fold convolutions up to the largest n, truncated to
-    # the window; entry k of a convolution only reads entries <= k
+    return single
+
+
+def _table_sum_pmfs(single: np.ndarray, ns: np.ndarray,
+                    width: int) -> np.ndarray:
+    # one chain of n-fold convolutions of ``single`` up to the largest n,
+    # truncated to the window; entry k of a convolution only reads entries <= k
     out, acc, drawn = np.zeros((ns.size, width)), np.ones(1), 0
     for i in np.argsort(ns, kind="stable").tolist():
         for _ in range(drawn, int(ns[i])):

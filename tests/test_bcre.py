@@ -268,6 +268,57 @@ class TestRateRows:
             branch = table.branch_rates.sum() + table.branch_tail
             assert branch <= bound[r] * (1 + 1e-12)
 
+    @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
+                                        SelectionKernel.binary(),
+                                        table_kernel()],
+                             ids=["geometric", "binary", "table"])
+    @pytest.mark.parametrize("which", ["baseline_params", "survival_params"])
+    def test_targets_follow_the_category_rule(self, kernel, which, request):
+        # to[entry] is the state the entry's category jumps to: n+1+j for
+        # the branch j, 0 for the lumped tail, n-k for the merger k
+        params = with_kernel(request.getfixturevalue(which), kernel)
+        ns = np.arange(1, 513)
+        cache = RateCache(params)
+        rows = cache.rows(ns)
+        for r, n in enumerate(ns.tolist()):
+            k_max = jump_rates(params, n).k_max
+            lo, hi = cache.indptr[r], cache.indptr[r + 1]
+            assert cache.last[r] == hi - 1 and cache.k_max[r] == k_max
+            j = np.arange(hi - lo)
+            rule = np.where(j < k_max, n + 1 + j, n + k_max - j)
+            rule[j == k_max] = 0
+            np.testing.assert_array_equal(cache.to[lo:hi], rule)
+        # a pick reads the same state as the clipped in-row position did,
+        # also where r + U rounds up to r + 1 (U just below 1)
+        gen = rng(12)
+        at = gen.integers(0, ns.size, 50_000)
+        u = np.concatenate([gen.random(at.size - 2000), np.zeros(1000),
+                            np.full(1000, np.nextafter(1.0, 0.0))])
+        row = rows[at]
+        pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
+                              row + u, side="right")
+        lo, hi = cache.indptr[row], cache.indptr[row + 1]
+        j = np.clip(pos, lo, hi - 1) - lo
+        jump = j - cache.k_max[row]  # < 0 branch, 0 lumped tail, > 0 merge
+        old = np.where(jump < 0, ns[at] + 1 + j, ns[at] - jump)
+        old[jump == 0] = 0
+        new = cache.to[np.minimum(pos, cache.last[row])]
+        np.testing.assert_array_equal(new, old)
+
+    def test_rows_accept_a_state_far_above_every_row(self, baseline_params):
+        # row_of is read with a clipped take: a state past its end reads
+        # its last entry, which stays -1, and is built like any new state
+        cache = RateCache(baseline_params)
+        cache.rows(np.arange(1, 11))
+        assert cache.row_of.size < 5000
+        rows = cache.rows(np.array([3, 5000, 3, 5000]))
+        assert rows.tolist() == [2, 10, 2, 10]
+        assert cache.row_of[-1] == -1 and cache.row_of.size > 5001
+        assert cache.get(5000) == 10 and cache.n_rows == 11
+        table = jump_rates(baseline_params, 5000)
+        assert cache.total[10] == table.total
+        assert cache.to[cache.indptr[10]] == 5001
+
     def test_fixation_windows_never_widen(self, survival_params):
         ns = np.arange(1, 1001)
         cache = RateCache(survival_params)
@@ -520,6 +571,15 @@ class TestOccupationTable:
                                           rel=1e-9)
         assert per_chain.sum() == pytest.approx(self.T - self.BURN_IN,
                                                 rel=1e-9)
+
+    def test_time_before_keep_from_adds_nothing(self, survival_params):
+        # rounds that end before keep_from skip the table, which still
+        # comes back with one zero row per row built
+        cache = RateCache(survival_params)
+        _, occ = bcre._paths(survival_params, 1, 1.0, 64, rng(3), cache,
+                             bcre.DEFAULT_CEILING, keep_from=5.0)
+        assert occ.shape == (cache.n_rows, 64) and cache.n_rows > 1
+        assert (occ == 0.0).all()
 
     def test_cells_equal_the_sorted_key_pooling(self, survival_params):
         # reference: the sparse bookkeeping the table replaced.  Each round's

@@ -495,6 +495,18 @@ class TestWorkersOption:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, dict(THRESHOLDS_CFG, workers=0)))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_option_checked_like_config_key(self, tmp_path, workers):
+        # exit 1, as for the config key: click's range type would exit 2,
+        # the code of a failed verdict
+        path = write_cfg(tmp_path, THRESHOLDS_CFG)
+        res = CliRunner().invoke(main, [
+            "run", path, "--out", str(tmp_path / "o"),
+            "--workers", str(workers)])
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output and "--workers" in res.output
+        assert not (tmp_path / "o").exists()
+
 
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**65 - 1])

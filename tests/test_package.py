@@ -155,6 +155,20 @@ def test_dual_engine_sorts_nothing():
     assert found == []
 
 
+def test_dual_round_searches_once():
+    # a round picks every jump with one searchsorted in the flat rate rows
+    # and reads the next state from the cache's target table, so neither
+    # a clip of the position into its row nor a where over the jump kinds
+    path = SRC / "wfduality" / "bcre.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    paths = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_paths")
+    calls = [_called_name(node) for node in ast.walk(paths)
+             if isinstance(node, ast.Call)]
+    assert calls.count("searchsorted") == 1
+    assert not {"clip", "where"} & set(calls)
+
+
 def test_cli_import_leaves_out_scipy():
     # scipy took most of the CLI's start-up time, and the runtime needs
     # numpy only: no scipy module may be loaded
