@@ -10,17 +10,15 @@ and coalesces to n-k at rate
     c * integral of C(n,k+1) y^{k+1} (1-y)^{n-k-1} y^{-2} Lambda_c(dy),
     plus sigma * C(n,2) for k=1.
 
-Branch rates are truncated at a window k_max sized once per state from the
-mean and variance of the summed excess (mean + 12 sd + 16), widened only if
-the lumped tail still carries more than TAIL_REL of the state's rate; the
-tail is kept as an explicit rate, and a tail draw is resolved exactly by
-conditional sampling, never discarded.  The rates and tail draws come from
+Branch rates are truncated at a window k_max sized once per state by
+``measures.SumLaw.windows`` from the mean and variance of the summed excess
+(mean + 12 sd + 16).  The mass beyond it is kept as the lumped-tail rate,
+and a tail draw is resolved exactly by conditional sampling, never
+discarded.  The rates and tail draws come from ``measures.SumLaw`` and
 ``measures.log_space_pmfs`` (a table kernel's branch rates by convolution).
 ``RateCache.rows`` builds all of a round's new states in one numpy pass over
-a (state, category) grid, from the state-free terms it takes once per cache
-(the window moments, and the log weights and log odds of the environment and
-merger atoms), and stores each row by slices; ``jump_rates`` is its
-one-state case.
+a (state, category) grid, from the laws it takes once per cache, and stores
+each row by slices; ``jump_rates`` is its one-state case.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
@@ -40,19 +38,12 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import (ENTRY_CAP, SumLaw, excess_moments, log_atoms,
-                       log_space_pmfs, mixed_sum_pmfs)
+from .measures import ENTRY_CAP, SumLaw, log_atoms, log_space_pmfs
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
-#: Relative tail-rate threshold for the branch-table truncation.
-TAIL_REL = 1e-9
-
 #: Default state ceiling; exceeding it raises StateExplosionGuard.
 DEFAULT_CEILING = 10**6
-
-#: Widest branch window, in categories.
-K_MAX_CAP = 2**20
 
 #: Half-sample total variation above which ``stationary_estimate`` warns.
 TV_WARN = 0.05
@@ -86,97 +77,50 @@ class RateTable:
         self.k_max = self.branch_rates.size
 
 
-class _RowTerms:
-    """The parts of every rate row that do not depend on the state, taken
-    once per ``RateCache``: the window moments of the environment atoms, the
-    branch law and the merger law with their per-atom log terms."""
-
-    def __init__(self, params: LimitParams):
-        mu, law = params.mu, params.merger_law
-        moments = np.array([excess_moments(params.kernel, y)
-                            for y in mu.locations.tolist()]).reshape(-1, 3)
-        self.mean, self.var = moments[:, :1], moments[:, 1:2]  # (atom, 1)
-        self.most = float(moments[:, 2].max(initial=0.0))
-        self.branch = SumLaw(params.kernel, mu.locations, mu.weights)
-        self.merger = None  # y^{-2} Lambda_c, one Binomial(n, y) law per atom
-        if params.c > 0 and law is not None:
-            self.merger = log_atoms(-1, law.locations, params.c * law.weights)
-        self.bound = params.alpha_s + params.w  # Markov bound per lineage
-
-
-def _windows(params: LimitParams, ns: np.ndarray,
-             terms: _RowTerms | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Branch window of each state, and the most it may be widened to.
-
-    The window is mean + 12 sd + 16 of the summed excess K_{y,1} + ... +
-    K_{y,n} - n, the largest over the environment atoms, and never more than
-    the sum's finite support (n for the binary kernel) or ``K_MAX_CAP``.
-    """
-    terms = terms or _RowTerms(params)
-    size = (ns * terms.mean + 12.0 * np.sqrt(ns * terms.var)
-            + 16.0).max(axis=0, initial=1.0)
-    limit = np.minimum(np.maximum(ns * terms.most, 1.0), K_MAX_CAP)
-    return np.minimum(size, limit).astype(np.int64), limit.astype(np.int64)
-
-
-def _rate_rows(params: LimitParams, ns: np.ndarray, k_max: np.ndarray,
-               limit: np.ndarray, terms: _RowTerms | None = None):
+def _rate_rows(cache: RateCache, ns: np.ndarray, k_max: np.ndarray):
     """Jump rates out of every state of ``ns``, built in one numpy pass.
 
-    Returns (rates, cum, k_max).  Row i of the zero-padded (state, category)
-    grid ``rates`` runs n+1..n+k_max[i], the lumped tail, then n-1, ..., 1,
-    as a ``RateTable``; ``cum`` is its cumulative sum along each row, which
-    numpy takes in sequence, so a row does not depend on the batch.  The
-    windows from ``_windows`` are doubled, within ``limit``, only while a
-    lumped tail exceeds TAIL_REL of its state's total rate.
+    Returns (rates, cum).  Row i of the zero-padded (state, category) grid
+    ``rates`` runs n+1..n+k_max[i], the lumped tail, then n-1, ..., 1, as a
+    ``RateTable``; ``cum`` is its cumulative sum along each row, which numpy
+    takes in sequence, so a row does not depend on the batch.
     """
-    terms = terms or _RowTerms(params)
-    top = int(ns.max())
-    if terms.merger is None:
+    params, top, i = cache.params, int(ns.max()), np.arange(ns.size)
+    if cache.merger is None:
         coal = np.zeros((ns.size, top - 1))  # n -> n-k in column k-1
     else:
         # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n, y) pmf at k+1,
         # zero past k = n-1
-        coal = log_space_pmfs(terms.merger, ns, np.arange(top + 1.0))[:, 2:]
+        coal = log_space_pmfs(cache.merger, ns, np.arange(top + 1.0))[:, 2:]
     if params.sigma > 0:
         coal[:, :1] += params.sigma * ns[:, None] * (ns[:, None] - 1) / 2.0
-    i = np.arange(ns.size)
-    while True:
-        probs, tails = terms.branch.pmfs(ns, k_max)
-        if ns.size == 1:  # one row: its window is the grid's
-            rates = np.concatenate((probs[:, 1:], tails[:, None], coal),
-                                   axis=1)
-        else:
-            rates = np.zeros((ns.size, probs.shape[1] - 1 + top))
-            rates[:, :probs.shape[1] - 1] = probs[:, 1:]  # from k = 1
-            rates[i, k_max] = tails
-            rates[i[:, None], k_max[:, None] + np.arange(1, top)] = coal
-        if params.w > 0:
-            rates[:, 0] += params.w * ns
-        cum = np.add.accumulate(rates, axis=1)
-        heavy = tails > TAIL_REL * cum[:, -1]
-        if not heavy.any():
-            break
-        wide = heavy & (k_max < limit)
-        if not wide.any():
-            break
-        k_max = np.where(wide, np.minimum(2 * k_max, limit), k_max)
+    probs, tails = cache.branch.pmfs(ns, k_max)
+    if ns.size == 1:  # one row: its window is the grid's
+        rates = np.concatenate((probs[:, 1:], tails[:, None], coal), axis=1)
+    else:
+        rates = np.zeros((ns.size, probs.shape[1] - 1 + top))
+        rates[:, :probs.shape[1] - 1] = probs[:, 1:]  # from k = 1
+        rates[i, k_max] = tails
+        rates[i[:, None], k_max[:, None] + np.arange(1, top)] = coal
+    if params.w > 0:
+        rates[:, 0] += params.w * ns
     if rates.min() < 0:
         raise InvariantViolation("negative jump rate")
+    cum = np.add.accumulate(rates, axis=1)
     branch = cum[i, k_max]  # with the lumped tail
-    if (branch > ns * terms.bound + 1e-9 * (1.0 + branch)).any():
+    bound = ns * (params.alpha_s + params.w)  # Markov bound per lineage
+    if (branch > bound + 1e-9 * (1.0 + branch)).any():
         raise InvariantViolation("branch rate exceeds the Markov bound")
-    return rates, cum, k_max
+    return rates, cum
 
 
 def jump_rates(params: LimitParams, n: int) -> RateTable:
     """Rate table out of state n: the one-state case of ``_rate_rows``."""
     if n < 1:
         raise InvalidArgument("state must be >= 1")
-    ns, terms = np.array([n]), _RowTerms(params)
-    rates, _, k_max = _rate_rows(params, ns, *_windows(params, ns, terms),
-                                 terms)
-    k, row = int(k_max[0]), rates[0]
+    cache = RateCache(params)
+    k = int(cache.branch.windows(np.array([n]))[0])
+    row = _rate_rows(cache, np.array([n]), np.array([k]))[0][0]
     return RateTable(n, row[:k], float(row[k]), row[k + 1:])
 
 
@@ -206,13 +150,19 @@ class RateCache:
     of ``cum``, ``to`` holds the state its category jumps to: n+1+j for the
     branch j, n-k for a merger of k+1 lineages, 0 for the lumped tail.
     ``row_of`` maps a state to its row, -1 before its first visit; its last
-    entry is always -1.  The state-free parts of the rows are taken once,
-    in ``_RowTerms``.
+    entry is always -1.  The laws of the rows are taken once per cache: the
+    branch ``SumLaw`` over the environment atoms, which also sizes each
+    row's window, and the merger ``LogAtoms`` of y^{-2} Lambda_c, one
+    Binomial(n, y) law per atom.
     """
 
     def __init__(self, params: LimitParams):
         self.params, self.n_rows = params, 0
-        self.terms = _RowTerms(params)
+        mu, law = params.mu, params.merger_law
+        self.branch = SumLaw(params.kernel, mu.locations, mu.weights)
+        self.merger = None
+        if params.c > 0 and law is not None:
+            self.merger = log_atoms(-1, law.locations, params.c * law.weights)
         self.row_of = np.full(64, -1, dtype=np.int64)
         self.indptr = np.zeros(64, dtype=np.int64)
         self.last = np.zeros(64, dtype=np.int64)
@@ -238,19 +188,19 @@ class RateCache:
             if new.size > 1:  # drop repeats: np.unique would import numpy.ma
                 new = new[np.concatenate(([True], new[1:] != new[:-1]))]
             self.row_of = _grown(self.row_of, int(new[-1]) + 2, -1)
-            k_max, limit = _windows(self.params, new, self.terms)
+            k_max = self.branch.windows(new)
             lengths, lo = (k_max + new).tolist(), 0  # row lengths grow with n
             for hi in range(1, new.size + 1):
                 if hi == new.size or (hi + 1 - lo) * lengths[hi] > ENTRY_CAP:
-                    self._append(new[lo:hi], k_max[lo:hi], limit[lo:hi])
+                    self._append(new[lo:hi], k_max[lo:hi])
                     lo = hi
             rows = self.row_of[states]
         return rows
 
-    def _append(self, ns: np.ndarray, k_max: np.ndarray, limit: np.ndarray):
+    def _append(self, ns: np.ndarray, k_max: np.ndarray):
         """Build and append the rows of the new states ``ns``, one by one
         with slices: a row's targets are n+1, n+2, ..., 0, n-1, n-2, ..."""
-        _, cum, k_max = _rate_rows(self.params, ns, k_max, limit, self.terms)
+        _, cum = _rate_rows(self, ns, k_max)
         r1 = self.n_rows + ns.size
         size = int(self.indptr[self.n_rows]) + cum.size  # kept entries, at most
         self.cum, self.to = (_grown(a, size) for a in (self.cum, self.to))
@@ -289,7 +239,7 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
     """
     mu = params.mu
     tails = np.array([
-        mixed_sum_pmfs(params.kernel, [y], [wgt], [n], [k_max])[1][0]
+        SumLaw(params.kernel, [y], [wgt]).pmfs([n], [k_max])[1][0]
         for y, wgt in zip(mu.locations.tolist(), mu.weights.tolist())
     ])
     total = tails.sum()
@@ -299,8 +249,7 @@ def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
     width = k_max
     while True:
         width *= 4
-        (cond,), tail = mixed_sum_pmfs(params.kernel, [y], [1.0], [n],
-                                       [width])
+        (cond,), tail = SumLaw(params.kernel, [y], [1.0]).pmfs([n], [width])
         cond[: k_max + 1] = 0.0
         mass = cond.sum()
         # infinite parent counts never reach here: the tail of a law with an
@@ -331,6 +280,8 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     """
     if not 1 <= n0 <= ceiling:
         raise InvalidArgument(f"initial state {n0} must lie in [1, {ceiling}]")
+    if not T >= 0.0:
+        raise InvalidArgument(f"horizon T={T} must be >= 0")
     finals = np.empty(size, dtype=np.int64)
     occ = None if keep_from is None else np.zeros(0)  # flat (row, path)
     ids, n, t = np.arange(size), np.full(size, n0, dtype=np.int64), np.zeros(size)
@@ -402,8 +353,6 @@ def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,
     """Monte Carlo mean and SE of x**Z(t) over M independent chain paths."""
     if not 0.0 <= x <= 1.0:
         raise InvalidArgument("x must lie in [0,1]")
-    if t == 0:
-        return x**n0, 0.0
     zs = final_states(params, n0, t, M, seed, role)
     # one scalar pow per distinct state: numpy's SIMD power loop can differ
     # from it in the last bit, and so from one CPU to another

@@ -194,8 +194,8 @@ def moment_estimate(params: LimitParams, x0: float, n: int, t: float, M: int,
     """Monte Carlo estimate and SE of the n-th moment of the state at time t."""
     if n < 0:
         raise InvalidStep("moment order must be nonnegative")
-    if t == 0:
+    states = ensemble_states(params, x0, [t], dt, M, seed, role)[0]
+    if t == 0:  # exact: numpy's array power may differ in the last bit
         return x0**n, 0.0
-    return batch_mean_se(ensemble_states(params, x0, [t], dt, M, seed,
-                                         role)[0] ** n)
+    return batch_mean_se(states ** n)
 

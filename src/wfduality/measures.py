@@ -14,7 +14,8 @@ for the number of potential parents an individual draws, supported on
 
 Sums of parent counts, mixed over the atoms of a measure, come from one
 log-space recurrence over every atom (``log_space_pmfs``), whose per-atom
-terms ``SumLaw`` and ``log_atoms`` take once; Loader's ``binom_pmf`` and
+terms ``SumLaw`` and ``log_atoms`` take once; ``SumLaw`` also sizes the
+window of each sum from its moments.  Loader's ``binom_pmf`` and
 ``nbinom_pmf`` are the accurate reference for them.
 
 Finite measures are weighted atoms; a density is reduced at construction to
@@ -39,6 +40,9 @@ INF_K = np.iinfo(np.int64).max
 #: Most (atom, state, k) entries ``log_space_pmfs`` builds at once, and most
 #: (state, category) entries one pass of ``bcre.RateCache.rows`` builds.
 ENTRY_CAP = 2**15
+
+#: Widest window of a sum of parent counts, in categories.
+K_MAX_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +265,12 @@ def excess_moments(kernel: SelectionKernel, y: float) -> tuple[float, float, flo
 
     They size the truncation window of a sum of parent counts; mass at
     infinity only ever feeds the lumped tail, so it is left out (a geometric
-    kernel at y = 1 has an empty finite part).  As in ``pgf``, y < 0 encodes
-    a geometric kernel with parameter -y.
+    kernel at y = 1 has an empty finite part).
     """
-    if y < 0 or kernel.variant == "geometric":
-        q = abs(y)
-        if q >= 1.0:
+    if kernel.variant == "geometric":
+        if y >= 1.0:
             return 0.0, 0.0, 0.0
-        return q / (1.0 - q), q / (1.0 - q) ** 2, math.inf
+        return y / (1.0 - y), y / (1.0 - y) ** 2, math.inf
     if kernel.variant == "binary":
         return y, y * (1.0 - y), 1.0
     excess = np.array(kernel.table_values, dtype=float) - 1.0
@@ -286,47 +288,51 @@ def segments(lens) -> tuple[np.ndarray, np.ndarray]:
     return row, np.arange(row.size) - (np.cumsum(lens) - lens)[row]
 
 
-def mixed_sum_pmfs(kernel: SelectionKernel, ys, wgts, ns,
-                   k_maxs) -> tuple[np.ndarray, np.ndarray]:
-    """Row i: sum_a wgts[a] P(K_{y,1} + ... + K_{y,n_i} = n_i + k) at
-    y = ys[a], k = 0..k_maxs[i], zero-padded; ``tails[i]``: the mass beyond.
-
-    The one-call form of ``SumLaw``.
-    """
-    return SumLaw(kernel, ys, wgts).pmfs(ns, k_maxs)
-
-
 class SumLaw:
-    """Sums of n parent counts, mixed over the weighted atoms of a measure.
+    """Sums of n parent counts, mixed over the weighted atoms ``ys`` in
+    [0, 1] of a measure.
 
-    The per-atom terms are prepared once, so ``pmfs`` rows cost the same
-    few numpy calls however many times they are built.  The geometric kernel
-    (and y < 0) and the binary one take ``log_space_pmfs``, the table kernel
-    convolves; no row reads another.
+    The per-atom terms are taken once: the moments that size each window,
+    and the terms of the rows, so ``pmfs`` rows cost the same few numpy
+    calls however many times they are built.  The geometric and the binary
+    kernel take ``log_space_pmfs``, the table kernel convolves; no row reads
+    another.
     """
 
     def __init__(self, kernel: SelectionKernel, ys, wgts):
         ys, wgts = np.asarray(ys, dtype=float), np.asarray(wgts, dtype=float)
-        nb = (ys < 0) | (kernel.variant == "geometric")
+        moments = np.array([excess_moments(kernel, y)
+                            for y in ys.tolist()]).reshape(-1, 3)
+        self.mean, self.var = moments[:, :1], moments[:, 1:2]  # (atom, 1)
+        self.most = float(moments[:, 2].max(initial=0.0))
         self.mass = wgts.sum()
-        self.laws = [log_atoms(1, np.abs(ys[nb]), wgts[nb])]
         self.singles = []  # table kernel: (weight, pmf of one draw's excess)
-        if kernel.variant == "binary":
-            self.laws.append(log_atoms(-1, ys[~nb], wgts[~nb]))
-        elif kernel.variant == "table":
-            self.singles = [(wgt, _table_single(kernel, y)) for y, wgt
-                            in zip(ys[~nb].tolist(), wgts[~nb].tolist())]
+        if kernel.variant == "table":  # convolved: no log-space atoms
+            self.singles = [(wgt, _table_single(kernel, y))
+                            for y, wgt in zip(ys.tolist(), wgts.tolist())]
+            ys, wgts = ys[:0], wgts[:0]
+        self.law = log_atoms(-1 if kernel.variant == "binary" else 1, ys, wgts)
+
+    def windows(self, ns: np.ndarray) -> np.ndarray:
+        """Window of each state: mean + 12 sd + 16 of the summed excess
+        K_{y,1} + ... + K_{y,n} - n, the largest over the atoms, and never
+        more than the sum's finite support (n for the binary kernel) or
+        ``K_MAX_CAP``."""
+        size = (ns * self.mean + 12.0 * np.sqrt(ns * self.var)
+                + 16.0).max(axis=0, initial=1.0)
+        limit = np.minimum(np.maximum(ns * self.most, 1.0), K_MAX_CAP)
+        return np.minimum(size, limit).astype(np.int64)
 
     def pmfs(self, ns, k_maxs) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and tails of ``mixed_sum_pmfs`` for the states ``ns``."""
+        """Row i: sum_a wgts[a] P(K_{y,1} + ... + K_{y,n_i} = n_i + k) at
+        y = ys[a], k = 0..k_maxs[i], zero-padded; ``tails[i]``: the mass
+        beyond."""
         ns = np.asarray(ns, dtype=np.int64)
         k_maxs = np.asarray(k_maxs, dtype=np.int64)
         if ns.min() < 1:
             raise ModelError("n must be >= 1")
         ks = np.arange(int(k_maxs.max()) + 1.0)
-        probs = log_space_pmfs(self.laws[0], ns, ks)
-        for law in self.laws[1:]:
-            probs += log_space_pmfs(law, ns, ks)
+        probs = log_space_pmfs(self.law, ns, ks)
         for wgt, single in self.singles:
             probs += wgt * _table_sum_pmfs(single, ns, ks.size)
         if ns.size > 1:  # one row is exactly as wide as its window

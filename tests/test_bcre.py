@@ -19,7 +19,7 @@ from wfduality import (
 )
 from wfduality import bcre, rngstreams
 from wfduality.bcre import RateCache, final_state, final_states
-from wfduality.measures import binom_pmf, mixed_sum_pmfs, nbinom_pmf
+from wfduality.measures import SumLaw, binom_pmf, nbinom_pmf
 from wfduality.rngstreams import batch_mean_se
 
 from conftest import limit_params, rng
@@ -147,6 +147,13 @@ class TestSimulate:
             final_states(p, 51, 1e-9, 10, seed=0, ceiling=50)
         assert (final_states(p, 50, 1e-9, 10, seed=0, ceiling=50) == 50).all()
 
+    def test_negative_horizon_rejected(self):
+        p = params_with(sigma=1.0)
+        with pytest.raises(InvalidArgument):
+            final_states(p, 2, -1.0, 5, seed=1)
+        with pytest.raises(InvalidArgument):
+            final_state(p, 2, -1e-9, rng(0), RateCache(p))
+
     def test_explosion_guard_cut_reports_ceiling_plus_one(self):
         p = params_with(lambda_s=FiniteMeasure.point_mass(0.5, 5.0))
         finals = final_states(p, 10, 5.0, 2000, seed=300, ceiling=50,
@@ -159,6 +166,15 @@ class TestDualMoment:
     def test_time_zero(self, baseline_params):
         est, se = dual_moment(baseline_params, 0.5, 3, 0.0, 100, seed=0)
         assert est == 0.125 and se == 0.0
+
+    @pytest.mark.parametrize("x, n0, t, M, seed", [
+        (1.5, 3, 0.0, 10, 1), (0.5, -1, 0.0, 10, 1), (0.5, 0, 0.0, 10, 1),
+        (0.5, 3, 0.0, 0, 1), (0.5, 3, 0.0, 10, -1), (0.5, 3, -1.0, 10, 1)],
+        ids=["x", "negative-n0", "zero-n0", "M", "seed", "negative-t"])
+    def test_bad_arguments_rejected_at_time_zero(self, baseline_params, x,
+                                                 n0, t, M, seed):
+        with pytest.raises(InvalidArgument):
+            dual_moment(baseline_params, x, n0, t, M, seed)
 
     def test_degenerate_x(self, baseline_params):
         est, _ = dual_moment(baseline_params, 1.0, 2, 1.0, 2000, seed=1)
@@ -264,7 +280,7 @@ class TestRateRows:
                 row, (r + table.cum_rates / table.total)[:row.size])
             assert cache.total[r] == table.total
             assert cache.k_max[r] == table.k_max
-            assert table.branch_tail <= bcre.TAIL_REL * table.total
+            assert table.branch_tail <= 1e-9 * table.total
             branch = table.branch_rates.sum() + table.branch_tail
             assert branch <= bound[r] * (1 + 1e-12)
 
@@ -320,20 +336,26 @@ class TestRateRows:
         assert cache.to[cache.indptr[10]] == 5001
 
     def test_fixation_windows_never_widen(self, survival_params):
-        ns = np.arange(1, 1001)
-        cache = RateCache(survival_params)
-        rows = cache.rows(ns)
-        window, _ = bcre._windows(survival_params, ns)
-        np.testing.assert_array_equal(cache.k_max[rows], window)
+        # the windows from the moments alone leave at most 1e-9 of each
+        # row's rate to the lumped tail on the fixation parameters
+        for n in range(1, 1001):
+            table = jump_rates(survival_params, n)
+            assert table.branch_tail <= 1e-9 * table.total
 
-    def test_heavy_tail_widens_until_the_check_holds(self):
+    def test_heavy_tail_is_kept_as_the_lumped_rate(self):
         # y = 0.99: the summed excess is far more skewed than its moments
-        # say, so the first window leaves too much rate in the tail
+        # say, so the window leaves rate beyond it; the row keeps that rate
+        # as its lumped tail, the negative binomial mass past k_max up to
+        # the rounding of the row's total rate
         p = params_with(lambda_s=FiniteMeasure.point_mass(0.99, 1.0))
-        window, _ = bcre._windows(p, np.array([1]))
         table = jump_rates(p, 1)
-        assert table.k_max > window[0]
-        assert table.branch_tail <= bcre.TAIL_REL * table.total
+        window = SumLaw(p.kernel, p.mu.locations, p.mu.weights).windows(
+            np.array([1]))
+        assert table.k_max == window[0]
+        ks = np.arange(table.k_max + 1, 20 * table.k_max)
+        exact = p.mu.weights[0] * nbinom_pmf(ks, 1, 0.01).sum()
+        assert table.branch_tail > 1e-9 * table.total
+        assert abs(table.branch_tail - exact) <= 1e-12 * table.total
 
 
 def table_sum_law(kernel, y, n, size):
@@ -422,7 +444,7 @@ class TestRowsAgainstLoader:
             expected[n - 1] = 0.7
             np.testing.assert_array_equal(table.branch_rates, expected)
             assert table.branch_tail == 0.0
-        (probs,), tails = mixed_sum_pmfs(binary, [1.0], [1.0], [5], [5])
+        (probs,), tails = SumLaw(binary, [1.0], [1.0]).pmfs([5], [5])
         np.testing.assert_array_equal(probs, [0, 0, 0, 0, 0, 1])
         assert tails[0] == 0.0
 

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from wfduality import (
     FiniteMeasure,
+    InvalidArgument,
     InvalidStep,
     InvariantViolation,
     LimitParams,
@@ -160,6 +161,19 @@ class TestMomentEstimate:
     def test_time_zero_exact(self, baseline_params):
         est, se = moment_estimate(baseline_params, 0.5, 3, 0.0, 100, 1e-3, 0)
         assert est == 0.125 and se == 0.0
+
+    @pytest.mark.parametrize("x0, n, t, M, dt, seed, error", [
+        (1.5, 2, 0.0, 100, 1e-3, 0, InvalidStep),
+        (0.5, -1, 0.0, 100, 1e-3, 0, InvalidStep),
+        (0.5, 2, -1.0, 100, 1e-3, 0, InvalidStep),
+        (0.5, 2, 0.0, 100, -1.0, 0, InvalidStep),
+        (0.5, 2, 0.0, 0, 1e-3, 0, InvalidArgument),
+        (0.5, 2, 0.0, 100, 1e-3, -1, InvalidArgument)],
+        ids=["x0", "n", "negative-t", "dt", "M", "seed"])
+    def test_bad_arguments_rejected_at_time_zero(self, baseline_params, x0,
+                                                 n, t, M, dt, seed, error):
+        with pytest.raises(error):
+            moment_estimate(baseline_params, x0, n, t, M, dt, seed)
 
     def test_neutral_martingale(self):
         params = diffusion_only(1.0)

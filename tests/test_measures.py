@@ -18,8 +18,8 @@ from wfduality import (
     mean_excess,
     pgf,
 )
-from wfduality.measures import (INF_K, binom_pmf, excess_moments,
-                                mixed_sum_pmfs, nbinom_pmf)
+from wfduality.measures import (INF_K, SumLaw, binom_pmf, excess_moments,
+                                nbinom_pmf)
 
 from conftest import KERNELS, rng
 
@@ -152,7 +152,7 @@ class TestMasterCondition:
 
 def sum_pmfs(kernel, y, ns, k_maxs):
     """The law of one atom y of weight 1: probs[i, k] = P(sum = n_i + k)."""
-    return mixed_sum_pmfs(kernel, [y], [1.0], ns, k_maxs)
+    return SumLaw(kernel, [y], [1.0]).pmfs(ns, k_maxs)
 
 
 class TestSumDistribution:
@@ -189,7 +189,7 @@ class TestSumDistribution:
         assert tails[0] >= 0.5
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("y", [-0.4, 0.0, 0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("y", [0.0, 0.3, 0.8, 1.0])
     def test_batch_rows_equal_one_state_rows(self, kernel, y):
         ns, k_maxs = np.array([7, 1, 30, 2, 7]), np.array([3, 40, 9, 1, 20])
         probs, tails = sum_pmfs(kernel, y, ns, k_maxs)
@@ -202,7 +202,7 @@ class TestSumDistribution:
 
 class TestExcessMoments:
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("y", [-0.4, 0.3, 0.8])
+    @pytest.mark.parametrize("y", [0.3, 0.8])
     def test_moments_of_the_finite_part(self, kernel, y):
         # the finite part of one draw's excess, from a long truncated pmf
         (probs,), _ = sum_pmfs(kernel, y, [1], [400])

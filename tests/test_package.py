@@ -119,8 +119,8 @@ def test_merger_strength_drawn_in_one_place():
 
 def test_dual_rates_come_from_one_builder():
     # every rate row of the dual chain, and every tail draw, comes from
-    # measures' one builder (mixed_sum_pmfs, log_space_pmfs); Loader's pmfs
-    # are the reference the tests hold the rows against
+    # measures' one builder (SumLaw, log_space_pmfs); Loader's pmfs are the
+    # reference the tests hold the rows against
     path = SRC / "wfduality" / "bcre.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     found = {fn.name for fn in ast.walk(tree)
@@ -128,6 +128,24 @@ def test_dual_rates_come_from_one_builder():
              for node in ast.walk(fn) if isinstance(node, ast.Call)
              and _called_name(node) in {"binom_pmf", "nbinom_pmf", "sum_pmfs"}}
     assert found == set()
+
+
+def test_one_tail_rule_for_the_dual_rows():
+    # a row's window comes from SumLaw's moments alone and the mass beyond
+    # it is the lumped-tail rate: _rate_rows loops over nothing, and no
+    # module but measures sizes windows from the excess moments
+    functions = {}
+    for path in sorted((SRC / "wfduality").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions.update(((path.stem, fn.name), fn) for fn in ast.walk(tree)
+                         if isinstance(fn, ast.FunctionDef))
+    rows = functions["bcre", "_rate_rows"]
+    assert not [node for node in ast.walk(rows)
+                if isinstance(node, (ast.While, ast.For))]
+    callers = {module for (module, _), fn in functions.items()
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and _called_name(node) == "excess_moments"}
+    assert callers == {"measures"}
 
 
 def test_dual_engine_sorts_nothing():
