@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .measures import FiniteMeasure, SelectionKernel
-from .params import FiniteModelParams, LimitParams
+from .params import N_MAX, FiniteModelParams, LimitParams
 
 #: Keys each experiment reads without a default.
 REQUIRED_KEYS = {
@@ -107,7 +107,7 @@ _LIMIT_SCHEMA = {
 _FINITE_SCHEMA = {
     "type": "object",
     "properties": {
-        "N": {"type": "integer", "minimum": 2},
+        "N": {"type": "integer", "minimum": 2, "maximum": N_MAX},
         "kernel": _KERNEL_SCHEMA,
         "env_law": _MEASURE_SCHEMA,
         "c_N": {"type": "number", "minimum": 0, "maximum": 1},
@@ -148,7 +148,7 @@ SCHEMA = {
         },
         "N_list": {
             "type": "array",
-            "items": {"type": "integer", "minimum": 2},
+            "items": {"type": "integer", "minimum": 2, "maximum": N_MAX},
             "minItems": 1,
         },
         "burn_in": {"type": "number", "minimum": 0},

@@ -12,6 +12,15 @@ from .errors import InfiniteJumpIntensity, ModelError
 from .measures import FiniteMeasure, SelectionKernel, derive_env_measure
 
 
+#: Per-lineage parent-count cap of the backward chain, as a multiple of N.
+#: A draw at or above the cap is treated as reaching every label
+#: (saturation), recorded in path metadata.
+K_CAP_FACTOR = 8
+
+#: The largest population size whose parent-count cap fits in int64.
+N_MAX = np.iinfo(np.int64).max // K_CAP_FACTOR
+
+
 def merger_law(lambda_c: FiniteMeasure) -> FiniteMeasure | None:
     """Size-biased coalescence law z^{-2} Lambda_c, unnormalised; None when
     Lambda_c is zero.
@@ -110,8 +119,8 @@ class FiniteModelParams:
     lambda_c: FiniteMeasure | None = None
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ModelError("population size must be >= 2")
+        if not 2 <= self.N <= N_MAX:
+            raise ModelError(f"population size must lie in [2, {N_MAX}]")
         if abs(self.env_law.total_mass - 1.0) > 1e-9:
             raise ModelError("environment law must be a probability measure")
         if not 0.0 <= self.c_N <= 1.0:

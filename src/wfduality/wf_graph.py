@@ -15,33 +15,32 @@ draws p.
 
 Backward direction: the block-counting chain of the ancestry,
 ``step_ancestry_many``, which ``simulate_ancestry`` runs over an environment
-sequence.  Every lineage of the batch draws its parent count from Q(y) in
-one flat array, y shared by the batch (quenched) or one per replicate
-(annealed).  Each count is capped at K_CAP_FACTOR*N and the capped counts
-are summed per replicate; a replicate saturates, reaching all N labels, when
-any of its lineages reaches the cap or draws infinitely many parents.  With
-probability c_N a replicate's generation has a merger of strength V: each
-parent pick goes to the central individual with probability V, the rest
-pick uniform labels.  The distinct uniform labels D are counted from one
-sort of the batch's (replicate, label) keys, at a cost that does not grow
-with N; the central label is uniform, so it adds a new label with
-probability 1 - D/N.
+sequence, y shared by the batch (quenched) or one per replicate (annealed).
+At y = 0 every kernel gives each lineage one parent, so a replicate's pick
+count is its lineage count; only the lineages of replicates with y != 0
+draw parent counts from Q(y), in one flat array.  Each count is capped at
+K_CAP_FACTOR*N and the capped counts are summed per replicate; a replicate
+saturates, reaching all N labels, when any of its lineages reaches the cap
+or draws infinitely many parents.  With probability c_N a replicate's
+generation has a merger of strength V: each parent pick goes to the central
+individual with probability V, the rest pick uniform labels.  The distinct
+uniform labels D among s picks follow the classical occupancy law, drawn
+with one uniform per replicate from rows built once per N up to the largest
+pick count seen (``occupancy_rows``).  So a step costs O(replicates +
+lineages under selection), not O(picks log picks); the central label is
+uniform, so it adds a new label with probability 1 - D/N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgument
 from .measures import FiniteMeasure, pgf_many
-from .params import FiniteModelParams, merge
-
-#: Per-lineage parent-count cap, as a multiple of N. A draw at or above the
-#: cap is treated as reaching every label (saturation), recorded in path
-#: metadata.
-K_CAP_FACTOR = 8
+from .params import K_CAP_FACTOR, FiniteModelParams, merge
 
 
 @dataclass(frozen=True)
@@ -112,19 +111,24 @@ def step_ancestry_many(params: FiniteModelParams, n, y,
     """
     N = params.N
     n = np.asarray(n, dtype=np.int64)
-    ks = params.kernel.sample(np.repeat(np.broadcast_to(y, n.shape), n),
-                              int(n.sum()), rng)
-    starts = np.cumsum(n) - n
-    cap = K_CAP_FACTOR * N
-    saturated = np.maximum.reduceat(ks, starts) >= cap
-    total = np.where(saturated, 0,
-                     np.add.reduceat(np.minimum(ks, cap), starts))
+    y = np.broadcast_to(y, n.shape)
+    total = n.copy()  # Q(0) is one parent, whatever the kernel
+    saturated = np.zeros(n.size, dtype=bool)
+    sel = np.flatnonzero(y != 0)
+    if sel.size:
+        m = n[sel]
+        ks = params.kernel.sample(np.repeat(y[sel], m), int(m.sum()), rng)
+        starts = np.cumsum(m) - m
+        cap = K_CAP_FACTOR * N
+        saturated[sel] = np.maximum.reduceat(ks, starts) >= cap
+        total[sel] = np.add.reduceat(np.minimum(ks, cap), starts)
+        total[saturated] = 0
     to_central = np.zeros(n.size, dtype=np.int64)
     if params.c_N > 0:
         hit = np.flatnonzero(rng.random(n.size) < params.c_N)
         v = params.merger_strength_law.sample(hit.size, rng)
         to_central[hit] = rng.binomial(total[hit], v)
-    distinct = _occupied_labels(total - to_central, N, rng)
+    distinct = _occupied_labels(total - to_central, N, rng.random(n.size))
     # the central label is uniform, so it is new with probability 1 - D/N
     central = to_central > 0
     new = rng.random(int(central.sum())) < 1.0 - distinct[central] / N
@@ -132,19 +136,66 @@ def step_ancestry_many(params: FiniteModelParams, n, y,
     return np.where(saturated, N, distinct), saturated
 
 
-def _occupied_labels(picks: np.ndarray, N: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Distinct labels among ``picks[i]`` uniform draws from N, per row.
+def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray) -> np.ndarray:
+    """Distinct labels among ``picks[i]`` uniform draws from N, per row,
+    by inverting the occupancy law at the uniform ``u[i]`` in [0, 1).
 
-    Each pick is keyed row*N + label; once the batch's keys are sorted, a
-    row's count is the number of its keys that differ from their
-    predecessor.
+    One ``searchsorted`` of s + u in the flat rows of ``occupancy_rows``,
+    clamped to the last entry of row s, so the count lies in
+    [min(s, 1), min(s, N)].  A pick count past the table's last row has
+    every label occupied.
     """
-    rows = np.repeat(np.arange(picks.size), picks)
-    keys = np.sort(rows * N + rng.integers(0, N, size=rows.size))
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return np.bincount(keys[first] // N, minlength=picks.size)
+    top = int(picks.max(initial=0))
+    cum, indptr, first = occupancy_rows(N, max(64, 1 << top.bit_length()))
+    s = np.minimum(picks, first.size - 1)
+    at = np.minimum(np.searchsorted(cum, s + u, side="right"),
+                    indptr[s + 1] - 1)
+    return first[s] + at - indptr[s]
+
+
+#: Occupancy probabilities below this are dropped from the recursion, so a
+#: row's band of d stays narrow however large N is.
+OCCUPANCY_TINY = 1e-30
+
+
+@lru_cache(maxsize=16)
+def occupancy_rows(N: int, rows: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classical occupancy law of the distinct labels D among s uniform
+    picks from N, for s < ``rows``, as flat rows to search.
+
+    Row s holds s + P(D <= d) in ``cum[indptr[s]:indptr[s+1]]`` for
+    d = ``first[s]``, ``first[s]`` + 1, ..., cut as ``bcre.RateCache``
+    cuts its rows: from the first entry above s to the first that rounds
+    to s + 1.  So ``cum`` is sorted, and a draw's resolution is s * eps.
+    Rows come from the recursion
+    P(d | s+1) = P(d | s) d/N + P(d-1 | s) (N-d+1)/N over the band of d
+    whose probability is at least ``OCCUPANCY_TINY``; d never exceeds
+    min(s, N).  The table ends early at the first row that holds d = N
+    alone, as every later row would.  The arrays are read-only.
+    """
+    repeat = np.arange(min(rows, N) + 1) / N  # P(a pick is old | d labels)
+    p, lo = np.ones(1), 0  # P(D = d | s) for d in [lo, lo + p.size)
+    cums, firsts = [], []
+    for s in range(rows):
+        c = p.cumsum()
+        row = c / c[-1] + s
+        a = int(row.searchsorted(s, "right"))
+        cums.append(row[a:int(row.searchsorted(s + 1.0)) + 1])
+        firsts.append(lo + a)
+        if lo + a == N:
+            break
+        old = p * repeat[lo:lo + p.size]
+        nxt = np.append(old, 0.0)
+        nxt[1:] += p - old
+        keep = np.flatnonzero(nxt >= OCCUPANCY_TINY)
+        p, lo = nxt[keep[0]:keep[-1] + 1], lo + int(keep[0])
+    indptr = np.zeros(len(cums) + 1, dtype=np.int64)
+    np.cumsum([row.size for row in cums], out=indptr[1:])
+    out = np.concatenate(cums), indptr, np.array(firsts, dtype=np.int64)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def simulate_ancestry(params: FiniteModelParams, n0: int, env: EnvSequence,

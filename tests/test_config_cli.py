@@ -320,6 +320,28 @@ class TestSampleSize:
         assert "sample size" in res.output
 
 
+class TestPopulationBound:
+    # at N >= 2**60 the parent-count cap K_CAP_FACTOR * N overflows int64
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_cap_overflow_rejected(self, tmp_path, command):
+        cfg = dict(ANNEALED_CFG, finite=dict(ANNEALED_CFG["finite"], N=2**60))
+        args = [command, write_cfg(tmp_path, cfg)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_population_runs(self, tmp_path):
+        # one default batch of replicates at N = 10**17
+        cfg = dict(ANNEALED_CFG, replicates=4096,
+                   finite=dict(ANNEALED_CFG["finite"], N=10**17))
+        res = CliRunner().invoke(main, [
+            "run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+
+
 class TestValidateMatchesRun:
     # configs that passed validate and then crashed run with a ValueError
     @pytest.mark.parametrize("cfg, message", [

@@ -173,6 +173,19 @@ def test_dual_engine_sorts_nothing():
     assert found == []
 
 
+def test_finite_graph_sorts_nothing():
+    # distinct parent labels come from the occupancy law, one uniform per
+    # replicate, where a sort of the batch's (replicate, label) keys cost
+    # O(picks log picks) per backward step
+    path = SRC / "wfduality" / "wf_graph.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{fn.name}:{node.lineno}" for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and _called_name(node) in {"unique", "sort", "argsort"}]
+    assert found == []
+
+
 def test_dual_round_searches_once():
     # a round picks every jump with one searchsorted in the flat rate rows
     # and reads the next state from the cache's target table, so neither

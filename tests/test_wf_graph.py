@@ -12,6 +12,7 @@ from wfduality import (
     FiniteMeasure,
     FiniteModelParams,
     InvalidArgument,
+    ModelError,
     SelectionKernel,
     draw_env,
     simulate_ancestry,
@@ -20,6 +21,7 @@ from wfduality import (
 )
 from wfduality import wf_graph
 from wfduality.measures import pgf
+from wfduality.params import N_MAX
 
 from conftest import KERNELS, rng
 
@@ -294,6 +296,45 @@ class TestStepAncestryMany:
         assert not sat.any()
         assert (counts == n).all()
 
+    def test_cost_follows_replicates_not_picks(self):
+        # at y = 0 with no mergers a step draws one uniform per replicate,
+        # however many lineages each replicate holds
+        params = FiniteModelParams(
+            N=100, kernel=SelectionKernel.binary(),
+            env_law=FiniteMeasure.point_mass(0.0))
+        states = []
+        for lineages in (1, 50):
+            gen = rng(17)
+            step_ancestry_many(params, np.full(300, lineages), 0.0, gen)
+            states.append(gen.bit_generator.state)
+        np.testing.assert_equal(states[0], states[1])
+
+    def test_mixed_environment_matches_enumeration(self):
+        # replicates at y = 0 skip the kernel draws; each half of a batch
+        # that mixes y = 0 and y = 0.4 follows its own exact step law
+        params = FiniteModelParams(
+            N=3, kernel=SelectionKernel.binary(),
+            env_law=FiniteMeasure.point_mass(0.0), c_N=0.6,
+            lambda_c=FiniteMeasure.atomic([(0.3, 1.0), (0.8, 1.0)]))
+        n, M = 2, 60000
+        y = np.resize([0.0, 0.4], 2 * M)
+        counts, _ = step_ancestry_many(params, np.full(2 * M, n), y, rng(18))
+        for value in (0.0, 0.4):
+            exact = enumerated_step_pmf(params, n, value)
+            observed = np.bincount(counts[y == value], minlength=4)
+            support = exact > 0
+            assert observed[~support].sum() == 0
+            _, p = stats.chisquare(observed[support], exact[support] * M)
+            assert p > 0.001
+
+    def test_population_bound_keeps_the_cap_in_int64(self):
+        cap = wf_graph.K_CAP_FACTOR
+        assert N_MAX * cap <= np.iinfo(np.int64).max < (N_MAX + 1) * cap
+        kernel, env = SelectionKernel.geometric(), FiniteMeasure.point_mass(0.0)
+        FiniteModelParams(N=N_MAX, kernel=kernel, env_law=env)
+        with pytest.raises(ModelError):
+            FiniteModelParams(N=N_MAX + 1, kernel=kernel, env_law=env)
+
     def test_per_replicate_environment(self):
         # geometric y = 1 saturates its replicate; y = 0 keeps one lineage
         params = neutral_model(10)
@@ -329,6 +370,38 @@ class TestStepAncestryMany:
         assert path.values.shape == (5, 5)
         assert (path.values[:, 0] == 3).all()
         assert (np.diff(path.values, axis=1) <= 0).all()
+
+
+class TestOccupiedLabels:
+    @pytest.mark.parametrize("N,top", [(2, 6), (10, 30), (10**9, 64)])
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_edges_of_the_inversion(self, N, top, u):
+        # s = 0..3N picks (0..64 at N = 10**9, whose table grows with the
+        # largest pick count: 3N picks there would be 3e9 rows)
+        s = np.arange(top + 1)
+        d = wf_graph._occupied_labels(s, N, np.full(s.size, u))
+        assert ((d >= np.minimum(s, 1)) & (d <= np.minimum(s, N))).all()
+
+    def test_picks_above_N_follow_the_occupancy_law(self):
+        N, s, M = 10, 30, 40000
+        d = wf_graph._occupied_labels(np.full(M, s), N, rng(16).random(M))
+        pmf = occupancy_pmf(s, N)
+        support = pmf > 1e-9
+        observed = np.bincount(d, minlength=N + 1)
+        assert observed[~support].sum() == 0
+        _, p = stats.chisquare(observed[support],
+                               pmf[support] / pmf[support].sum() * M)
+        assert p > 0.001
+
+    def test_rows_are_sorted_and_read_only(self):
+        cum, indptr, first = wf_graph.occupancy_rows(100, 4096)
+        assert (np.diff(cum) >= 0).all()
+        assert indptr[-1] == cum.size and (np.diff(indptr) >= 1).all()
+        # the table stops at the first row holding d = N alone
+        assert first[-1] == 100 and indptr[-1] - indptr[-2] == 1
+        assert first.size < 4096
+        with pytest.raises(ValueError):
+            cum[0] = 0.0
 
 
 @st.composite
