@@ -49,8 +49,8 @@ DEFAULT_CEILING = 10**6
 TV_WARN = 0.05
 
 #: Independent chains of ``stationary_estimate``, run as one batch; fixed
-#: apart from ``rngstreams.BATCH_SIZE``, so each chain's burn-in and kept
-#: time do not follow the replicate batching.
+#: apart from ``rngstreams.BATCH_SIZE`` and ``PATH_BATCH_SIZE``, so each
+#: chain's burn-in and kept time do not follow the replicate batching.
 STATIONARY_CHAINS = 1024
 
 
@@ -336,16 +336,16 @@ def final_states(params: LimitParams, n0: int, T: float, M: int, seed: int,
                  cut: bool = False) -> np.ndarray:
     """States at time T of M independent paths from n0, in batch order.
 
-    The batches of ``rngstreams.run_batches`` run through the engine and
-    share one rate cache.  A path that jumps above ``ceiling`` raises
-    ``StateExplosionGuard``; with ``cut`` it stops there and reports
-    ``ceiling + 1`` instead.
+    The streams of ``PATH_BATCH_SIZE`` paths of ``rngstreams.run_batches``
+    run through the engine and share one rate cache.  A path that jumps
+    above ``ceiling`` raises ``StateExplosionGuard``; with ``cut`` it stops
+    there and reports ``ceiling + 1`` instead.
     """
     cache = RateCache(params)
     return run_batches(
         lambda size, rng: _paths(params, n0, T, size, rng, cache, ceiling,
                                  cut)[0],
-        M, seed, role, sub)
+        M, seed, role, sub, paths=True)
 
 
 def dual_moment(params: LimitParams, x: float, n0: int, t: float, M: int,

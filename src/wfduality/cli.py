@@ -150,7 +150,8 @@ def _run_fixation(cfg: dict):
     rep = bridge.fixation_via_duality(
         limit, cfg["x_grid"], int(cfg["seed"]),
         M=int(cfg.get("replicates", 20000)),
-        T=float(cfg.get("T", 8.0)), dt=float(cfg.get("dt", 1e-3)),
+        T=float(cfg.get("T", bridge.FIXATION_T_CAP)),
+        dt=float(cfg.get("dt", 1e-3)),
         burn_in=float(cfg.get("burn_in", FIXATION_BURN_IN)),
         T_stat=float(cfg.get("T_stat", FIXATION_T_STAT)),
     )

@@ -172,7 +172,7 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     round(t/dt)*dt, a stop of every path, so recording it adds no stop and
     no draw.  For every sigma a path records each requested time before its
     next stop (see ``_paths``).  Replicates run through
-    ``rngstreams.run_batches``.
+    ``rngstreams.run_batches`` in streams of ``PATH_BATCH_SIZE`` paths.
     """
     if dt <= 0:
         raise InvalidStep("dt must be positive")
@@ -186,7 +186,7 @@ def ensemble_states(params: LimitParams, x0: float, times, dt: float, M: int,
     ts, inverse = np.unique(times, return_inverse=True)
     return run_batches(
         lambda size, rng: _paths(params, x0, ts, dt, size, rng)[inverse],
-        M, seed, role, sub)
+        M, seed, role, sub, paths=True)
 
 
 def moment_estimate(params: LimitParams, x0: float, n: int, t: float, M: int,

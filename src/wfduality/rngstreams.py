@@ -10,11 +10,16 @@ with different (seed, index, role, sub) never overlap; each batch owns a
 fixed substream and batches run in order, so results are a pure function of
 the seed.
 
-A batch holds ``BATCH_SIZE`` = 4096 replicates, so each engine call works on
-arrays wide enough that numpy's fixed cost per call is small beside its
-compute.  The counter-based streams make the size a choice of the
-(seed, batch) -> draws map only, never a statistical one; changing it
-changes which numbers a given seed draws.
+A batch of the finite graph's engines holds ``BATCH_SIZE`` = 4096
+replicates, so each engine call works on arrays wide enough that numpy's
+fixed cost per call is small beside its compute; a backward step holds
+batch x lineages entries, so it stays at that width.  The limit engines of
+X and Z run ``PATH_BATCH_SIZE`` = 2**15 paths per stream: each of their
+rounds pays its numpy calls once for the whole stream, and the number of
+rounds grows only with the longest path of the stream.  The counter-based
+streams make either width a choice of the (seed, batch) -> draws map only,
+never a statistical one; changing it changes which numbers a given seed
+draws.
 
 Two rules carry every Monte Carlo estimate, and each is coded once, here:
 ``run_batches`` is the one batch loop, which splits replicates and hands
@@ -28,8 +33,12 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-#: Replicates per stream. Fixed so the (seed, batch) -> draws map is stable.
+#: Replicates per stream of the finite graph. Fixed so the (seed, batch)
+#: -> draws map is stable.
 BATCH_SIZE = 4096
+
+#: Paths per stream of the limit engines X and Z, fixed likewise.
+PATH_BATCH_SIZE = 2**15
 
 #: Stream roles: the high counter word of a substream.
 ROLES = {
@@ -60,18 +69,20 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return substream(seed, "lhs", index)
 
 
-def run_batches(batch, M: int, seed: int, role: str,
-                sub: int = 0) -> np.ndarray:
+def run_batches(batch, M: int, seed: int, role: str, sub: int = 0,
+                paths: bool = False) -> np.ndarray:
     """Outputs of ``batch(size, rng)`` over M replicates split into batches
-    of ``BATCH_SIZE`` (read at call time, the last batch short), joined
-    along the last axis in batch order; batch ``idx`` draws from
-    ``substream(seed, role, idx, sub)``.  Raises ``InvalidArgument`` for
-    M < 1: an estimate needs at least one replicate."""
+    of ``BATCH_SIZE``, or of ``PATH_BATCH_SIZE`` with ``paths`` (read at
+    call time, the last batch short), joined along the last axis in batch
+    order; batch ``idx`` draws from ``substream(seed, role, idx, sub)``.
+    Raises ``InvalidArgument`` for M < 1: an estimate needs at least one
+    replicate."""
     if M < 1:
         raise InvalidArgument(f"replicates M={M} must be >= 1")
+    width = PATH_BATCH_SIZE if paths else BATCH_SIZE
     return np.concatenate([
-        batch(min(BATCH_SIZE, M - start), substream(seed, role, idx, sub))
-        for idx, start in enumerate(range(0, M, BATCH_SIZE))], axis=-1)
+        batch(min(width, M - start), substream(seed, role, idx, sub))
+        for idx, start in enumerate(range(0, M, width))], axis=-1)
 
 
 def batch_mean_se(values) -> tuple[float, float]:

@@ -26,9 +26,11 @@ generation has a merger of strength V: each parent pick goes to the central
 individual with probability V, the rest pick uniform labels.  The distinct
 uniform labels D among s picks follow the classical occupancy law, drawn
 with one uniform per replicate from rows built once per N up to the largest
-pick count seen (``occupancy_rows``).  So a step costs O(replicates +
-lineages under selection), not O(picks log picks); the central label is
-uniform, so it adds a new label with probability 1 - D/N.
+pick count seen (``occupancy_rows``), within an entry budget; past a table
+cut at the budget, D is drawn exactly from coupon-collector gaps.  So a
+step costs O(replicates + lineages under selection), not O(picks log
+picks), while pick counts fit the table; the central label is uniform, so
+it adds a new label with probability 1 - D/N.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ def step_ancestry_many(params: FiniteModelParams, n, y,
         hit = np.flatnonzero(rng.random(n.size) < params.c_N)
         v = params.merger_strength_law.sample(hit.size, rng)
         to_central[hit] = rng.binomial(total[hit], v)
-    distinct = _occupied_labels(total - to_central, N, rng.random(n.size))
+    distinct = _occupied_labels(total - to_central, N, rng.random(n.size),
+                                rng)
     # the central label is uniform, so it is new with probability 1 - D/N
     central = to_central > 0
     new = rng.random(int(central.sum())) < 1.0 - distinct[central] / N
@@ -136,22 +139,60 @@ def step_ancestry_many(params: FiniteModelParams, n, y,
     return np.where(saturated, N, distinct), saturated
 
 
-def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray) -> np.ndarray:
+def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
     """Distinct labels among ``picks[i]`` uniform draws from N, per row,
     by inverting the occupancy law at the uniform ``u[i]`` in [0, 1).
 
     One ``searchsorted`` of s + u in the flat rows of ``occupancy_rows``,
     clamped to the last entry of row s, so the count lies in
     [min(s, 1), min(s, N)].  A pick count past the table's last row has
-    every label occupied.
+    every label occupied, unless the table was cut at its entry budget
+    ``OCCUPANCY_ENTRIES``: such a row draws its count from ``rng`` by
+    ``_collected_labels`` instead, and ignores its uniform.
     """
-    top = int(picks.max(initial=0))
-    cum, indptr, first = occupancy_rows(N, max(64, 1 << top.bit_length()))
+    top, budget = int(picks.max(initial=0)), OCCUPANCY_ENTRIES
+    # a row holds at least one entry, so no table has more rows than entries
+    cum, indptr, first = occupancy_rows(
+        N, min(max(64, 1 << top.bit_length()), budget), budget)
     s = np.minimum(picks, first.size - 1)
     at = np.minimum(np.searchsorted(cum, s + u, side="right"),
                     indptr[s + 1] - 1)
-    return first[s] + at - indptr[s]
+    out = first[s] + at - indptr[s]
+    if top >= first.size and first[-1] < N:  # a table cut at the budget
+        far = np.flatnonzero(picks >= first.size)
+        out[far] = _collected_labels(picks[far], N, rng)
+    return out
 
+
+def _collected_labels(picks: np.ndarray, N: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Distinct labels among ``picks[i]`` uniform draws from N, per row,
+    drawn exactly by the coupon collector: the picks from the d-th new label
+    to the (d+1)-th are Geometric on {1, 2, ...} with success (N - d)/N, so
+    the count is the number of partial sums of these gaps that are at most
+    s.  Row i draws min(s_i, N) gaps in one flat array, so memory grows with
+    the picks."""
+    lens = np.minimum(picks, N)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    p = np.arange(float(ends[-1]))  # d, then (N - d)/N, in place
+    p -= np.repeat(starts, lens)
+    np.subtract(N, p, out=p)
+    p /= N
+    gaps = rng.geometric(p)
+    del p
+    np.cumsum(gaps, out=gaps)
+    # a row's partial sums are its running totals past the rows before it
+    before = np.zeros(picks.size, dtype=np.int64)
+    before[1:] = gaps[ends[:-1] - 1]
+    return np.add.reduceat(gaps <= np.repeat(picks + before, lens), starts)
+
+
+#: Most entries of one ``occupancy_rows`` table.  A table at this budget
+#: stops before its first row that would pass it; pick counts past its last
+#: row draw their distinct labels by ``_collected_labels``.
+OCCUPANCY_ENTRIES = 2**16
 
 #: Occupancy probabilities below this are dropped from the recursion, so a
 #: row's band of d stays narrow however large N is.
@@ -159,7 +200,7 @@ OCCUPANCY_TINY = 1e-30
 
 
 @lru_cache(maxsize=16)
-def occupancy_rows(N: int, rows: int
+def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The classical occupancy law of the distinct labels D among s uniform
     picks from N, for s < ``rows``, as flat rows to search.
@@ -172,16 +213,21 @@ def occupancy_rows(N: int, rows: int
     P(d | s+1) = P(d | s) d/N + P(d-1 | s) (N-d+1)/N over the band of d
     whose probability is at least ``OCCUPANCY_TINY``; d never exceeds
     min(s, N).  The table ends early at the first row that holds d = N
-    alone, as every later row would.  The arrays are read-only.
+    alone, as every later row would, or before the first row that would
+    take it past ``entries`` entries.  The arrays are read-only.
     """
     repeat = np.arange(min(rows, N) + 1) / N  # P(a pick is old | d labels)
     p, lo = np.ones(1), 0  # P(D = d | s) for d in [lo, lo + p.size)
-    cums, firsts = [], []
+    cums, firsts, size = [], [], 0
     for s in range(rows):
         c = p.cumsum()
         row = c / c[-1] + s
         a = int(row.searchsorted(s, "right"))
-        cums.append(row[a:int(row.searchsorted(s + 1.0)) + 1])
+        row = row[a:int(row.searchsorted(s + 1.0)) + 1]
+        size += row.size
+        if size > entries:
+            break
+        cums.append(row)
         firsts.append(lo + a)
         if lo + a == N:
             break

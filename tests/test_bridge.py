@@ -1,13 +1,35 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from wfduality import (
     RegimeMismatch,
     extinction_corroboration,
     fixation_via_duality,
 )
-from wfduality import rngstreams
+from wfduality import fvwrs, rngstreams
 from wfduality.cli import _plain
+
+
+def survival_fixation(x: float, n_max: int = 200) -> float:
+    """P_x(X reaches 1) on the survival parameters: the pgf at x of the
+    stationary law of the dual chain, from its generator on {1..n_max}
+    (branch jumps past n_max go to n_max), solved as AC-5's cross-check
+    solves its own."""
+    Q = np.zeros((n_max, n_max))
+    for i, n in enumerate(range(1, n_max + 1)):
+        # n -> n+k at rate |mu| = 1 times NB(n, 1/2) at k: the summed excess
+        # of n geometric parent counts at y = 1/2
+        Q[i, i + 1:] = stats.nbinom.pmf(np.arange(1, n_max - n + 1), n, 0.5)
+        Q[i, -1] += stats.nbinom.sf(n_max - n, n, 0.5)
+        # n -> n-k at rate c y^-2 C(n,k+1) y^(k+1) (1-y)^(n-k-1), y = 1/2
+        Q[i, :i] = 4.0 * stats.binom.pmf(np.arange(n, 1, -1), n, 0.5)
+        Q[i, i] = -Q[i].sum()
+    A = np.vstack([Q.T, np.ones(n_max)])
+    b = np.zeros(n_max + 1)
+    b[-1] = 1.0
+    nu, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return float(nu @ x ** np.arange(1, n_max + 1))
 
 
 class TestRegimeGuards:
@@ -56,7 +78,7 @@ class TestFixation:
         # draws the same numbers whatever the replicate batch size
         reports = []
         for batch in (1024, 4096):
-            monkeypatch.setattr(rngstreams, "BATCH_SIZE", batch)
+            monkeypatch.setattr(rngstreams, "PATH_BATCH_SIZE", batch)
             reports.append(fixation_via_duality(
                 survival_params, [0.5], seed=1, M=1500, T=2.0, dt=1e-2,
                 burn_in=5.0, T_stat=400.0))
@@ -65,6 +87,35 @@ class TestFixation:
         assert old.predicted_se.tobytes() == new.predicted_se.tobytes()
         assert old.stationary_tv == new.stationary_tv
         assert old.simulated.tobytes() != new.simulated.tobytes()
+
+    def test_default_cap_matches_the_generator_solve(self, survival_params):
+        # at the default cap almost no path is still interior, so the
+        # absorption fraction at 1 is the fixation probability; at the old
+        # default horizon 8 it read 0.322, 12 SE below the solve
+        exact = survival_fixation(0.5)
+        assert exact == pytest.approx(0.33543, abs=1e-4)
+        report = fixation_via_duality(survival_params, [0.5], seed=21,
+                                      M=200_000)
+        assert abs(report.simulated[0] - exact) < 4.0 * report.simulated_se[0]
+        assert report.params["T"] == 40.0
+        assert report.interior_at_cap[0] <= 20
+
+    @pytest.mark.filterwarnings("ignore::wfduality.NonConvergenceWarning")
+    def test_interior_paths_are_counted_at_the_cap(self, survival_params):
+        short = dict(seed=3, dt=1e-2, burn_in=5.0, T_stat=400.0)
+        # at a zero cap every path from an interior point is interior
+        report = fixation_via_duality(survival_params, [0.0, 0.5, 1.0], M=50,
+                                      T=0.0, **short)
+        assert report.interior_at_cap.tolist() == [0, 50, 0]
+        # at a short cap: the count of the point's own ensemble of states
+        report = fixation_via_duality(survival_params, [0.5], M=300, T=3.0,
+                                      **short)
+        finals = fvwrs.ensemble_states(survival_params, 0.5, [3.0], 1e-2, 300,
+                                       3, "scan", 0)[0]
+        interior = int(((finals > fvwrs.EPS0)
+                        & (finals < 1.0 - fvwrs.EPS0)).sum())
+        assert 0 < interior < 300
+        assert _plain(report)["interior_at_cap"] == [interior]
 
 
 

@@ -23,8 +23,10 @@ def test_no_assert_statements():
 
 def test_only_run_batches_reads_batch_size():
     # the batch layout is known to rngstreams.run_batches alone: the mean/SE
-    # rule and every engine see only the joined replicates
-    found, inside = [], 0
+    # rule and every engine see only the joined replicates, and the limit
+    # engines name their stream width by a keyword, not by its constant
+    widths = {"BATCH_SIZE", "PATH_BATCH_SIZE"}
+    found, inside = [], set()
     for path in sorted((SRC / "wfduality").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
@@ -34,16 +36,17 @@ def test_only_run_batches_reads_batch_size():
                        and fn.name == "run_batches" for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.alias):
-                read = node.name == "BATCH_SIZE"
+                read = node.name if node.name in widths else None
+            elif isinstance(getattr(node, "ctx", None), ast.Load):
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                read = next(iter(names & widths), None)
             else:
-                read = (isinstance(getattr(node, "ctx", None), ast.Load)
-                        and "BATCH_SIZE" in (getattr(node, "id", None),
-                                             getattr(node, "attr", None)))
+                read = None
             if read and id(node) in allowed:
-                inside += 1
+                inside.add(read)
             elif read:
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == [] and inside > 0
+    assert found == [] and inside == widths
 
 
 def _called_name(node: ast.Call):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from wfduality import (FiniteMeasure, InvalidArgument, LimitParams,
                        SelectionKernel, bridge, rngstreams)
 from wfduality.cli import main
 from wfduality.config import REQUIRED_KEYS
-from wfduality.rngstreams import (BATCH_SIZE, ROLES, batch_mean_se,
-                                  run_batches, stream, substream)
+from wfduality.rngstreams import (BATCH_SIZE, PATH_BATCH_SIZE, ROLES,
+                                  batch_mean_se, run_batches, stream,
+                                  substream)
 
 from test_config_cli import BASELINE_LIMIT, write_cfg
 
@@ -30,7 +32,8 @@ TWO_BATCHES = BATCH_SIZE + 76
 #: Three batches, the last one short.
 THREE_BATCHES = 2 * BATCH_SIZE + 452
 
-#: One small run per experiment kind, each over two batches.
+#: One small run per experiment kind, each over two batches once the limit
+#: engines' path width is patched down to ``BATCH_SIZE`` (``narrow_paths``).
 RUNS = {
     "thresholds": {"limit": SURVIVAL_LIMIT},
     "duality-moment": {"limit": BASELINE_LIMIT, "x": 0.5, "n": 2, "t": 0.2,
@@ -70,6 +73,13 @@ def opened(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def narrow_paths(monkeypatch):
+    """X and Z streams as wide as the finite graph's, so a run of
+    ``TWO_BATCHES`` replicates opens two streams of either kind."""
+    monkeypatch.setattr(rngstreams, "PATH_BATCH_SIZE", BATCH_SIZE)
+
+
 class TestSubstream:
     def test_role_zero_is_stream(self):
         for seed, index in ((0, 0), (5, 3), (2**63 - 1, 7)):
@@ -95,7 +105,8 @@ class TestDisjointStreams:
         assert set(RUNS) == set(REQUIRED_KEYS)
 
     @pytest.mark.parametrize("kind", sorted(RUNS))
-    def test_run_opens_no_stream_twice(self, tmp_path, opened, kind):
+    def test_run_opens_no_stream_twice(self, tmp_path, opened, narrow_paths,
+                                       kind):
         path = write_cfg(tmp_path, dict(RUNS[kind], experiment=kind, seed=5))
         res = CliRunner().invoke(main, ["run", path,
                                         "--out", str(tmp_path / "o")])
@@ -104,7 +115,8 @@ class TestDisjointStreams:
         if kind != "thresholds":
             assert len(opened) >= 2
 
-    def test_extinction_corroboration_opens_no_stream_twice(self, opened):
+    def test_extinction_corroboration_opens_no_stream_twice(self, opened,
+                                                            narrow_paths):
         geo = SelectionKernel.geometric()
         params = LimitParams(geo, FiniteMeasure.point_mass(0.5, 5.0), 0.0,
                              FiniteMeasure.point_mass(0.5, 1.0), 1.0, 0.0)
@@ -112,6 +124,38 @@ class TestDisjointStreams:
                                         seed=5, dt=1e-2, dual_M=TWO_BATCHES)
         assert len(opened) == 2 + 2 * 2
         assert len(set(opened)) == len(opened)
+
+
+class TestPathWidth:
+    def test_only_x_and_z_follow_the_path_width(self, tmp_path, monkeypatch):
+        # the finite graph and the stationary chains draw the same bytes
+        # whatever the width of the limit engines' streams
+        results = []
+        for width in (BATCH_SIZE, PATH_BATCH_SIZE):
+            monkeypatch.setattr(rngstreams, "PATH_BATCH_SIZE", width)
+            out = {}
+            for kind in sorted(set(RUNS) - {"thresholds"}):
+                path = write_cfg(tmp_path, dict(RUNS[kind], experiment=kind,
+                                                seed=5))
+                res = CliRunner().invoke(main, ["run", path, "--out",
+                                                str(tmp_path / kind)])
+                assert res.exit_code in (0, 2), res.output
+                out[kind] = (tmp_path / kind / "result.json").read_bytes()
+            results.append(out)
+        narrow, wide = results
+        for kind in ("duality-quenched", "duality-annealed",
+                     "simulate-finite"):
+            assert narrow[kind] == wide[kind]
+        for kind in ("duality-moment", "simulate-x", "simulate-z"):
+            assert narrow[kind] != wide[kind]
+        narrow, wide = (json.loads(r["fixation"])["results"] for r in results)
+        for key in ("predicted", "predicted_se", "stationary_tv"):
+            assert narrow[key] == wide[key]
+        narrow, wide = (json.loads(r["convergence"])["results"]["rows"]
+                        for r in results)
+        assert ([row["finite_moment"] for row in narrow]
+                == [row["finite_moment"] for row in wide])
+        assert narrow[0]["limit_moment"] != wide[0]["limit_moment"]
 
 
 class TestRunBatches:
@@ -139,6 +183,16 @@ class TestRunBatches:
         monkeypatch.setattr(rngstreams, "BATCH_SIZE", 7)
         out = run_batches(lambda size, rng: np.full(size, float(size)), 20,
                           3, "lhs")
+        assert out.tolist() == [7.0] * 14 + [6.0] * 6
+
+    def test_paths_follow_the_path_width(self, monkeypatch):
+        # the limit engines' streams are PATH_BATCH_SIZE wide, read at call
+        # time, and the finite graph's width does not move them
+        assert PATH_BATCH_SIZE == 2**15 and BATCH_SIZE == 4096
+        monkeypatch.setattr(rngstreams, "PATH_BATCH_SIZE", 7)
+        monkeypatch.setattr(rngstreams, "BATCH_SIZE", 5)
+        out = run_batches(lambda size, rng: np.full(size, float(size)), 20,
+                          3, "lhs", paths=True)
         assert out.tolist() == [7.0] * 14 + [6.0] * 6
 
     def test_opens_each_batch_substream_once(self, opened):

@@ -1,5 +1,10 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,21 @@ from wfduality.measures import pgf
 from wfduality.params import N_MAX
 
 from conftest import KERNELS, rng
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Peak RSS of a run of ``LARGE_PICKS_CFG`` when distinct labels were
+#: counted by sorting every pick, before the occupancy table.
+SORTED_PICKS_RSS_MB = 87.0
+
+#: Quenched run at N = 10**6 whose backward steps hold 2e5 to 4e5 picks per
+#: replicate, far past any occupancy table within its entry budget.
+LARGE_PICKS_CFG = {
+    "experiment": "duality-quenched", "seed": 3,
+    "finite": {"N": 10**6, "kernel": {"variant": "geometric"},
+               "env_law": {"atoms": [[0.5, 1.0]]}},
+    "env": [0.5, 0.5], "x": 0.5, "n": 10**5, "replicates": 8,
+}
 
 
 def neutral_model(N: int, c_N: float = 0.0, lambda_c=None) -> FiniteModelParams:
@@ -379,12 +399,13 @@ class TestOccupiedLabels:
         # s = 0..3N picks (0..64 at N = 10**9, whose table grows with the
         # largest pick count: 3N picks there would be 3e9 rows)
         s = np.arange(top + 1)
-        d = wf_graph._occupied_labels(s, N, np.full(s.size, u))
+        d = wf_graph._occupied_labels(s, N, np.full(s.size, u), rng(0))
         assert ((d >= np.minimum(s, 1)) & (d <= np.minimum(s, N))).all()
 
     def test_picks_above_N_follow_the_occupancy_law(self):
         N, s, M = 10, 30, 40000
-        d = wf_graph._occupied_labels(np.full(M, s), N, rng(16).random(M))
+        gen = rng(16)
+        d = wf_graph._occupied_labels(np.full(M, s), N, gen.random(M), gen)
         pmf = occupancy_pmf(s, N)
         support = pmf > 1e-9
         observed = np.bincount(d, minlength=N + 1)
@@ -392,6 +413,59 @@ class TestOccupiedLabels:
         _, p = stats.chisquare(observed[support],
                                pmf[support] / pmf[support].sum() * M)
         assert p > 0.001
+
+    def test_past_a_cut_table_picks_follow_the_occupancy_law(self,
+                                                             monkeypatch):
+        # a tiny entry budget cuts the table at N = 10 well before 30 picks,
+        # so these counts come from the coupon-collector gaps
+        monkeypatch.setattr(wf_graph, "OCCUPANCY_ENTRIES", 16)
+        N, s, M = 10, 30, 40000
+        _, _, first = wf_graph.occupancy_rows(N, 16, 16)
+        assert first.size < s and first[-1] < N
+        gen = rng(18)
+        d = wf_graph._occupied_labels(np.full(M, s), N, gen.random(M), gen)
+        pmf = occupancy_pmf(s, N)
+        support = pmf > 1e-9
+        observed = np.bincount(d, minlength=N + 1)
+        assert observed[~support].sum() == 0
+        _, p = stats.chisquare(observed[support],
+                               pmf[support] / pmf[support].sum() * M)
+        assert p > 0.001
+
+    def test_a_cut_table_keeps_the_edges(self, monkeypatch):
+        # rows in and past a cut table, in one batch, stay in
+        # [min(s, 1), min(s, N)], and s picks of N = 1 always find one label
+        monkeypatch.setattr(wf_graph, "OCCUPANCY_ENTRIES", 16)
+        gen = rng(19)
+        for N in (2, 10, 1000):
+            s = np.resize(np.arange(3 * N + 1), 5000)
+            d = wf_graph._occupied_labels(s, N, gen.random(s.size), gen)
+            assert ((d >= np.minimum(s, 1)) & (d <= np.minimum(s, N))).all()
+
+    def test_large_pick_counts_run_in_bounded_memory(self, tmp_path):
+        # the occupancy table stops at its entry budget, so a run whose
+        # picks reach 4e5 per replicate at N = 10**6 needs memory in
+        # proportion to its picks, as the sort of every pick did
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(LARGE_PICKS_CFG))
+        # VmHWM is the peak of this process image alone: ru_maxrss would
+        # keep the peak of the forked test process from before the exec
+        code = ("from wfduality.cli import main\n"
+                "try:\n"
+                f"    main(['run', {str(path)!r}, '--out', "
+                f"{str(tmp_path / 'o')!r}])\n"
+                "except SystemExit as exc:\n"
+                "    status = open('/proc/self/status').read()\n"
+                "    print(exc.code, status.split('VmHWM:')[1].split()[0])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            ["/bin/sh", "-c", 'ulimit -v 3000000 && exec "$0" -c "$1"',
+             sys.executable, code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        code, rss_kb = out.stdout.split()[-2:]
+        assert code == "0"
+        assert int(rss_kb) / 1024 <= 1.1 * SORTED_PICKS_RSS_MB
 
     def test_rows_are_sorted_and_read_only(self):
         cum, indptr, first = wf_graph.occupancy_rows(100, 4096)
