@@ -15,17 +15,20 @@ Branch rates are truncated at a window k_max sized once per state by
 (mean + 12 sd + 16).  The mass beyond it is kept as the lumped-tail rate,
 and a tail draw is resolved exactly by conditional sampling, never
 discarded.  The rates and tail draws come from ``measures.SumLaw`` and
-``measures.log_space_pmfs`` (a table kernel's branch rates by convolution).
+``measures.log_space_pmfs`` (a table kernel's branch rates by convolution),
+one pass over the branch and the merger atoms together.
 ``RateCache.rows`` builds all of a round's new states in one numpy pass over
-a (state, category) grid, from the laws it takes once per cache, and stores
-each row by slices; ``jump_rates`` is its one-state case.
+a (state, category) grid, from the laws it takes once per cache, and keeps
+of each row only the entries a draw can reach; ``jump_rates`` is its
+one-state case, the full row.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump with one
 ``np.searchsorted`` in the flat rate rows of ``RateCache`` and reading the
 next state from its flat target table.  ``final_states``
 runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
-pools the occupation times of ``STATIONARY_CHAINS`` independent chains.
+pools the occupation times of ``STATIONARY_CHAINS`` independent chains,
+read from the row-ordered table once the rate rows are dropped.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import ENTRY_CAP, SumLaw, log_atoms, log_space_pmfs
+from .measures import (ENTRY_CAP, SumLaw, joined, log_atoms,
+                       log_space_pmfs, segments)
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
@@ -86,15 +90,14 @@ def _rate_rows(cache: RateCache, ns: np.ndarray, k_max: np.ndarray):
     takes in sequence, so a row does not depend on the batch.
     """
     params, top, i = cache.params, int(ns.max()), np.arange(ns.size)
-    if cache.merger is None:
-        coal = np.zeros((ns.size, top - 1))  # n -> n-k in column k-1
-    else:
-        # C(n,k+1) y^{k+1} (1-y)^{n-k-1} is the Binomial(n, y) pmf at k+1,
-        # zero past k = n-1
-        coal = log_space_pmfs(cache.merger, ns, np.arange(top + 1.0))[:, 2:]
+    # one pass over the branch and the merger atoms; C(n,k+1) y^{k+1}
+    # (1-y)^{n-k-1} is the Binomial(n, y) pmf at k+1, zero past k = n-1
+    probs, coal = log_space_pmfs(cache.laws, ns,
+                                 (int(k_max.max()) + 1, top + 1))
+    coal = coal[:, 2:]  # n -> n-k in column k-1
     if params.sigma > 0:
         coal[:, :1] += params.sigma * ns[:, None] * (ns[:, None] - 1) / 2.0
-    probs, tails = cache.branch.pmfs(ns, k_max)
+    probs, tails = cache.branch.rows(probs, ns, k_max)
     if ns.size == 1:  # one row: its window is the grid's
         rates = np.concatenate((probs[:, 1:], tails[:, None], coal), axis=1)
     else:
@@ -108,7 +111,7 @@ def _rate_rows(cache: RateCache, ns: np.ndarray, k_max: np.ndarray):
         raise InvariantViolation("negative jump rate")
     cum = np.add.accumulate(rates, axis=1)
     branch = cum[i, k_max]  # with the lumped tail
-    bound = ns * (params.alpha_s + params.w)  # Markov bound per lineage
+    bound = ns * cache.bound
     if (branch > bound + 1e-9 * (1.0 + branch)).any():
         raise InvariantViolation("branch rate exceeds the Markov bound")
     return rates, cum
@@ -141,28 +144,33 @@ def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
 class RateCache:
     """Rate rows of the states one call visits, flattened for batch draws.
 
-    Row r, of the r-th state built, holds r + cum_rates/total in
-    ``cum[indptr[r]:indptr[r+1]]`` up to its first entry that rounds to r + 1
-    (no float draw reaches beyond), and ``last[r]`` is the index of that
-    entry.  So ``cum`` stays sorted as rows are appended, one
-    ``np.searchsorted`` of r + U, U ~ U[0, 1), picks a jump per path, and
-    the float resolution is r * eps, whatever the state.  Next to each entry
-    of ``cum``, ``to`` holds the state its category jumps to: n+1+j for the
-    branch j, n-k for a merger of k+1 lineages, 0 for the lumped tail.
-    ``row_of`` maps a state to its row, -1 before its first visit; its last
-    entry is always -1.  The laws of the rows are taken once per cache: the
-    branch ``SumLaw`` over the environment atoms, which also sizes each
-    row's window, and the merger ``LogAtoms`` of y^{-2} Lambda_c, one
-    Binomial(n, y) law per atom.
+    Row r, of the r-th state built, holds the entries of r + cum_rates/total
+    that a float draw can reach, in ``cum[indptr[r]:indptr[r+1]]``: those
+    strictly above the entry before them (r before the first), through the
+    first that rounds to r + 1 (no float draw reaches beyond); ``last[r]``
+    is the index of that entry.  A category too narrow to change its entry
+    is never the first entry above r + U, so dropping it changes no draw.
+    So ``cum`` stays sorted as rows are appended, one ``np.searchsorted`` of
+    r + U, U ~ U[0, 1), picks a jump per path, and the float resolution is
+    r * eps, whatever the state.  Next to each entry of ``cum``, ``to``
+    holds the state its category jumps to: n+1+j for the branch j, n-k for a
+    merger of k+1 lineages, 0 for the lumped tail.  ``row_of`` maps a state
+    to its row, -1 before its first visit; its last entry is always -1.  The
+    laws of the rows are taken once per cache: the branch ``SumLaw`` over
+    the environment atoms, which also sizes each row's window, joined with
+    the merger ``LogAtoms`` of y^{-2} Lambda_c, one Binomial(n, y) law per
+    atom, for one ``log_space_pmfs`` pass over both.
     """
 
     def __init__(self, params: LimitParams):
         self.params, self.n_rows = params, 0
         mu, law = params.mu, params.merger_law
         self.branch = SumLaw(params.kernel, mu.locations, mu.weights)
-        self.merger = None
+        merger = log_atoms(-1, np.empty(0), np.empty(0))  # none
         if params.c > 0 and law is not None:
-            self.merger = log_atoms(-1, law.locations, params.c * law.weights)
+            merger = log_atoms(-1, law.locations, params.c * law.weights)
+        self.laws = joined(self.branch.law, merger)
+        self.bound = params.alpha_s + params.w  # Markov bound per lineage
         self.row_of = np.full(64, -1, dtype=np.int64)
         self.indptr = np.zeros(64, dtype=np.int64)
         self.last = np.zeros(64, dtype=np.int64)
@@ -198,35 +206,45 @@ class RateCache:
         return rows
 
     def _append(self, ns: np.ndarray, k_max: np.ndarray):
-        """Build and append the rows of the new states ``ns``, one by one
-        with slices: a row's targets are n+1, n+2, ..., 0, n-1, n-2, ..."""
+        """Build the rows of the new states ``ns`` and append the entries a
+        draw can reach.  One pass over the round's (state, category) grid
+        normalises it to r + cum_j/total and marks entry j where it lies
+        strictly above its predecessor (r before the first), which also
+        drops every entry past the first that rounds to r + 1.  The marked
+        entries, and the targets of their categories, n+1+j for the branch
+        j, 0 for the lumped tail and n-k for a merger of k+1 lineages, are
+        gathered at once."""
         _, cum = _rate_rows(self, ns, k_max)
-        r1 = self.n_rows + ns.size
-        size = int(self.indptr[self.n_rows]) + cum.size  # kept entries, at most
-        self.cum, self.to = (_grown(a, size) for a in (self.cum, self.to))
+        (m, width), r0 = cum.shape, self.n_rows
         self.indptr, self.last, self.k_max, self.total = (
-            _grown(a, r1 + 1)
+            _grown(a, r0 + m + 1)
             for a in (self.indptr, self.last, self.k_max, self.total))
-        for row, n, k, total in zip(cum, ns.tolist(), k_max.tolist(),
-                                    cum[:, -1].tolist()):
-            r = self.n_rows
-            lo = int(self.indptr[r])
-            if total > 0:
-                row = r + row / total
-                end = lo + int(np.searchsorted(row, r + 1.0)) + 1
-            else:  # no event, ever: one entry, never drawn from
-                row, end = [r + 1.0], lo + 1
-            self.cum[lo:end] = row[:end - lo]
-            tail = lo + k  # the cut may come before the lumped tail
-            self.to[lo:min(tail, end)] = np.arange(n + 1,
-                                                   n + 1 + min(k, end - lo))
-            if tail < end:
-                self.to[tail] = 0
-                self.to[tail + 1:end] = np.arange(n - 1, n + tail - end, -1)
-            self.indptr[r + 1], self.last[r] = end, end - 1
-            self.k_max[r], self.total[r] = k, total
-            self.row_of[n] = r
-            self.n_rows = r + 1
+        total = self.total[r0:r0 + m]
+        total[:] = cum[:, -1]
+        if not total.all():  # no event, ever: one entry r + 1, never drawn
+            cum[total == 0] = 1.0
+        base = np.arange(float(r0), r0 + m)  # r, row by row
+        cum /= cum[:, -1:]  # numpy reads the overlapping divisor first
+        cum += base[:, None]
+        keep = np.empty(cum.shape, dtype=bool)
+        np.greater(cum[:, 0], base, out=keep[:, 0])
+        np.greater(cum[:, 1:], cum[:, :-1], out=keep[:, 1:])
+        to = np.empty(cum.shape, dtype=np.int64)  # the target of each cell
+        lo = hi = int(self.indptr[r0])
+        for r, (row, kept, n, k) in enumerate(
+                zip(to, keep, ns.tolist(), k_max.tolist()), r0):
+            row[:k] = np.arange(n + 1, n + 1 + k)
+            row[k] = 0
+            row[k + 1:] = np.arange(n - 1, n + k - width, -1)
+            hi += np.count_nonzero(kept)
+            self.indptr[r + 1], self.last[r] = hi, hi - 1
+        at = np.flatnonzero(keep)
+        self.cum, self.to = _grown(self.cum, hi), _grown(self.to, hi)
+        self.cum[lo:hi] = cum.ravel()[at]
+        self.to[lo:hi] = to.ravel()[at]
+        self.k_max[r0:r0 + m] = k_max
+        self.row_of[ns] = np.arange(r0, r0 + m)
+        self.n_rows = r0 + m
 
 
 def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
@@ -399,7 +417,10 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     chain pays the burn-in.  The estimate is the pooled occupation law, and
     the spread of the chains' laws gives the SE of its pgf.  Warns if the
     pooled laws of the two halves of the chains differ by more than
-    ``TV_WARN`` in total variation.
+    ``TV_WARN`` in total variation.  The rate cache is dropped before the
+    pooling, which reads the nonzero cells of the row-ordered table in
+    (state, chain) order, each row's cells as one segment, with no copy of
+    the table.
     """
     if T <= burn_in:
         raise InvalidArgument("T must exceed burn_in")
@@ -407,9 +428,17 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     _, occ = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng, cache,
                     DEFAULT_CEILING, keep_from=burn_in)
     states = np.flatnonzero(cache.row_of >= 0)
-    occ = occ[cache.row_of[states]]  # rows by state: cells in (state, chain)
-    at, chain = np.nonzero(occ)
-    state, times = states[at], occ[at, chain]
+    rows = cache.row_of[states]
+    del cache  # the pooling reads no rate row
+    # the table's nonzero cells, (row, chain) in row order, each row's cells
+    # one segment; the segments taken in state order put them in (state,
+    # chain) order
+    cells = np.flatnonzero(occ)
+    bounds = np.searchsorted(cells, np.arange(occ.shape[0] + 1) * K)
+    at, offset = segments(np.diff(bounds)[rows])
+    cells = cells[bounds[rows][at] + offset]
+    state, chain, times = states[at], cells % K, occ.ravel()[cells]
+    del occ, cells
     h1, h2 = (np.bincount(state, weights=times * half, minlength=state.max() + 1)
               for half in (chain < K // 2, chain >= K // 2))
     tv = 0.5 * float(np.abs(h1 / h1.sum() - h2 / h2.sum()).sum())

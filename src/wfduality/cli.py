@@ -4,11 +4,11 @@
 the configured experiment and writes ``result.json`` (deterministic payload:
 config echo, build id, metrics, verdicts) plus data CSVs into the output
 directory.  ``result.json`` is strict JSON: a non-finite float is written
-as the string "Infinity", "-Infinity" or "NaN".  Wall-clock timing goes to
-``run_meta.json``, which is excluded from the determinism contract.  Exit
-codes: 0 success, 2 a statistical verdict failed, 1 error.  ``--workers``
-must be at least 1, as the config key ``workers`` must, and is otherwise
-ignored: batches always run in order.
+as the string "Infinity", "-Infinity" or "NaN".  Wall-clock timing and the
+process's peak memory go to ``run_meta.json``, which is excluded from the
+determinism contract.  Exit codes: 0 success, 2 a statistical verdict
+failed, 1 error.  ``--workers`` must be at least 1, as the config key
+``workers`` must, and is otherwise ignored: batches always run in order.
 
 ``wfduality validate config.json`` dry-runs schema and model validation
 without simulating.
@@ -308,6 +308,9 @@ def run(config_path, out, workers, seed):
         "wall_time_s": time.monotonic() - t_start,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+    peak = _peak_rss_mb()
+    if peak is not None:
+        meta["peak_rss_mb"] = peak
     with open(os.path.join(out, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -316,6 +319,20 @@ def run(config_path, out, workers, seed):
     if verdicts and not all(verdicts.values()):
         sys.exit(2)
     sys.exit(0)
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB (``VmHWM``), or None
+    where ``/proc/self/status`` does not exist.  ``ru_maxrss`` is not used:
+    a process keeps the peak of the one it was forked from across exec."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
+    return None
 
 
 @main.command()

@@ -329,74 +329,111 @@ class SumLaw:
         beyond."""
         ns = np.asarray(ns, dtype=np.int64)
         k_maxs = np.asarray(k_maxs, dtype=np.int64)
+        width = int(k_maxs.max()) + 1
+        return self.rows(log_space_pmfs(self.law, ns, [width])[0], ns,
+                         k_maxs)
+
+    def rows(self, probs: np.ndarray, ns: np.ndarray,
+             k_maxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``pmfs`` from ``probs``, the ``log_space_pmfs`` rows of
+        ``self.law`` at k = 0..k_maxs.max(), which it completes in place."""
         if ns.min() < 1:
             raise ModelError("n must be >= 1")
-        ks = np.arange(int(k_maxs.max()) + 1.0)
-        probs = log_space_pmfs(self.law, ns, ks)
         for wgt, single in self.singles:
-            probs += wgt * _table_sum_pmfs(single, ns, ks.size)
+            probs += wgt * _table_sum_pmfs(single, ns, probs.shape[1])
         if ns.size > 1:  # one row is exactly as wide as its window
-            probs[ks > k_maxs[:, None]] = 0.0
+            probs[np.arange(probs.shape[1]) > k_maxs[:, None]] = 0.0
         # an accumulation adds in sequence, so padding leaves a row's tail as is
         tails = self.mass - np.add.accumulate(probs, axis=1)[:, -1]
         return probs, np.maximum(tails, 0.0)
 
 
+#: The step signs of ``log_space_pmfs``: 1 for the negative binomial laws,
+#: -1 for the binomial ones, shaped to broadcast over (state, k).
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+
+
 @dataclass(frozen=True)
 class LogAtoms:
-    """Weighted NB(n, 1 - y) (sign 1) or Binomial(n, y) (sign -1) laws, with
-    the per-atom terms of ``log_space_pmfs`` taken once: the weight of the
-    binomial atoms at y = 1, and for the others log weight, log(1 - y) and
-    the log odds of a step, log y or log(y / (1 - y))."""
+    """Sets of weighted NB(n, 1 - y) (sign 1) or Binomial(n, y) (sign -1)
+    laws, with the per-atom terms of ``log_space_pmfs`` taken once.  Per
+    set: its sign, its weight of binomial atoms at y = 1 and where its atoms
+    end.  Per other atom: log weight, log(1 - y) and the log odds of a step,
+    log y or log(y / (1 - y))."""
 
-    sign: int
-    point: float
+    signs: tuple[int, ...]
+    points: tuple[float, ...]
+    ends: tuple[int, ...]
     log_w: np.ndarray
     log1m: np.ndarray
     odds: np.ndarray
 
 
 def log_atoms(sign: int, ys: np.ndarray, wgts: np.ndarray) -> LogAtoms:
-    """The ``LogAtoms`` of the atoms ``ys`` with weights ``wgts``."""
+    """The one-set ``LogAtoms`` of the atoms ``ys`` with weights ``wgts``."""
     point = 0.0
     if sign < 0 and (ys == 1.0).any():  # Bin(n, 1) is the point mass at n
         point = float(wgts[ys == 1.0].sum())
         ys, wgts = ys[ys < 1.0], wgts[ys < 1.0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return LogAtoms(sign, point, np.log(wgts), np.log1p(-ys),
+        return LogAtoms((sign,), (point,), (ys.size,), np.log(wgts),
+                        np.log1p(-ys),
                         np.log(ys / (1.0 - ys) if sign < 0 else ys))
 
 
+def joined(first: LogAtoms, second: LogAtoms) -> LogAtoms:
+    """The sets of ``first`` and then those of ``second``, as one
+    ``LogAtoms``, for one ``log_space_pmfs`` pass over both."""
+    cat = np.concatenate
+    return LogAtoms(first.signs + second.signs, first.points + second.points,
+                    first.ends + tuple(first.odds.size + end
+                                       for end in second.ends),
+                    cat((first.log_w, second.log_w)),
+                    cat((first.log1m, second.log1m)),
+                    cat((first.odds, second.odds)))
+
+
 def log_space_pmfs(atoms: LogAtoms, ns: np.ndarray,
-                   ks: np.ndarray) -> np.ndarray:
-    """sum_a wgts[a] p_a(k) on the (state, k) grid, p_a the law of atom a
-    of ``atoms``.
+                   widths) -> list[np.ndarray]:
+    """For each set of ``atoms``, sum_a wgts[a] p_a(k) on the (state, k)
+    grid with k < its entry of ``widths``, p_a the law of its atom a.
 
     log p(0) = n log1p(-y); log p(k+1) - log p(k) = log((n + sign k)/(k + 1))
-    plus the log odds.  One cumulative sum along k, over (atom, state, k)
-    chunks of at most ``ENTRY_CAP`` entries, summed over the atoms in order.
+    plus the log odds.  The steps of both signs come from one array, and
+    each set takes one cumulative sum along k over its atoms, in (atom,
+    state, k) chunks of at most ``ENTRY_CAP`` entries, and sums them in
+    order.
     """
-    # 0.0 + p is p for the nonnegative p here, so the sum starts from the
-    # first term instead of from zeros
-    probs = atoms.point * (ks == ns[:, None]) if atoms.point else None
+    ks = np.arange(max(widths) + 0.0)
+    probs = []
     with np.errstate(divide="ignore", invalid="ignore"):
         # n + k >= 1 for the negative binomial; the binomial stops at k = n
-        ratio = (ns[:, None] + ks[:-1] if atoms.sign > 0
-                 else np.maximum(ns[:, None] - ks[:-1], 0))
-        steps = np.log(ratio / ks[1:])
+        steps = ns[:, None] + _SIGNS * ks[:-1]
+        np.maximum(steps, 0, out=steps)
+        np.log(np.divide(steps, ks[1:], out=steps), out=steps)
         start = atoms.log_w[:, None] + atoms.log1m[:, None] * ns
-        step = max(1, ENTRY_CAP // (ns.size * ks.size))
-        for lo in range(0, atoms.odds.size, step):
-            logp = np.concatenate((start[lo:lo + step, :, None], steps
-                                   + atoms.odds[lo:lo + step, None, None]),
-                                  axis=2)
-            np.add.accumulate(logp, axis=2, out=logp)
-            for p in np.exp(logp, out=logp):
-                if probs is None:
-                    probs = p
-                else:
-                    probs += p
-    return np.zeros((ns.size, ks.size)) if probs is None else probs
+        for sign, point, first, end, width in zip(
+                atoms.signs, atoms.points, (0,) + atoms.ends, atoms.ends,
+                widths):
+            # 0.0 + p is p for the nonnegative p here, so a sum starts from
+            # its first term instead of from zeros
+            total = point * (ks[:width] == ns[:, None]) if point else None
+            step = max(1, ENTRY_CAP // (ns.size * width))
+            for lo in range(first, end, step):
+                hi = min(lo + step, end)
+                logp = np.concatenate((start[lo:hi, :, None],
+                                       steps[int(sign < 0), :, :width - 1]
+                                       + atoms.odds[lo:hi, None, None]),
+                                      axis=2)
+                np.add.accumulate(logp, axis=2, out=logp)
+                for p in np.exp(logp, out=logp):
+                    if total is None:
+                        total = p
+                    else:
+                        total += p
+            probs.append(np.zeros((ns.size, width)) if total is None
+                         else total)
+    return probs
 
 
 def _table_single(kernel: SelectionKernel, y: float) -> np.ndarray:

@@ -149,9 +149,15 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
     [min(s, 1), min(s, N)].  A pick count past the table's last row has
     every label occupied, unless the table was cut at its entry budget
     ``OCCUPANCY_ENTRIES``: such a row draws its count from ``rng`` by
-    ``_collected_labels`` instead, and ignores its uniform.
+    ``_collected_labels`` instead, and ignores its uniform.  When every
+    pick count lies at or past the budget and N above it, no table is
+    built at all.
     """
     top, budget = int(picks.max(initial=0)), OCCUPANCY_ENTRIES
+    if N > budget and picks.size and picks.min() >= budget:
+        # a table has at most one row per entry and cannot reach d = N,
+        # so no row of it could serve these picks
+        return _collected_labels(picks, N, rng)
     # a row holds at least one entry, so no table has more rows than entries
     cum, indptr, first = occupancy_rows(
         N, min(max(64, 1 << top.bit_length()), budget), budget)

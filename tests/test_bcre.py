@@ -227,13 +227,17 @@ class TestRateCache:
         assert (np.diff(cum) >= 0).all()
         for r, n in enumerate((1, 3, 7, 40)):
             row = cum[cache.indptr[r]:cache.indptr[r + 1]]
-            assert row[-1] == r + 1.0 and row[0] >= r
+            # every kept entry lies strictly above the one before it
+            assert row[-1] == r + 1.0 and row[0] > r
+            assert (np.diff(row) > 0).all()
             table = jump_rates(baseline_params, n)
             assert cache.total[r] == table.total
             assert cache.k_max[r] == table.k_max
             # the kept categories carry all of the rate a draw can reach
-            kept = table.cum_rates[row.size - 1] / table.total
-            assert kept == pytest.approx(1.0, abs=1e-12)
+            _, kept = reachable(table, r)
+            assert kept.size == row.size
+            assert table.cum_rates[kept[-1]] / table.total == pytest.approx(
+                1.0, abs=1e-12)
 
     def test_round_without_new_states_skips_unique(self, baseline_params,
                                                    monkeypatch):
@@ -259,6 +263,33 @@ def with_kernel(params, kernel):
                        sigma=params.sigma)
 
 
+def full_row(table, r):
+    """Row r of the full layout, r + cum_rates/total through its first
+    entry that rounds to r + 1, as float draws see it; a state without
+    events has the one entry r + 1, never drawn from."""
+    if table.total == 0:
+        return np.array([r + 1.0])
+    v = r + table.cum_rates / table.total
+    return v[:int(np.searchsorted(v, r + 1.0)) + 1]
+
+
+def reachable(table, r):
+    """The entries of ``full_row`` that lie strictly above the one before
+    them (r before the first), and their categories."""
+    v = full_row(table, r)
+    kept = np.flatnonzero(v > np.concatenate(([r], v[:-1])))
+    return v[kept], kept
+
+
+def category_rule(n, k_max, j):
+    """State that category j of the row of n jumps to: n+1+j for the
+    branch j, 0 for the lumped tail, n-k for the merger of k+1 lineages."""
+    j = np.asarray(j)
+    rule = np.where(j < k_max, n + 1 + j, n + k_max - j)
+    rule[j == k_max] = 0
+    return rule
+
+
 class TestRateRows:
     """One builder for every row: a batch of states, or ``jump_rates``."""
 
@@ -276,8 +307,7 @@ class TestRateRows:
         for r, n in enumerate(ns.tolist()):
             table = jump_rates(params, n)
             row = cache.cum[cache.indptr[r]:cache.indptr[r + 1]]
-            np.testing.assert_array_equal(
-                row, (r + table.cum_rates / table.total)[:row.size])
+            np.testing.assert_array_equal(row, reachable(table, r)[0])
             assert cache.total[r] == table.total
             assert cache.k_max[r] == table.k_max
             assert table.branch_tail <= 1e-9 * table.total
@@ -296,16 +326,17 @@ class TestRateRows:
         ns = np.arange(1, 513)
         cache = RateCache(params)
         rows = cache.rows(ns)
+        kept = []
         for r, n in enumerate(ns.tolist()):
-            k_max = jump_rates(params, n).k_max
+            table = jump_rates(params, n)
             lo, hi = cache.indptr[r], cache.indptr[r + 1]
-            assert cache.last[r] == hi - 1 and cache.k_max[r] == k_max
-            j = np.arange(hi - lo)
-            rule = np.where(j < k_max, n + 1 + j, n + k_max - j)
-            rule[j == k_max] = 0
-            np.testing.assert_array_equal(cache.to[lo:hi], rule)
-        # a pick reads the same state as the clipped in-row position did,
-        # also where r + U rounds up to r + 1 (U just below 1)
+            assert cache.last[r] == hi - 1 and cache.k_max[r] == table.k_max
+            kept.append(reachable(table, r)[1])
+            np.testing.assert_array_equal(
+                cache.to[lo:hi], category_rule(n, table.k_max, kept[-1]))
+        # a pick reads the state of the kept category at its clipped
+        # position in the row, also where r + U rounds up to r + 1 (U just
+        # below 1)
         gen = rng(12)
         at = gen.integers(0, ns.size, 50_000)
         u = np.concatenate([gen.random(at.size - 2000), np.zeros(1000),
@@ -314,12 +345,74 @@ class TestRateRows:
         pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
                               row + u, side="right")
         lo, hi = cache.indptr[row], cache.indptr[row + 1]
-        j = np.clip(pos, lo, hi - 1) - lo
-        jump = j - cache.k_max[row]  # < 0 branch, 0 lumped tail, > 0 merge
-        old = np.where(jump < 0, ns[at] + 1 + j, ns[at] - jump)
-        old[jump == 0] = 0
+        j = np.concatenate(kept)[np.clip(pos, lo, hi - 1)]
+        old = category_rule(ns[at], cache.k_max[row], j)
         new = cache.to[np.minimum(pos, cache.last[row])]
         np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
+                                        SelectionKernel.binary(),
+                                        table_kernel()],
+                             ids=["geometric", "binary", "table"])
+    @pytest.mark.parametrize("which", ["baseline_params", "survival_params"])
+    def test_kept_entries_are_the_positive_widths(self, kernel, which,
+                                                  request):
+        # oracle, one category at a time: a row keeps the entries of the
+        # full jump_rates row r + cum/total of positive width, up to its
+        # first entry that rounds to r + 1, with each kept category's state
+        params = with_kernel(request.getfixturevalue(which), kernel)
+        ns = np.r_[1:129, 300, 1000]
+        cache = RateCache(params)
+        cache.rows(ns)
+        for r, n in enumerate(ns.tolist()):
+            table = jump_rates(params, n)
+            values, states, before = [], [], float(r)
+            for j, c in enumerate(table.cum_rates.tolist()):
+                v = r + c / table.total
+                if v > before:
+                    values.append(v)
+                    states.append(n + 1 + j if j < table.k_max
+                                  else 0 if j == table.k_max
+                                  else n + table.k_max - j)
+                    before = v
+                if v == r + 1.0:
+                    break
+            lo, hi = cache.indptr[r], cache.indptr[r + 1]
+            assert cache.cum[lo:hi].tolist() == values
+            assert cache.to[lo:hi].tolist() == states
+
+    @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
+                                        SelectionKernel.binary(),
+                                        table_kernel()],
+                             ids=["geometric", "binary", "table"])
+    @pytest.mark.parametrize("which", ["baseline_params", "survival_params"])
+    def test_picks_equal_picks_in_the_full_rows(self, kernel, which,
+                                                request):
+        # the full rows, with a target per category, laid end to end as
+        # the cache lays its kept entries; the same search and clamp in
+        # both reads the same next state, at U = 0 and U = 1 - 2^-53 too
+        params = with_kernel(request.getfixturevalue(which), kernel)
+        ns = np.arange(1, 513)
+        cache = RateCache(params)
+        cache.rows(ns)
+        rows, to = [], []
+        for r, n in enumerate(ns.tolist()):
+            table = jump_rates(params, n)
+            rows.append(full_row(table, r))
+            to.append(category_rule(n, table.k_max, np.arange(rows[-1].size)))
+        last = np.cumsum([row.size for row in rows]) - 1
+        full, to = np.concatenate(rows), np.concatenate(to)
+        gen = rng(13)
+        row = gen.integers(0, ns.size, 50_000)
+        u = np.concatenate([gen.random(row.size - 2000), np.zeros(1000),
+                            np.full(1000, 1.0 - 2.0**-53)])
+        keys = row + u
+        pos = np.searchsorted(full, keys, side="right")
+        expected = to[np.minimum(pos, last[row])]
+        pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]], keys,
+                              side="right")
+        got = cache.to[np.minimum(pos, cache.last[row])]
+        np.testing.assert_array_equal(got, expected)
 
     def test_rows_accept_a_state_far_above_every_row(self, baseline_params):
         # row_of is read with a clipped take: a state past its end reads
@@ -333,7 +426,10 @@ class TestRateRows:
         assert cache.get(5000) == 10 and cache.n_rows == 11
         table = jump_rates(baseline_params, 5000)
         assert cache.total[10] == table.total
-        assert cache.to[cache.indptr[10]] == 5001
+        row, kept = reachable(table, 10)
+        lo, hi = cache.indptr[10], cache.indptr[11]
+        np.testing.assert_array_equal(cache.cum[lo:hi], row)
+        assert cache.to[lo] == 5001 and kept[0] == 0  # n -> n+1 first
 
     def test_fixation_windows_never_widen(self, survival_params):
         # the windows from the moments alone leave at most 1e-9 of each
@@ -429,10 +525,16 @@ class TestRowsAgainstLoader:
             0 if n == 1 else 1)
         r = int(cache.row_of[n])
         row = cache.cum[cache.indptr[r]:cache.indptr[r + 1]]
+        _, kept = reachable(table, r)
+        assert kept.size == row.size
+        # a kept entry's width is the rate of its category and of the
+        # categories too narrow to draw just before it
         rates = np.diff(np.concatenate([[r], row])) * cache.total[r]
+        covered = np.add.reduceat(ref[:kept[-1] + 1],
+                                  np.concatenate(([0], kept[:-1] + 1)))
         assert abs(cache.total[r] - ref.sum()) <= tol
-        assert np.abs(rates - ref[:row.size]).max() <= tol
-        assert ref[row.size:].sum() <= tol  # what the cut leaves out
+        assert np.abs(rates - covered).max() <= tol
+        assert ref[kept[-1] + 1:].sum() <= tol  # what the cut leaves out
 
     def test_binary_atom_at_one_is_exact(self, binary):
         # Q(1) = d_2, so n draws exceed n by exactly n
@@ -647,6 +749,29 @@ class TestOccupationTable:
         _, occ = bcre._paths(survival_params, 1, 1.0, 8, rng(6),
                              RateCache(survival_params), bcre.DEFAULT_CEILING)
         assert occ is None
+
+    def test_pooling_equals_the_state_ordered_table(self, survival_params,
+                                                    est):
+        # reference: the table copied into state order, its nonzero cells
+        # pooled in (state, chain) order, as the estimate pooled them
+        # before it read the row-ordered table by segments
+        K = bcre.STATIONARY_CHAINS
+        cache = RateCache(survival_params)
+        _, occ = bcre._paths(survival_params, 1,
+                             self.BURN_IN + (self.T - self.BURN_IN) / K, K,
+                             rng(6), cache, bcre.DEFAULT_CEILING,
+                             keep_from=self.BURN_IN)
+        states = np.flatnonzero(cache.row_of >= 0)
+        occ = occ[cache.row_of[states]]
+        at, chain = np.nonzero(occ)
+        state, times = states[at], occ[at, chain]
+        h1, h2 = (np.bincount(state, weights=times * half)
+                  for half in (chain < K // 2, chain >= K // 2))
+        pmf = h1 + h2
+        mass = times / np.bincount(chain, weights=times)[chain]
+        np.testing.assert_array_equal(est.pmf, pmf / pmf.sum())
+        for got, want in zip(est.chains, (chain, state, mass)):
+            np.testing.assert_array_equal(got, want)
 
     def test_each_chain_mass_sums_to_one(self, est):
         chain, _, mass = est.chains

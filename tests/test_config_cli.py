@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 import warnings
 
 import jsonschema
@@ -182,7 +183,10 @@ class TestRunCommand:
             pytest.approx(4 * math.log(2), abs=1e-9)
         assert payload["results"]["classification"] == "SurvivalPossible"
         assert payload["build"].startswith("wfduality")
-        assert (out / "run_meta.json").exists()
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["wall_time_s"] > 0
+        if sys.platform.startswith("linux"):  # VmHWM of /proc/self/status
+            assert meta["peak_rss_mb"] > 0
 
     def test_moment_time_zero(self, tmp_path):
         cfg = {

@@ -19,6 +19,7 @@ from wfduality import (
     pgf,
 )
 from wfduality.measures import (INF_K, SumLaw, binom_pmf, excess_moments,
+                                joined, log_atoms, log_space_pmfs,
                                 nbinom_pmf)
 
 from conftest import KERNELS, rng
@@ -198,6 +199,25 @@ class TestSumDistribution:
             np.testing.assert_array_equal(probs[i, :k_max + 1], one_probs)
             assert (probs[i, k_max + 1:] == 0.0).all()
             assert tails[i] == one_tails[0]
+
+
+class TestJoinedAtoms:
+    @pytest.mark.parametrize("widths", [(40, 31), (31, 40), (1, 2)])
+    def test_one_pass_equals_a_pass_per_set(self, widths):
+        # the sets of one pass keep their own widths, per-atom arithmetic
+        # and summation order, so each set's rows are bit-equal to its own
+        # pass; the binomial set has an atom at 1, a point mass at n
+        nb = log_atoms(1, np.array([0.2, 0.7]), np.array([0.5, 1.5]))
+        binom = log_atoms(-1, np.array([0.4, 1.0, 0.9]),
+                          np.array([2.0, 0.3, 1.0]))
+        ns = np.array([1, 5, 30, 2])
+        both = log_space_pmfs(joined(nb, binom), ns, widths)
+        for got, atoms, width in zip(both, (nb, binom), widths):
+            (alone,) = log_space_pmfs(atoms, ns, [width])
+            assert got.tobytes() == alone.tobytes()
+        (empty,) = log_space_pmfs(log_atoms(-1, np.empty(0), np.empty(0)),
+                                  ns, [7])
+        assert (empty == 0.0).all() and empty.shape == (4, 7)
 
 
 class TestExcessMoments:

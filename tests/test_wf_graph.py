@@ -442,6 +442,24 @@ class TestOccupiedLabels:
             d = wf_graph._occupied_labels(s, N, gen.random(s.size), gen)
             assert ((d >= np.minimum(s, 1)) & (d <= np.minimum(s, N))).all()
 
+    def test_picks_past_every_row_build_no_table(self, monkeypatch):
+        # with N above the budget, a table holds fewer rows than any of
+        # these pick counts and never reaches d = N, so it is not built
+        monkeypatch.setattr(wf_graph, "OCCUPANCY_ENTRIES", 16)
+
+        def occupancy_rows(*_args):
+            raise AssertionError("a table no pick can use")
+
+        monkeypatch.setattr(wf_graph, "occupancy_rows", occupancy_rows)
+        N, gen = 1000, rng(20)
+        picks = gen.integers(16, 3000, 500)
+        d = wf_graph._occupied_labels(picks, N, gen.random(picks.size), gen)
+        ref_gen = rng(20)
+        ref_gen.integers(16, 3000, 500)
+        ref_gen.random(picks.size)
+        np.testing.assert_array_equal(
+            d, wf_graph._collected_labels(picks, N, ref_gen))
+
     def test_large_pick_counts_run_in_bounded_memory(self, tmp_path):
         # the occupancy table stops at its entry budget, so a run whose
         # picks reach 4e5 per replicate at N = 10**6 needs memory in
