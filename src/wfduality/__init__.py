@@ -54,9 +54,7 @@ from .thresholds import (
     ThresholdReport,
     alpha_eff,
     alpha_star,
-    alpha_star_mc,
     beta_star,
-    beta_star_mc,
     classify,
 )
 from .bridge import (

@@ -23,9 +23,10 @@ of each row only the entries a draw can reach; ``jump_rates`` is its
 one-state case, the full row.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
-batch of paths at once, each round picking every jump with one
-``np.searchsorted`` in the flat rate rows of ``RateCache`` and reading the
-next state from its flat target table.  ``final_states``
+batch of paths at once, each round picking every jump from the guide table
+of the flat rate rows of ``RateCache``, with one ``np.searchsorted`` for the
+few draws the guide does not settle, and reading the next state from its
+flat target table.  ``final_states``
 runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
 pools the occupation times of ``STATIONARY_CHAINS`` independent chains,
 read from the row-ordered table once the rate rows are dropped.
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import (ENTRY_CAP, SumLaw, joined, log_atoms,
+from .measures import (ENTRY_CAP, SumLaw, guide_table, joined, log_atoms,
                        log_space_pmfs, segments)
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
@@ -152,7 +153,11 @@ class RateCache:
     is never the first entry above r + U, so dropping it changes no draw.
     So ``cum`` stays sorted as rows are appended, one ``np.searchsorted`` of
     r + U, U ~ U[0, 1), picks a jump per path, and the float resolution is
-    r * eps, whatever the state.  Next to each entry of ``cum``, ``to``
+    r * eps, whatever the state.  Each row also gets a ``measures.guide_table``
+    when it is built, row r's buckets in ``guide[gptr[r]:gptr[r+1]]``,
+    ``buckets[r]`` of them: the bucket of U gives the search's answer
+    without searching whenever its entry lies above r + U, so a draw costs
+    O(1) in expectation.  Next to each entry of ``cum``, ``to``
     holds the state its category jumps to: n+1+j for the branch j, n-k for a
     merger of k+1 lineages, 0 for the lumped tail.  ``row_of`` maps a state
     to its row, -1 before its first visit; its last entry is always -1.  The
@@ -175,8 +180,11 @@ class RateCache:
         self.indptr = np.zeros(64, dtype=np.int64)
         self.last = np.zeros(64, dtype=np.int64)
         self.k_max = np.zeros(64, dtype=np.int64)
-        self.cum, self.total = np.empty(1024), np.empty(64)
-        self.to = np.empty(1024, dtype=np.int64)
+        self.gptr = np.zeros(64, dtype=np.int64)
+        self.cum, self.total, self.buckets = (np.empty(1024), np.empty(64),
+                                              np.empty(64))
+        self.to, self.guide = (np.empty(1024, dtype=np.int64),
+                               np.empty(1024, dtype=np.int64))
 
     def get(self, n: int) -> int:
         """Row of state n, built on its first visit."""
@@ -213,12 +221,13 @@ class RateCache:
         drops every entry past the first that rounds to r + 1.  The marked
         entries, and the targets of their categories, n+1+j for the branch
         j, 0 for the lumped tail and n-k for a merger of k+1 lineages, are
-        gathered at once."""
+        gathered at once, and the new rows' guide is built over them."""
         _, cum = _rate_rows(self, ns, k_max)
         (m, width), r0 = cum.shape, self.n_rows
-        self.indptr, self.last, self.k_max, self.total = (
-            _grown(a, r0 + m + 1)
-            for a in (self.indptr, self.last, self.k_max, self.total))
+        (self.indptr, self.last, self.k_max, self.total, self.gptr,
+         self.buckets) = (_grown(a, r0 + m + 1)
+                          for a in (self.indptr, self.last, self.k_max,
+                                    self.total, self.gptr, self.buckets))
         total = self.total[r0:r0 + m]
         total[:] = cum[:, -1]
         if not total.all():  # no event, ever: one entry r + 1, never drawn
@@ -242,6 +251,12 @@ class RateCache:
         self.cum, self.to = _grown(self.cum, hi), _grown(self.to, hi)
         self.cum[lo:hi] = cum.ravel()[at]
         self.to[lo:hi] = to.ravel()[at]
+        guide, gptr, self.buckets[r0:r0 + m] = guide_table(
+            self.cum[lo:hi], np.diff(self.indptr[r0:r0 + m + 1]), r0)
+        g0 = int(self.gptr[r0])
+        self.guide = _grown(self.guide, g0 + guide.size)
+        np.add(guide, lo, out=self.guide[g0:g0 + guide.size])
+        np.add(gptr, g0, out=self.gptr[r0:r0 + m + 1])
         self.k_max[r0:r0 + m] = k_max
         self.row_of[ns] = np.arange(r0, r0 + m)
         self.n_rows = r0 + m
@@ -286,9 +301,11 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
 
     Each round every active path draws its holding time Exp(1)/total[n].  A
     path whose next event falls past T records its state and leaves; each
-    other path picks its jump by one ``searchsorted`` of r + U in the rows
-    (r the row of its state) and reads its next state from the cache's
-    target table, or draws a rare lumped-tail jump alone.  n0 must lie in
+    other path picks its jump at r + U in the rows (r the row of its state):
+    the entry its guide bucket names, or, where that entry does not lie
+    above r + U, one ``searchsorted`` of all such keys, clamped to the
+    row's last entry.  It reads its next state from the cache's target
+    table, or draws a rare lumped-tail jump alone.  n0 must lie in
     [1, ceiling]; a jump above ``ceiling`` raises StateExplosionGuard, or
     with ``cut`` stops the path at state ``ceiling + 1``.  Returns the
     states at T and the occupation times on [keep_from, T] as a dense table
@@ -318,10 +335,18 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
                 go = t <= T
                 finals[ids[~go]] = n[~go]
                 ids, n, t, rows = ids[go], n[go], t[go], rows[go]
-            pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
-                                  rows + rng.random(ids.size), side="right")
-            # r + U may round up to r + 1, past the row's last entry
-            nxt = cache.to[np.minimum(pos, cache.last[rows])]
+            u = rng.random(ids.size)
+            key = rows + u
+            pos = cache.guide[cache.gptr[rows]
+                              + (u * cache.buckets[rows]).astype(np.int64)]
+            miss = np.flatnonzero(cache.cum[pos] <= key)
+            if miss.size:
+                # r + U may round up to r + 1, past the row's last entry
+                pos[miss] = np.minimum(
+                    np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
+                                    key[miss], side="right"),
+                    cache.last[rows[miss]])
+            nxt = cache.to[pos]
             if nxt.size and nxt.min() == 0:  # the lumped tail
                 for i in np.flatnonzero(nxt == 0).tolist():
                     nxt[i] = _sample_tail_jump(params, int(n[i]),

@@ -206,6 +206,11 @@ def _semantic_validate(cfg: dict) -> list[str]:
     """Model-level checks beyond the JSON schema; returns report lines."""
     lines = [f"experiment: {cfg['experiment']}"]
     kind = cfg["experiment"]
+    if ((kind.startswith("duality-") or kind in ("fixation", "convergence"))
+            and cfg.get("replicates", 2) < 2):
+        # one replicate has no standard error, so no z-score to judge by
+        raise ConfigError(f"replicates={cfg['replicates']} must be at least "
+                          f"2 for a {kind} verdict")
     if "limit" in cfg:
         limit = build_limit_params(cfg["limit"])
         lines.append(f"selection admissible, Lambda_s mass {limit.alpha_s!r}")

@@ -15,8 +15,8 @@ for the number of potential parents an individual draws, supported on
 Sums of parent counts, mixed over the atoms of a measure, come from one
 log-space recurrence over every atom (``log_space_pmfs``), whose per-atom
 terms ``SumLaw`` and ``log_atoms`` take once; ``SumLaw`` also sizes the
-window of each sum from its moments.  Loader's ``binom_pmf`` and
-``nbinom_pmf`` are the accurate reference for them.
+window of each sum from its moments.  ``guide_table`` indexes the flat
+inverse-CDF rows that the dual chain and the finite ancestry draw from.
 
 Finite measures are weighted atoms; a density is reduced at construction to
 the nodes of a fixed composite midpoint rule, so every downstream integral
@@ -180,86 +180,6 @@ def mean_excess(kernel: SelectionKernel, y: float) -> float:
     return y * (base_mean - 1.0)
 
 
-# ---------------------------------------------------------------------------
-# Binomial and negative binomial pmfs
-# ---------------------------------------------------------------------------
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _stirlerr_series(n: np.ndarray) -> np.ndarray:
-    nn = n * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn))
-                                 / nn) / nn) / nn) / n
-
-
-#: _stirlerr at n = 0..1023 (0 unused): direct up to 15, where the
-#: log-gamma sum loses no digit that matters, the Stirling series above.
-_STIRLERR = np.concatenate([[0.0], [
-    math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * _LOG_2PI
-    for n in range(1, 16)], _stirlerr_series(np.arange(16.0, 1024.0))])
-
-
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for integers n >= 1."""
-    if n.max() < _STIRLERR.size:
-        return _STIRLERR[n.astype(np.intp)]
-    out = _stirlerr_series(n)
-    small = n <= 15
-    out[small] = _STIRLERR[n[small].astype(np.intp)]
-    return out
-
-
-def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x log(x/m) + m - x for x > 0, m > 0, Loader's deviance term.
-
-    Written as x log1p(d/m) - d with d = x - m, its rounding error is of the
-    order of eps |d| rather than eps x, which keeps the bulk of a large-n
-    pmf accurate.
-    """
-    d = x - m
-    return x * np.log1p(d / m) - d
-
-
-def binom_pmf(k, n, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf at k, broadcast over integer arrays k and n; zero
-    off {0, ..., n}.
-
-    Uses Loader's saddle-point form (C. Loader, "Fast and accurate
-    computation of binomial probabilities", 2000): the log pmf is a sum of
-    small Stirling remainders and the deviance terms ``_bd0``, so it keeps
-    its relative accuracy where a difference of log-gammas of size n log n
-    would lose digits, and it never overflows.
-    """
-    k = np.asarray(k, dtype=float)
-    n = np.asarray(n, dtype=float)
-    k, n = k + 0.0 * n, n + 0.0 * k  # broadcast to one shape
-    q = 1.0 - p
-    out = np.zeros(k.shape)
-    mid = (k > 0) & (k < n)
-    if p > 0 and q > 0 and mid.any():
-        km, nm = k[mid], n[mid]
-        # one call per helper on joined arguments: the arrays are short
-        sn, sk, snk = _stirlerr(
-            np.concatenate([nm, km, nm - km])).reshape(3, -1)
-        dk, dnk = _bd0(np.concatenate([km, nm - km]),
-                       np.concatenate([nm * p, nm * q])).reshape(2, -1)
-        lf = _LOG_2PI + np.log(km) + np.log1p(-km / nm)
-        out[mid] = np.exp(sn - sk - snk - dk - dnk - 0.5 * lf)
-    none, all_ = k == 0, (k == n) & (n > 0)
-    # (1-p)^n is 1 at n = 0 even when p = 1; the k = n branch has n > 0
-    out[none] = np.exp(n[none] * math.log1p(-p)) if q > 0 else n[none] == 0
-    out[all_] = np.exp(n[all_] * math.log(p)) if p > 0 else 0.0
-    return out
-
-
-def nbinom_pmf(k, n, p: float) -> np.ndarray:
-    """Probability of k failures before the n-th success, success
-    probability p: n / (n + k) times the Binomial(n + k, p) pmf at n."""
-    k = np.asarray(k, dtype=float)
-    return n / (n + k) * binom_pmf(n, n + k, p)
-
-
 def excess_moments(kernel: SelectionKernel, y: float) -> tuple[float, float, float]:
     """Mean, variance and largest value of K_y - 1 on the finite part of Q(y).
 
@@ -286,6 +206,46 @@ def segments(lens) -> tuple[np.ndarray, np.ndarray]:
     lens = np.asarray(lens, dtype=np.int64)
     row = np.repeat(np.arange(lens.size), lens)
     return row, np.arange(row.size) - (np.cumsum(lens) - lens)[row]
+
+
+#: Most buckets in one row of a ``guide_table``.
+GUIDE_BUCKETS = 64
+
+#: Bucket starts of a row of ``GUIDE_BUCKETS`` buckets past its r: j / 64.
+_FRACTIONS = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+
+#: Buckets of a row of n entries at index min(n, 64) - 1, the least power
+#: of two not below n, and where they start among the 64 of ``_FRACTIONS``.
+_BUCKETS = 2.0 ** np.ceil(np.log2(np.arange(1, GUIDE_BUCKETS + 1)))
+_STARTS = _FRACTIONS * _BUCKETS[:, None] % 1.0 == 0
+_COUNTS = _BUCKETS.astype(np.int64)
+
+
+def guide_table(cum: np.ndarray, lens, base: int = 0
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guide table (Chen and Asau, 1974) of flat inverse-CDF rows.
+
+    Row i of ``cum`` holds ``lens[i]`` >= 1 sorted entries in (r, r + 1],
+    r = base + i, the last one r + 1, laid end to end as in
+    ``bcre.RateCache`` and ``wf_graph.occupancy_rows``.  It gets
+    g = min(``GUIDE_BUCKETS``, 2^ceil(log2 lens[i])) buckets, fewer than
+    twice its entries, and bucket b holds the index in ``cum`` of the first
+    entry above r + b/g.  Returns (guide, gptr, buckets): row i's buckets
+    are ``guide[gptr[i]:gptr[i+1]]``, ``buckets[i]`` of them, as a float.
+
+    A draw at r + U, U in [0, 1), reads p = guide[gptr[r] + floor(U g)].
+    As g is a power of two, r + floor(U g)/g is a float no larger than the
+    rounded r + U, so no entry before p lies above r + U: p is the draw's
+    ``searchsorted(cum, r + U, side="right")`` whenever cum[p] > r + U, and
+    only the other draws need a search.
+    """
+    k = np.minimum(lens, GUIDE_BUCKETS) - 1
+    row, col = np.nonzero(_STARTS[k])
+    guide = np.searchsorted(cum, (row + base) + _FRACTIONS[col],
+                            side="right")
+    gptr = np.zeros(k.size + 1, dtype=np.int64)
+    np.cumsum(_COUNTS[k], out=gptr[1:])
+    return guide, gptr, _BUCKETS[k]
 
 
 class SumLaw:

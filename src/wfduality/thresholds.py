@@ -21,12 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ModelError, SigmaNotZero
 from .measures import FiniteMeasure, SelectionKernel, integrate, mean_excess
 from .params import LimitParams
-from .rngstreams import batch_mean_se
 
 #: Relative band around beta_star within which ``classify`` calls the
 #: regime indeterminate.
@@ -52,20 +49,6 @@ def beta_star(lambda_c: FiniteMeasure) -> float:
     return integrate(lambda_c, lambda y: -math.log1p(-y) / (y * y))
 
 
-def beta_star_mc(lambda_c: FiniteMeasure, samples: int,
-                 rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo of the defining expectation (1/2) E[1/(W(1-W))].
-
-    W = Y*U with Y from the normalised measure and U having density 2u,
-    sampled as the square root of a uniform.
-    """
-    y = lambda_c.normalized().sample(samples, rng)
-    u = np.sqrt(rng.random(samples))
-    w = y * u
-    vals = 0.5 / (w * (1.0 - w))
-    return batch_mean_se(vals)
-
-
 def alpha_star(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> float:
     """Rare-selection shape: E[g(m(Y))] with g(m) = log(1+m)/m."""
     if lambda_s.total_mass <= 0:
@@ -80,19 +63,6 @@ def alpha_star(kernel: SelectionKernel, lambda_s: FiniteMeasure) -> float:
         return math.log1p(m) / m
 
     return integrate(lambda_s.normalized(), g)
-
-
-def alpha_star_mc(kernel: SelectionKernel, lambda_s: FiniteMeasure,
-                  samples: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo of E[1/(1 + V m(Y))], V uniform on [0,1]."""
-    ys = lambda_s.normalized().sample(samples, rng)
-    uniq, inv = np.unique(ys, return_inverse=True)
-    ms = np.array([mean_excess(kernel, float(y)) for y in uniq])[inv]
-    v = rng.random(samples)
-    with np.errstate(invalid="ignore"):
-        vals = 1.0 / (1.0 + v * ms)
-    vals[np.isinf(ms)] = 0.0
-    return batch_mean_se(vals)
 
 
 def alpha_eff(alpha_s: float, alpha_star_value: float, w: float) -> float:

@@ -26,11 +26,12 @@ generation has a merger of strength V: each parent pick goes to the central
 individual with probability V, the rest pick uniform labels.  The distinct
 uniform labels D among s picks follow the classical occupancy law, drawn
 with one uniform per replicate from rows built once per N up to the largest
-pick count seen (``occupancy_rows``), within an entry budget; past a table
-cut at the budget, D is drawn exactly from coupon-collector gaps.  So a
-step costs O(replicates + lineages under selection), not O(picks log
-picks), while pick counts fit the table; the central label is uniform, so
-it adds a new label with probability 1 - D/N.
+pick count seen (``occupancy_rows``), within an entry budget, through their
+guide table (``occupancy_guide``); past a table cut at the budget, D is
+drawn exactly from coupon-collector gaps.  So a step costs O(replicates +
+lineages under selection), not O(picks log picks), while pick counts fit
+the table; the central label is uniform, so it adds a new label with
+probability 1 - D/N.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgument
-from .measures import FiniteMeasure, pgf_many
+from .measures import FiniteMeasure, guide_table, pgf_many
 from .params import K_CAP_FACTOR, FiniteModelParams, merge
 
 
@@ -144,10 +145,13 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
     """Distinct labels among ``picks[i]`` uniform draws from N, per row,
     by inverting the occupancy law at the uniform ``u[i]`` in [0, 1).
 
-    One ``searchsorted`` of s + u in the flat rows of ``occupancy_rows``,
-    clamped to the last entry of row s, so the count lies in
-    [min(s, 1), min(s, N)].  A pick count past the table's last row has
-    every label occupied, unless the table was cut at its entry budget
+    The bucket of u in row s of ``occupancy_guide`` names the entry of
+    ``occupancy_rows`` to read wherever that entry lies above s + u; the
+    other rows take one ``searchsorted`` of s + u in the flat rows, clamped
+    to the last entry of row s.  So each count is the one a search of
+    every row gives, in [min(s, 1), min(s, N)].  A pick count past the
+    table's last row has every label occupied, unless the table was cut at
+    its entry budget
     ``OCCUPANCY_ENTRIES``: such a row draws its count from ``rng`` by
     ``_collected_labels`` instead, and ignores its uniform.  When every
     pick count lies at or past the budget and N above it, no table is
@@ -159,11 +163,16 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
         # so no row of it could serve these picks
         return _collected_labels(picks, N, rng)
     # a row holds at least one entry, so no table has more rows than entries
-    cum, indptr, first = occupancy_rows(
-        N, min(max(64, 1 << top.bit_length()), budget), budget)
+    rows = min(max(64, 1 << top.bit_length()), budget)
+    cum, indptr, first = occupancy_rows(N, rows, budget)
+    guide, gptr, buckets = occupancy_guide(N, rows, budget)
     s = np.minimum(picks, first.size - 1)
-    at = np.minimum(np.searchsorted(cum, s + u, side="right"),
-                    indptr[s + 1] - 1)
+    key = s + u
+    at = guide[gptr[s] + (u * buckets[s]).astype(np.int64)]
+    miss = np.flatnonzero(cum[at] <= key)
+    if miss.size:  # s + u may round up to s + 1, past the row's last entry
+        at[miss] = np.minimum(np.searchsorted(cum, key[miss], side="right"),
+                              indptr[s[miss] + 1] - 1)
     out = first[s] + at - indptr[s]
     if top >= first.size and first[-1] < N:  # a table cut at the budget
         far = np.flatnonzero(picks >= first.size)
@@ -220,7 +229,8 @@ def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
     whose probability is at least ``OCCUPANCY_TINY``; d never exceeds
     min(s, N).  The table ends early at the first row that holds d = N
     alone, as every later row would, or before the first row that would
-    take it past ``entries`` entries.  The arrays are read-only.
+    take it past ``entries`` entries.  The arrays are read-only; their
+    guide table, which draws read first, is ``occupancy_guide``.
     """
     repeat = np.arange(min(rows, N) + 1) / N  # P(a pick is old | d labels)
     p, lo = np.ones(1), 0  # P(D = d | s) for d in [lo, lo + p.size)
@@ -245,6 +255,19 @@ def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
     indptr = np.zeros(len(cums) + 1, dtype=np.int64)
     np.cumsum([row.size for row in cums], out=indptr[1:])
     out = np.concatenate(cums), indptr, np.array(firsts, dtype=np.int64)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def occupancy_guide(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``measures.guide_table`` (guide, gptr, buckets) of the rows of
+    ``occupancy_rows(N, rows, entries)``, cached beside them; at most twice
+    their entries.  The arrays are read-only."""
+    cum, indptr, _ = occupancy_rows(N, rows, entries)
+    out = guide_table(cum, np.diff(indptr))
     for arr in out:
         arr.flags.writeable = False
     return out

@@ -20,10 +20,8 @@ from wfduality import (
     ScalingScheme,
     SelectionKernel,
     alpha_star,
-    alpha_star_mc,
     annealed_check,
     beta_star,
-    beta_star_mc,
     classify,
     convergence_experiment,
     draw_env,
@@ -39,6 +37,7 @@ from wfduality.thresholds import EXTINCTION, SURVIVAL
 from wfduality import fvwrs
 
 from conftest import rng
+from reference import alpha_star_mc, beta_star_mc
 
 
 def report(capsys, label: str, ok: bool, detail: str = "") -> None:

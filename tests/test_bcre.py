@@ -19,10 +19,12 @@ from wfduality import (
 )
 from wfduality import bcre, rngstreams
 from wfduality.bcre import RateCache, final_state, final_states
-from wfduality.measures import SumLaw, binom_pmf, nbinom_pmf
+from wfduality.measures import SumLaw
 from wfduality.rngstreams import batch_mean_se
 
 from conftest import limit_params, rng
+from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, guided_pick,
+                       nbinom_pmf, searched_pick)
 
 EMPTY = FiniteMeasure(np.empty(0), np.empty(0))
 
@@ -251,6 +253,104 @@ class TestRateCache:
         monkeypatch.setattr(np, "unique", unique)
         assert cache.rows(states).tolist() == [1, 0, 1]
         assert cache.get(2) == 0
+
+
+def guide_arrays(cache):
+    """A cache's flat rows, last entries and guide, cut to its rows."""
+    rows = cache.n_rows
+    return (cache.cum[:cache.indptr[rows]], cache.last[:rows],
+            cache.guide[:cache.gptr[rows]], cache.gptr[:rows + 1],
+            cache.buckets[:rows])
+
+
+def uniforms(seed, cache, per_row=16):
+    """Row index and uniform of ``per_row`` draws in each row of the cache,
+    the first two of each row at the ends of [0, 1), then of a draw at
+    each entry of each row but its last."""
+    r = np.repeat(np.arange(cache.n_rows), per_row)
+    u = rng(seed).random(r.size)
+    for j, edge in enumerate(EDGE_UNIFORMS):
+        u[j::per_row] = edge
+    at = entry_uniforms(cache.cum[:cache.indptr[cache.n_rows]],
+                        np.diff(cache.indptr[:cache.n_rows + 1]))
+    return np.concatenate((r, at[0])), np.concatenate((u, at[1]))
+
+
+class Draws:
+    """Stands in for the Generator of ``_paths``: every holding time is
+    tiny and then infinite, so each path jumps once, at the given uniforms
+    (none when the state has no event, as every path then leaves at
+    once)."""
+
+    def __init__(self, us):
+        self.us, self.waits = us, 0
+
+    def standard_exponential(self, size):
+        self.waits += 1
+        return np.full(size, 2.0**-60 if self.waits == 1 else np.inf)
+
+    def random(self, size):
+        return self.us[:size]
+
+
+class TestGuide:
+    """Each row's guide picks the entry one search of the flat rows picks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=limit_params(),
+           batch=st.lists(st.integers(1, 120), min_size=1, max_size=8),
+           singles=st.lists(st.integers(1, 400), max_size=4),
+           seed=st.integers(0, 2**32))
+    def test_guided_pick_is_the_searched_pick(self, params, batch, singles,
+                                              seed):
+        # a batch of new states builds many rows in one append, each single
+        # state one row past the others
+        cache = RateCache(params)
+        cache.rows(np.array(batch))
+        for n in singles:
+            cache.rows(np.array([n]))
+        cum, last, guide, gptr, buckets = guide_arrays(cache)
+        r, u = uniforms(seed, cache)
+        key = r + u
+        np.testing.assert_array_equal(
+            guided_pick(cum, last, guide, gptr, buckets, r, u, key),
+            searched_pick(cum, last, r, key))
+        assert (buckets < 2 * np.diff(cache.indptr[:cache.n_rows + 1])).all()
+        assert guide.size < 2 * cum.size
+
+    def test_a_row_without_events(self):
+        # one lineage cannot merge: its row is the one entry r + 1, never
+        # drawn from, among rows of one entry or more
+        cache = RateCache(params_with(sigma=1.0))
+        cache.rows(np.array([1, 2, 5]))
+        cache.rows(np.array([9]))
+        cum, last, guide, gptr, buckets = guide_arrays(cache)
+        assert cache.total[0] == 0 and cum[0] == 1.0 and last[0] == 0
+        assert guide[0] == 0 and buckets[0] == 1.0
+        r, u = uniforms(3, cache)
+        np.testing.assert_array_equal(
+            guided_pick(cum, last, guide, gptr, buckets, r, u, r + u),
+            searched_pick(cum, last, r, r + u))
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=limit_params(), n0=st.integers(1, 60),
+           seed=st.integers(0, 2**32))
+    def test_engine_jumps_as_the_search_picks(self, params, n0, seed):
+        # one round of the engine from n0, whose row r = n0 - 1 lies past
+        # others and before others, at every uniform of ``uniforms`` but
+        # those of the lumped tail, whose draw has its own test
+        cache = RateCache(params)
+        cache.rows(np.arange(1, n0 + 3))
+        r = cache.rows(np.array([n0]))[0]
+        at, u = uniforms(seed, cache)
+        cum, last, *_ = guide_arrays(cache)
+        to = cache.to[searched_pick(cum, last, at, at + u)]
+        u, to = u[(at == r) & (to > 0)], to[(at == r) & (to > 0)]
+        finals, _ = bcre._paths(params, n0, 1.0, u.size, Draws(u), cache,
+                                bcre.DEFAULT_CEILING)
+        if cache.total[r] == 0:  # no event: the path stays
+            to[:] = n0
+        np.testing.assert_array_equal(finals, to)
 
 
 def table_kernel():

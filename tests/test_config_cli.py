@@ -324,6 +324,60 @@ class TestSampleSize:
         assert "sample size" in res.output
 
 
+class TestExactSides:
+    def test_sides_one_ulp_apart_pass(self, tmp_path):
+        # both sides are exact (SE 0); the forward side squares an array and
+        # the backward side raises a scalar to an integer array, so they
+        # read 0.1190204081632653 and 0.11902040816326528
+        cfg = {"experiment": "duality-quenched", "seed": 1,
+               "finite": ANNEALED_CFG["finite"], "env": [0.5], "x": 0.5,
+               "n": 2, "replicates": 10}
+        out = tmp_path / "o"
+        res = CliRunner().invoke(main, [
+            "run", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        results = json.loads((out / "result.json").read_text())["results"]
+        assert results["lhs_se"] == results["rhs_se"] == 0.0
+        assert results["z"] == 0.0
+
+
+class TestOneReplicate:
+    # one replicate has no SE: run exited 2 with z = inf, or z = 544.8 for
+    # fixation, after validate had said OK
+    @pytest.mark.parametrize("cfg", [
+        ANNEALED_CFG, QUENCHED_CFG,
+        {"experiment": "duality-moment", "seed": 3, "limit": BASELINE_LIMIT,
+         "x": 0.5, "n": 2, "t": 0.1},
+        {"experiment": "fixation", "seed": 3, "limit": THRESHOLDS_CFG["limit"],
+         "x_grid": [0.5], "T": 0.01, "T_stat": 100.0},
+        {"experiment": "convergence", "seed": 3, "limit": BASELINE_LIMIT,
+         "N_list": [20, 80], "x": 0.5, "n": 2, "t": 0.2, "dt": 1e-2},
+    ], ids=lambda cfg: cfg["experiment"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected_with_config_error(self, tmp_path, cfg, command):
+        args = [command, write_cfg(tmp_path, dict(cfg, replicates=1))]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert "ConfigError" in res.output and "replicates=1" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "simulate-x", "seed": 3, "limit": BASELINE_LIMIT,
+         "x0": 0.5, "T": 0.1},
+        {"experiment": "simulate-z", "seed": 3, "limit": BASELINE_LIMIT,
+         "T": 0.1},
+        {"experiment": "simulate-finite", "seed": 3,
+         "finite": ANNEALED_CFG["finite"], "x0": 0.5, "generations": 2},
+    ], ids=lambda cfg: cfg["experiment"])
+    def test_simulations_run_one(self, tmp_path, cfg):
+        res = CliRunner().invoke(main, [
+            "run", write_cfg(tmp_path, dict(cfg, replicates=1)),
+            "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+
+
 class TestPopulationBound:
     # at N >= 2**60 the parent-count cap K_CAP_FACTOR * N overflows int64
     @pytest.mark.parametrize("command", ["validate", "run"])

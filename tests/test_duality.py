@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from wfduality import (
+    DualityReport,
     EnvSequence,
     FiniteMeasure,
     FiniteModelParams,
@@ -204,6 +205,18 @@ class TestQuenchedDuality:
         assert report.z == 0.0
         if c_N == 0.0:
             assert report.lhs == pgf(params.kernel, y0, x) ** n
+
+
+class TestExactReport:
+    def test_sides_equal_to_rounding_read_zero(self):
+        # 1/9 squared by numpy's square loop and by its pow loop
+        report = DualityReport(0.1111111111111111, 0.0,
+                               0.11111111111111109, 0.0, 10)
+        assert report.z == 0.0
+
+    def test_distinct_exact_sides_read_infinite(self):
+        assert DualityReport(0.25, 0.0, 0.2500001, 0.0, 10).z == math.inf
+        assert DualityReport(0.0, 0.0, 1e-300, 0.0, 10).z == math.inf
 
 
 class TestAnnealedDuality:

@@ -18,11 +18,13 @@ from wfduality import (
     mean_excess,
     pgf,
 )
-from wfduality.measures import (INF_K, SumLaw, binom_pmf, excess_moments,
-                                joined, log_atoms, log_space_pmfs,
-                                nbinom_pmf)
+from wfduality.measures import (GUIDE_BUCKETS, INF_K, SumLaw, excess_moments,
+                                guide_table, joined, log_atoms,
+                                log_space_pmfs)
 
 from conftest import KERNELS, rng
+from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, guided_pick,
+                       nbinom_pmf, searched_pick)
 
 
 class TestPgf:
@@ -395,3 +397,53 @@ class TestKernelSampling:
         draws = k.sample(0.25, 20000, rng(5))
         assert set(np.unique(draws)) == {1, 3}
         assert (draws == 3).mean() == pytest.approx(0.25, abs=0.01)
+
+
+@st.composite
+def flat_rows(draw):
+    """Sorted flat inverse-CDF rows: row i holds entries in (r, r + 1],
+    r = base + i, ending at r + 1.  Some rows hold one entry, some repeat
+    entries, and at a large base many fractions round to r + 1."""
+    base = draw(st.sampled_from([0, 1, 2**20, 2**40]) | st.integers(0, 10**6))
+    lens = draw(st.lists(st.integers(1, 200), min_size=1, max_size=10))
+    gen = rng(draw(st.integers(0, 2**32)))
+    rows = []
+    for i, n in enumerate(lens):
+        r = float(base + i)
+        frac = gen.random(n - 1)
+        if draw(st.booleans()):  # a coarse grid: repeated entries
+            grid = draw(st.sampled_from([2, 16, 1000]))
+            frac = np.ceil(frac * grid) / grid
+        row = np.sort(r + frac)
+        rows.append(np.append(row[(row > r) & (row < r + 1.0)], r + 1.0))
+    lens = np.array([row.size for row in rows])
+    return base, np.concatenate(rows), lens
+
+
+class TestGuideTable:
+    @settings(max_examples=150, deadline=None)
+    @given(table=flat_rows(), seed=st.integers(0, 2**32))
+    def test_guided_pick_is_the_searched_pick(self, table, seed):
+        base, cum, lens = table
+        guide, gptr, buckets = guide_table(cum, lens, base)
+        last = np.cumsum(lens) - 1
+        i = np.repeat(np.arange(lens.size), len(EDGE_UNIFORMS) + 16)
+        u = rng(seed).random(i.size)
+        u[::len(EDGE_UNIFORMS) + 16] = EDGE_UNIFORMS[0]
+        u[1::len(EDGE_UNIFORMS) + 16] = EDGE_UNIFORMS[1]
+        i, u = (np.concatenate(pair)
+                for pair in zip((i, u), entry_uniforms(cum, lens, base)))
+        key = (base + i) + u
+        np.testing.assert_array_equal(
+            guided_pick(cum, last, guide, gptr, buckets, i, u, key),
+            searched_pick(cum, last, i, key))
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=flat_rows())
+    def test_a_guide_holds_fewer_than_twice_its_entries(self, table):
+        base, cum, lens = table
+        guide, gptr, buckets = guide_table(cum, lens, base)
+        assert (buckets < 2 * lens).all()
+        assert (buckets <= GUIDE_BUCKETS).all()
+        assert (np.diff(gptr) == buckets).all() and gptr[-1] == guide.size
+        assert guide.size < 2 * cum.size

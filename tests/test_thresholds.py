@@ -11,15 +11,14 @@ from wfduality import (
     SigmaNotZero,
     alpha_eff,
     alpha_star,
-    alpha_star_mc,
     beta_star,
-    beta_star_mc,
     classify,
 )
 from wfduality.cli import _plain
 from wfduality.thresholds import EXTINCTION, INDETERMINATE, SURVIVAL
 
 from conftest import rng
+from reference import alpha_star_mc, beta_star_mc
 
 
 class TestBetaStar:

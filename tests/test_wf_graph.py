@@ -29,6 +29,8 @@ from wfduality.measures import pgf
 from wfduality.params import N_MAX
 
 from conftest import KERNELS, rng
+from reference import (EDGE_UNIFORMS, entry_uniforms, guided_pick,
+                       searched_pick)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -494,6 +496,44 @@ class TestOccupiedLabels:
         assert first.size < 4096
         with pytest.raises(ValueError):
             cum[0] = 0.0
+
+
+class TestOccupancyGuide:
+    """Guided occupancy draws pick what one search of the rows picks."""
+
+    @pytest.mark.parametrize("N", [2, 10, 1000, 10**6])
+    @pytest.mark.parametrize("rows", [64, 1024])
+    def test_labels_are_the_searched_labels(self, N, rows):
+        # the largest pick count, rows - 1, asks for a table of ``rows`` rows
+        cum, indptr, first = wf_graph.occupancy_rows(N, rows)
+        picks = np.arange(rows)
+        if first[-1] < N:  # a cut table: compare the rows it holds
+            picks = picks[picks < first.size]
+        u = rng(N + rows).random(picks.size * 18)
+        for j, edge in enumerate(EDGE_UNIFORMS):
+            u[j::18] = edge
+        # and a draw at every entry of the rows but their last
+        at, exact = entry_uniforms(cum, np.diff(indptr))
+        held = at < first.size if first[-1] == N else at < picks.size
+        picks = np.concatenate((np.repeat(picks, 18), at[held], [rows - 1]))
+        u = np.concatenate((u, exact[held], [0.5]))
+        d = wf_graph._occupied_labels(picks, N, u, rng(0))
+        s = np.minimum(picks, first.size - 1)[:-1]
+        at = searched_pick(cum, indptr[1:] - 1, s, s + u[:-1])
+        np.testing.assert_array_equal(d[:-1], first[s] + at - indptr[s])
+        guide, gptr, buckets = wf_graph.occupancy_guide(N, rows)
+        np.testing.assert_array_equal(
+            guided_pick(cum, indptr[1:] - 1, guide, gptr, buckets, s,
+                        u[:-1], s + u[:-1]), at)
+
+    @pytest.mark.parametrize("N", [2, 10, 1000, 10**6])
+    def test_guide_holds_fewer_than_twice_the_entries(self, N):
+        cum, indptr, _ = wf_graph.occupancy_rows(N, 4096)
+        guide, gptr, buckets = wf_graph.occupancy_guide(N, 4096)
+        assert (buckets < 2 * np.diff(indptr)).all()
+        assert guide.size == gptr[-1] < 2 * cum.size
+        with pytest.raises(ValueError):
+            guide[0] = 0
 
 
 @st.composite
