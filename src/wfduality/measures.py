@@ -211,14 +211,15 @@ def segments(lens) -> tuple[np.ndarray, np.ndarray]:
 #: Most buckets in one row of a ``guide_table``.
 GUIDE_BUCKETS = 64
 
-#: Bucket starts of a row of ``GUIDE_BUCKETS`` buckets past its r: j / 64.
-_FRACTIONS = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
-
 #: Buckets of a row of n entries at index min(n, 64) - 1, the least power
-#: of two not below n, and where they start among the 64 of ``_FRACTIONS``.
-_BUCKETS = 2.0 ** np.ceil(np.log2(np.arange(1, GUIDE_BUCKETS + 1)))
-_STARTS = _FRACTIONS * _BUCKETS[:, None] % 1.0 == 0
-_COUNTS = _BUCKETS.astype(np.int64)
+#: of two not below n, and which of the 64 starts j/64 past the row's r
+#: are theirs: b/g = j/64 for j a multiple of 64/g.  Built without numpy
+#: calls, which would load code the import does not otherwise need.
+_COUNTS = [1 << (n - 1).bit_length() for n in range(1, GUIDE_BUCKETS + 1)]
+_STARTS = np.array([[j % (GUIDE_BUCKETS // g) == 0
+                     for j in range(GUIDE_BUCKETS)] for g in _COUNTS])
+_BUCKETS = np.array(_COUNTS, dtype=float)
+_COUNTS = np.array(_COUNTS)
 
 
 def guide_table(cum: np.ndarray, lens, base: int = 0
@@ -240,9 +241,11 @@ def guide_table(cum: np.ndarray, lens, base: int = 0
     only the other draws need a search.
     """
     k = np.minimum(lens, GUIDE_BUCKETS) - 1
-    row, col = np.nonzero(_STARTS[k])
-    guide = np.searchsorted(cum, (row + base) + _FRACTIONS[col],
-                            side="right")
+    # 64 i + j for the bucket start i + j/64 of row i, which the division
+    # and the sum give exactly: r + b/g is a float
+    starts = np.flatnonzero(_STARTS[k]) / GUIDE_BUCKETS
+    starts += base
+    guide = np.searchsorted(cum, starts, side="right")
     gptr = np.zeros(k.size + 1, dtype=np.int64)
     np.cumsum(_COUNTS[k], out=gptr[1:])
     return guide, gptr, _BUCKETS[k]
