@@ -213,13 +213,13 @@ GUIDE_BUCKETS = 64
 
 #: Buckets of a row of n entries at index min(n, 64) - 1, the least power
 #: of two not below n, and which of the 64 starts j/64 past the row's r
-#: are theirs: b/g = j/64 for j a multiple of 64/g.  Built without numpy
-#: calls, which would load code the import does not otherwise need.
-_COUNTS = [1 << (n - 1).bit_length() for n in range(1, GUIDE_BUCKETS + 1)]
+#: are theirs: b/g = j/64 for j a multiple of 64/g.  Built from Python
+#: lists, as numpy ufuncs at import would load code nothing else needs.
+_COUNTS = np.array([1 << (n - 1).bit_length()
+                    for n in range(1, GUIDE_BUCKETS + 1)])
 _STARTS = np.array([[j % (GUIDE_BUCKETS // g) == 0
-                     for j in range(GUIDE_BUCKETS)] for g in _COUNTS])
-_BUCKETS = np.array(_COUNTS, dtype=float)
-_COUNTS = np.array(_COUNTS)
+                     for j in range(GUIDE_BUCKETS)] for g in _COUNTS.tolist()])
+_BUCKETS = _COUNTS.astype(float)
 
 
 def guide_table(cum: np.ndarray, lens, base: int = 0
