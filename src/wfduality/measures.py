@@ -16,7 +16,8 @@ Sums of parent counts, mixed over the atoms of a measure, come from one
 log-space recurrence over every atom (``log_space_pmfs``), whose per-atom
 terms ``SumLaw`` and ``log_atoms`` take once; ``SumLaw`` also sizes the
 window of each sum from its moments.  ``guide_table`` indexes the flat
-inverse-CDF rows that the dual chain and the finite ancestry draw from.
+inverse-CDF rows that the dual chain and both directions of the finite graph
+draw from; ``guided_draw`` is the finite graph's draw through them.
 
 Finite measures are weighted atoms; a density is reduced at construction to
 the nodes of a fixed composite midpoint rule, so every downstream integral
@@ -137,6 +138,8 @@ def pgf_many(kernel: SelectionKernel, y, x) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     y, x = np.broadcast_arrays(y, x)
+    if kernel.variant == "geometric":  # either sign of y is geometric
+        return _pgf_geometric(np.abs(y), x)
     out = np.empty(y.shape)
     neg = y < 0
     if neg.any():  # weak-selection encoding: geometric with parameter -y
@@ -144,9 +147,7 @@ def pgf_many(kernel: SelectionKernel, y, x) -> np.ndarray:
     pos = ~neg
     if pos.any():
         yp, xp = y[pos], x[pos]
-        if kernel.variant == "geometric":
-            out[pos] = _pgf_geometric(yp, xp)
-        elif kernel.variant == "binary":
+        if kernel.variant == "binary":
             out[pos] = (1.0 - yp) * xp + yp * xp * xp
         else:
             base = np.zeros_like(xp)
@@ -157,12 +158,15 @@ def pgf_many(kernel: SelectionKernel, y, x) -> np.ndarray:
     return out
 
 
-def _pgf_geometric(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty(y.shape)
-    deg = y >= 1.0  # point mass at infinity
+def _pgf_geometric(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x(1 - q)/(1 - xq), the pgf of Geo(1 - q) at x, for q in [0, 1]."""
+    deg = q >= 1.0  # point mass at infinity
+    if not deg.any():
+        return x * (1.0 - q) / (1.0 - x * q)
+    out = np.empty(q.shape)
     out[deg] = (x[deg] == 1.0).astype(float)
     reg = ~deg
-    out[reg] = x[reg] * (1.0 - y[reg]) / (1.0 - x[reg] * y[reg])
+    out[reg] = x[reg] * (1.0 - q[reg]) / (1.0 - x[reg] * q[reg])
     return out
 
 
@@ -249,6 +253,27 @@ def guide_table(cum: np.ndarray, lens, base: int = 0
     gptr = np.zeros(k.size + 1, dtype=np.int64)
     np.cumsum(_COUNTS[k], out=gptr[1:])
     return guide, gptr, _BUCKETS[k]
+
+
+def guided_draw(cum: np.ndarray, indptr: np.ndarray, guide: np.ndarray,
+                gptr: np.ndarray, buckets: np.ndarray, rows: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Index in ``cum`` of the entry each inverse-CDF draw at rows + u picks,
+    u in [0, 1), in the flat rows ``cum[indptr[r]:indptr[r+1]]`` with their
+    ``guide_table`` (guide, gptr, buckets): the first entry above the key,
+    clamped to the row's last entry.
+
+    The entry a draw's bucket names is its answer wherever it lies above
+    the key; the other keys take one ``searchsorted``, whose clamp catches
+    a key that rounds up to r + 1, past every entry of its row.
+    """
+    key = rows + u
+    at = guide[gptr[rows] + (u * buckets[rows]).astype(np.int64)]
+    miss = np.flatnonzero(cum[at] <= key)
+    if miss.size:
+        at[miss] = np.minimum(np.searchsorted(cum, key[miss], side="right"),
+                              indptr[rows[miss] + 1] - 1)
+    return at
 
 
 class SumLaw:

@@ -11,7 +11,13 @@ of its potential parents are, each parent independently of type 0 with
 probability (1-V)x + V(1-b).  The next-generation 0-count is therefore
 Binomial(N, pgf_y(p)) with p = (1-V)x + V(1-b), which we sample directly
 instead of materialising parent lists; the merger step ``params.merge``
-draws p.
+draws p.  Most generations are neutral, where pgf_0(p) = p, so without a
+merger the success probability is the current count over N.  A replicate
+whose success probability is c/N for an interior count c inverts row c of
+``binomial_rows``, the laws Binomial(N, c/N) built once per N <= 255,
+with one uniform through its guide table; every other replicate, and every
+replicate at larger N, takes ``rng.binomial``, whose setup for each new
+probability costs several times as much.
 
 Backward direction: the block-counting chain of the ancestry,
 ``step_ancestry_many``, which ``simulate_ancestry`` runs over an environment
@@ -36,13 +42,14 @@ probability 1 - D/N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .measures import FiniteMeasure, guide_table, pgf_many
+from .measures import FiniteMeasure, guide_table, guided_draw, pgf_many
 from .params import K_CAP_FACTOR, FiniteModelParams, merge
 
 
@@ -85,15 +92,34 @@ def step_frequency_many(params: FiniteModelParams, x: np.ndarray, y,
     """One forward generation for a vector of independent replicates.
 
     ``y`` may be a scalar (shared environment, quenched) or a per-replicate
-    array (annealed).
+    array (annealed).  A replicate whose success probability is c/N for an
+    interior count c reads its next count from row c of ``binomial_rows``
+    with one uniform; every other replicate, and every replicate when N has
+    no table, takes ``rng.binomial``.
     """
     p = np.array(x, dtype=float)  # the type-0 probability of a parent pick
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise InvalidArgument("frequencies must lie in [0, 1]")
     if params.c_N > 0:
         hit = rng.random(p.size) < params.c_N
         p[hit] = merge(params.merger_strength_law, p[hit], rng)
+    N = params.N
     succ = pgf_many(params.kernel, y, p)
-    counts = rng.binomial(params.N, succ)
-    return counts / params.N
+    table = binomial_rows(N, OCCUPANCY_ENTRIES)
+    if table is None:
+        return rng.binomial(N, succ) / N
+    c = np.rint(succ * N)
+    on = (c / N == succ) & (c > 0) & (c < N)
+    counts = np.empty(succ.shape, dtype=np.int64)
+    off = ~on
+    counts[off] = rng.binomial(N, succ[off])
+    if on.any():
+        cum, indptr, first, guide, gptr, buckets = table
+        c = c[on].astype(np.int64)
+        at = guided_draw(cum, indptr, guide, gptr, buckets, c,
+                         rng.random(c.size))
+        counts[on] = first[c] + at - indptr[c]
+    return counts / N
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +191,8 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
     # a row holds at least one entry, so no table has more rows than entries
     rows = min(max(64, 1 << top.bit_length()), budget)
     cum, indptr, first = occupancy_rows(N, rows, budget)
-    guide, gptr, buckets = occupancy_guide(N, rows, budget)
     s = np.minimum(picks, first.size - 1)
-    key = s + u
-    at = guide[gptr[s] + (u * buckets[s]).astype(np.int64)]
-    miss = np.flatnonzero(cum[at] <= key)
-    if miss.size:  # s + u may round up to s + 1, past the row's last entry
-        at[miss] = np.minimum(np.searchsorted(cum, key[miss], side="right"),
-                              indptr[s[miss] + 1] - 1)
+    at = guided_draw(cum, indptr, *occupancy_guide(N, rows, budget), s, u)
     out = first[s] + at - indptr[s]
     if top >= first.size and first[-1] < N:  # a table cut at the budget
         far = np.flatnonzero(picks >= first.size)
@@ -204,9 +224,11 @@ def _collected_labels(picks: np.ndarray, N: int,
     return np.add.reduceat(gaps <= np.repeat(picks + before, lens), starts)
 
 
-#: Most entries of one ``occupancy_rows`` table.  A table at this budget
-#: stops before its first row that would pass it; pick counts past its last
-#: row draw their distinct labels by ``_collected_labels``.
+#: Most entries of one ``occupancy_rows`` table, and of the (N+1)^2 grid a
+#: ``binomial_rows`` table is built from, so N <= 255 has one.  An
+#: occupancy table at this budget stops before its first row that would
+#: pass it; pick counts past its last row draw their distinct labels by
+#: ``_collected_labels``.
 OCCUPANCY_ENTRIES = 2**16
 
 #: Occupancy probabilities below this are dropped from the recursion, so a
@@ -268,6 +290,47 @@ def occupancy_guide(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
     their entries.  The arrays are read-only."""
     cum, indptr, _ = occupancy_rows(N, rows, entries)
     out = guide_table(cum, np.diff(indptr))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def binomial_rows(N: int, entries: int = OCCUPANCY_ENTRIES):
+    """The laws Binomial(N, c/N), c = 0..N, as flat rows to search, or None
+    when their (N+1)^2 grid would pass ``entries``.
+
+    Row c holds c + P(K <= k) in ``cum[indptr[c]:indptr[c+1]]`` for
+    k = ``first[c]``, ``first[c]`` + 1, ..., cut as ``occupancy_rows``
+    cuts its rows: from the first entry above c to the first that rounds
+    to c + 1.  Rows 0 and N are the point masses at 0 and N.  The pmfs come
+    from one log-space pass over the grid.  Returns (cum, indptr, first)
+    and their ``measures.guide_table`` (guide, gptr, buckets), all
+    read-only.
+    """
+    if (N + 1) ** 2 > entries:
+        return None
+    k = np.arange(N + 1.0)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
+    c = k[1:-1, None]  # the interior rows
+    grid = np.zeros((N + 1, N + 1))
+    grid[0, 0] = grid[N, N] = 1.0
+    grid[1:-1] = log_fact[N] - log_fact - log_fact[::-1]
+    grid[1:-1] += k * np.log(c / N) + (N - k) * np.log1p(-c / N)
+    np.exp(grid[1:-1], out=grid[1:-1])
+    np.cumsum(grid, axis=1, out=grid)
+    grid /= grid[:, -1:]
+    grid += k[:, None]
+    # keep entry k of row c from the first above c to the first that
+    # rounds to c + 1: above c, with no entry before it at c + 1
+    above = grid > k[:, None]
+    keep = above.copy()
+    keep[:, 1:] &= grid[:, :-1] < k[:, None] + 1.0
+    lens = keep.sum(axis=1)
+    indptr = np.zeros(N + 2, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    cum = grid[keep]
+    out = (cum, indptr, N + 1 - above.sum(axis=1), *guide_table(cum, lens))
     for arr in out:
         arr.flags.writeable = False
     return out

@@ -1,7 +1,8 @@
 """Reference computations the tests hold the program against.
 
 Loader's saddle-point binomial and negative-binomial pmfs are the accurate
-reference for the rows of ``measures.log_space_pmfs``; ``beta_star_mc`` and
+reference for the rows of ``measures.log_space_pmfs``; ``pgf_geometric`` is
+the geometric pgf one float at a time; ``beta_star_mc`` and
 ``alpha_star_mc`` estimate the threshold constants by Monte Carlo of their
 defining expectations, against the closed forms of ``thresholds``.
 """
@@ -114,6 +115,15 @@ def alpha_star_mc(kernel: SelectionKernel, lambda_s: FiniteMeasure,
         vals = 1.0 / (1.0 + v * ms)
     vals[np.isinf(ms)] = 0.0
     return batch_mean_se(vals)
+
+
+def pgf_geometric(y: float, x: float) -> float:
+    """E[x^K] for K ~ Geo(1 - |y|) on {1, 2, ...}, one float at a time:
+    x(1 - |y|)/(1 - x|y|), and at |y| = 1 the point mass at infinity."""
+    q = abs(y)
+    if q >= 1.0:
+        return float(x == 1.0)
+    return x * (1.0 - q) / (1.0 - x * q)
 
 
 def searched_pick(cum: np.ndarray, last: np.ndarray, i: np.ndarray,

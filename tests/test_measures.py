@@ -20,11 +20,11 @@ from wfduality import (
 )
 from wfduality.measures import (GUIDE_BUCKETS, INF_K, SumLaw, excess_moments,
                                 guide_table, joined, log_atoms,
-                                log_space_pmfs)
+                                log_space_pmfs, pgf_many)
 
 from conftest import KERNELS, rng
 from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, guided_pick,
-                       nbinom_pmf, searched_pick)
+                       nbinom_pmf, pgf_geometric, searched_pick)
 
 
 class TestPgf:
@@ -95,6 +95,26 @@ class TestPgf:
         lo, hi = sorted((x1, x2))
         assert pgf(kernel, y, lo) <= lo + 1e-12
         assert pgf(kernel, y, lo) <= pgf(kernel, y, hi) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=st.sampled_from(KERNELS),
+           ys=st.lists(st.one_of(st.sampled_from([-1.0, 1.0]),
+                                 st.floats(-1.0, 1.0)), min_size=1,
+                       max_size=8),
+           xs=st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                 st.floats(0.0, 1.0)), min_size=8,
+                       max_size=8))
+    def test_geometric_is_the_scalar_formula_bit_for_bit(self, kernel, ys,
+                                                         xs):
+        # the geometric kernel at either sign of y, and every kernel at
+        # y < 0, is x(1 - |y|)/(1 - x|y|) with the same rounding
+        ys = np.resize(ys, 8)
+        if kernel.variant != "geometric":
+            ys = -np.abs(ys)
+        got = pgf_many(kernel, ys, np.array(xs))
+        want = [pgf_geometric(y, x) for y, x in zip(ys.tolist(), xs)]
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      np.array(want).view(np.int64))
 
     def test_convex_in_x(self, geo, binary):
         xs = np.linspace(0, 1, 41)

@@ -25,7 +25,7 @@ from wfduality import (
     step_frequency_many,
 )
 from wfduality import wf_graph
-from wfduality.measures import pgf
+from wfduality.measures import guided_draw, pgf, pgf_many
 from wfduality.params import N_MAX
 
 from conftest import KERNELS, rng
@@ -115,6 +115,113 @@ class TestStepFrequency:
         draws = step_frequency_many(params, np.full(20000, 0.3), 0.0, rng(4))
         assert set(np.unique(draws)) == {0.0, 1.0}
         assert (draws == 1.0).mean() == pytest.approx(0.3, abs=0.01)
+
+    @pytest.mark.parametrize("x", [1.5, math.nan, -0.1])
+    def test_bad_frequency_is_a_package_error(self, x):
+        with pytest.raises(InvalidArgument):
+            step_frequency_many(neutral_model(10), np.array([0.5, x]), 0.0,
+                                rng(5))
+
+
+def lattice_counts(N: int, c: int, M: int) -> np.ndarray:
+    """Next counts of M neutral replicates at count c, which the step reads
+    from row c of ``binomial_rows`` when 0 < c < N."""
+    draws = step_frequency_many(neutral_model(N), np.full(M, c / N), 0.0,
+                                rng(N * 1000 + c))
+    return np.rint(draws * N).astype(np.int64)
+
+
+class TestBinomialRows:
+    """The neutral forward step's inversion table of Binomial(N, c/N)."""
+
+    @pytest.mark.parametrize("N", [2, 10, 100, 255])
+    @pytest.mark.parametrize("where", ["one", "third", "last"])
+    def test_lattice_steps_follow_the_binomial_law(self, N, where):
+        c = {"one": 1, "third": max(N // 3, 1), "last": N - 1}[where]
+        M = 200_000
+        k = lattice_counts(N, c, M)
+        # cells of expected count below 5 join the nearest kept cell
+        expected = stats.binom.pmf(np.arange(N + 1), N, c / N) * M
+        big = np.flatnonzero(expected >= 5)
+        lo, hi = big[0], big[-1]
+        observed = np.bincount(np.clip(k, lo, hi) - lo, minlength=hi - lo + 1)
+        want = expected[lo:hi + 1].copy()
+        want[0] = stats.binom.cdf(lo, N, c / N) * M
+        want[-1] = stats.binom.sf(hi - 1, N, c / N) * M
+        _, p = stats.chisquare(observed, want * M / want.sum())
+        assert p > 0.001
+
+    @pytest.mark.parametrize("N", [2, 10, 100, 255])
+    def test_guided_index_is_the_searched_index(self, N):
+        cum, indptr, first, guide, gptr, buckets = wf_graph.binomial_rows(N)
+        last = indptr[1:] - 1
+        # a draw at every entry but the rows' last, and at both edges and
+        # 16 random uniforms in every row
+        rows, u = entry_uniforms(cum, np.diff(indptr))
+        more = np.repeat(np.arange(N + 1), len(EDGE_UNIFORMS) + 16)
+        rand = rng(N).random(more.size)
+        for j, edge in enumerate(EDGE_UNIFORMS):
+            rand[j::len(EDGE_UNIFORMS) + 16] = edge
+        rows, u = np.concatenate((rows, more)), np.concatenate((u, rand))
+        want = searched_pick(cum, last, rows, rows + u)
+        np.testing.assert_array_equal(
+            guided_pick(cum, last, guide, gptr, buckets, rows, u, rows + u),
+            want)
+        np.testing.assert_array_equal(
+            guided_draw(cum, indptr, guide, gptr, buckets, rows, u), want)
+        # and a step's interior lattice counts are those of the search at
+        # the uniforms it reads
+        c = rows[(rows > 0) & (rows < N)]
+        counts = step_frequency_many(neutral_model(N), c / N, 0.0, rng(7))
+        u = rng(7).random(c.size)
+        np.testing.assert_array_equal(
+            np.rint(counts * N),
+            first[c] + searched_pick(cum, last, c, c + u) - indptr[c])
+
+    @pytest.mark.parametrize("N", [1, 2, 10, 100, 255])
+    def test_rows_are_sorted_and_read_only(self, N):
+        cum, indptr, first, guide, gptr, buckets = wf_graph.binomial_rows(N)
+        lens = np.diff(indptr)
+        assert (np.diff(cum) >= 0).all() and (lens >= 1).all()
+        assert indptr[-1] == cum.size and lens.size == N + 1
+        c = np.arange(N + 1)
+        # row c lies in (c, c + 1] and ends at c + 1
+        assert (cum[indptr[:-1]] > c).all()
+        np.testing.assert_array_equal(cum[indptr[1:] - 1], c + 1.0)
+        assert first[0] == 0 and first[N] == N and lens[0] == lens[N] == 1
+        assert (first + lens <= N + 1).all()
+        assert (buckets < 2 * lens).all()
+        assert guide.size == gptr[-1] < 2 * cum.size
+        for arr in (cum, indptr, first, guide, gptr, buckets):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("N,budget", [(256, wf_graph.OCCUPANCY_ENTRIES),
+                                          (10, 16)])
+    def test_past_the_budget_steps_are_numpy_binomials(self, N, budget,
+                                                       monkeypatch):
+        # an (N+1)^2 grid past the entry budget builds no table, and every
+        # count is numpy's binomial draw
+        monkeypatch.setattr(wf_graph, "OCCUPANCY_ENTRIES", budget)
+        assert wf_graph.binomial_rows(N, budget) is None
+        x = np.arange(N + 1) / N
+        counts = step_frequency_many(neutral_model(N), x, 0.0, rng(8))
+        np.testing.assert_array_equal(counts,
+                                      rng(8).binomial(N, x) / N)
+
+    def test_off_the_lattice_steps_are_numpy_binomials(self):
+        # probabilities 0, 1 and off the lattice draw as numpy's binomial
+        # alone, and leave the generator where it leaves it
+        N, params = 100, neutral_model(100)
+        x = np.resize([0.0, 1.0, 0.5, 0.123, 1e-3, 0.999], 3000)
+        gen, ref = rng(9), rng(9)
+        for y in (0.5, np.resize([0.3, 0.5, 0.7], x.size)):
+            counts = step_frequency_many(params, x, y, gen)
+            succ = pgf_many(params.kernel, y, x)
+            assert (np.rint(succ * N) / N != succ)[(x > 0) & (x < 1)].all()
+            np.testing.assert_array_equal(counts, ref.binomial(N, succ) / N)
+            np.testing.assert_equal(gen.bit_generator.state,
+                                    ref.bit_generator.state)
 
 
 class TestSimulateFrequency:
