@@ -171,13 +171,11 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
     """Distinct labels among ``picks[i]`` uniform draws from N, per row,
     by inverting the occupancy law at the uniform ``u[i]`` in [0, 1).
 
-    The bucket of u in row s of ``occupancy_guide`` names the entry of
-    ``occupancy_rows`` to read wherever that entry lies above s + u; the
-    other rows take one ``searchsorted`` of s + u in the flat rows, clamped
-    to the last entry of row s.  So each count is the one a search of
-    every row gives, in [min(s, 1), min(s, N)].  A pick count past the
-    table's last row has every label occupied, unless the table was cut at
-    its entry budget
+    Row s of ``occupancy_rows`` is read at s + u through
+    ``occupancy_guide`` by ``measures.guided_draw``, so each count is the
+    one a search of every row gives, in [min(s, 1), min(s, N)].  A pick
+    count past the table's last row has every label occupied, unless the
+    table was cut at its entry budget
     ``OCCUPANCY_ENTRIES``: such a row draws its count from ``rng`` by
     ``_collected_labels`` instead, and ignores its uniform.  When every
     pick count lies at or past the budget and N above it, no table is

@@ -123,14 +123,6 @@ class TestStepFrequency:
                                 rng(5))
 
 
-def lattice_counts(N: int, c: int, M: int) -> np.ndarray:
-    """Next counts of M neutral replicates at count c, which the step reads
-    from row c of ``binomial_rows`` when 0 < c < N."""
-    draws = step_frequency_many(neutral_model(N), np.full(M, c / N), 0.0,
-                                rng(N * 1000 + c))
-    return np.rint(draws * N).astype(np.int64)
-
-
 class TestBinomialRows:
     """The neutral forward step's inversion table of Binomial(N, c/N)."""
 
@@ -139,7 +131,10 @@ class TestBinomialRows:
     def test_lattice_steps_follow_the_binomial_law(self, N, where):
         c = {"one": 1, "third": max(N // 3, 1), "last": N - 1}[where]
         M = 200_000
-        k = lattice_counts(N, c, M)
+        # neutral steps at count c read row c of the table
+        draws = step_frequency_many(neutral_model(N), np.full(M, c / N), 0.0,
+                                    rng(N * 1000 + c))
+        k = np.rint(draws * N).astype(np.int64)
         # cells of expected count below 5 join the nearest kept cell
         expected = stats.binom.pmf(np.arange(N + 1), N, c / N) * M
         big = np.flatnonzero(expected >= 5)
