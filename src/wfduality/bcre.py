@@ -17,16 +17,20 @@ and a tail draw is resolved exactly by conditional sampling, never
 discarded.  The rates and tail draws come from ``measures.SumLaw`` and
 ``measures.log_space_pmfs`` (a table kernel's branch rates by convolution),
 one pass over the branch and the merger atoms together.
-``RateCache.rows`` builds all of a round's new states in one numpy pass over
-a (state, category) grid, from the laws it takes once per cache, and keeps
-of each row only the entries a draw can reach; ``jump_rates`` is its
-one-state case, the full row.
+``RateCache`` builds the rows of newly visited states in batches, each in
+one numpy pass over a (state, category) grid, from the laws it takes once
+per cache, and keeps of each row only the entries a draw can reach;
+``jump_rates`` is its one-state case, the full row.  Until its state's row
+is built, a path waits on the hold row, at an infinite rate and with a move
+of 0: it takes null steps, in which no time passes and the state does not
+change, so every path keeps its law and only the assignment of random
+numbers to paths changes.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
 batch of paths at once, each round picking every jump from the guide table
 of the flat rate rows of ``RateCache``, with one ``np.searchsorted`` for the
-few draws the guide does not settle, and reading the next state from its
-flat target table.  ``final_states``
+few draws the guide does not settle, and moving each path by the entry of
+its flat move table.  ``final_states``
 runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
 pools the occupation times of ``STATIONARY_CHAINS`` independent chains,
 read from the row-ordered table once the rate rows are dropped.
@@ -35,11 +39,13 @@ read from the row-ordered table once the rate rows are dropped.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import telemetry
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
 from .measures import (ENTRY_CAP, SumLaw, guide_table, joined, log_atoms,
@@ -57,6 +63,16 @@ TV_WARN = 0.05
 #: apart from ``rngstreams.BATCH_SIZE`` and ``PATH_BATCH_SIZE``, so each
 #: chain's burn-in and kept time do not follow the replicate batching.
 STATIONARY_CHAINS = 1024
+
+#: Most calls of ``RateCache.rows`` a newly visited state waits on the hold
+#: row before its row is built; held paths that make up 1/HOLD_ROUNDS of a
+#: call's paths build at once.
+HOLD_ROUNDS = 12
+
+#: Cells an occupation table reserves at first, 8192 rows of
+#: ``STATIONARY_CHAINS`` chains: address space only, as a page of the table
+#: is mapped once it is written.
+OCC_CELLS = 2**23
 
 
 @dataclass
@@ -85,12 +101,15 @@ class RateTable:
 def _rate_rows(cache: RateCache, ns: np.ndarray, k_max: np.ndarray):
     """Jump rates out of every state of ``ns``, built in one numpy pass.
 
-    Returns (rates, cum).  Row i of the zero-padded (state, category) grid
-    ``rates`` runs n+1..n+k_max[i], the lumped tail, then n-1, ..., 1, as a
-    ``RateTable``; ``cum`` is its cumulative sum along each row, which numpy
-    takes in sequence, so a row does not depend on the batch.
+    Returns (rates, cum).  Row i of the (state, category) grid ``rates``
+    runs n+1..n+K, the lumped tail, then n-1, ..., n-top+1, K the largest
+    window and top the largest state: the rates of n+k past k_max[i] and of
+    n-k past n-1 are 0, so a row of one state is a ``RateTable``.  ``cum``
+    is its cumulative sum along each row, which numpy takes in sequence, and
+    a zero rate leaves it as it is, so a row's nonzero steps do not depend
+    on the batch.
     """
-    params, top, i = cache.params, int(ns.max()), np.arange(ns.size)
+    params, top = cache.params, int(ns.max())
     # one pass over the branch and the merger atoms; C(n,k+1) y^{k+1}
     # (1-y)^{n-k-1} is the Binomial(n, y) pmf at k+1, zero past k = n-1
     probs, coal = log_space_pmfs(cache.laws, ns,
@@ -99,19 +118,13 @@ def _rate_rows(cache: RateCache, ns: np.ndarray, k_max: np.ndarray):
     if params.sigma > 0:
         coal[:, :1] += params.sigma * ns[:, None] * (ns[:, None] - 1) / 2.0
     probs, tails = cache.branch.rows(probs, ns, k_max)
-    if ns.size == 1:  # one row: its window is the grid's
-        rates = np.concatenate((probs[:, 1:], tails[:, None], coal), axis=1)
-    else:
-        rates = np.zeros((ns.size, probs.shape[1] - 1 + top))
-        rates[:, :probs.shape[1] - 1] = probs[:, 1:]  # from k = 1
-        rates[i, k_max] = tails
-        rates[i[:, None], k_max[:, None] + np.arange(1, top)] = coal
+    rates = np.concatenate((probs[:, 1:], tails[:, None], coal), axis=1)
     if params.w > 0:
         rates[:, 0] += params.w * ns
     if rates.min() < 0:
         raise InvariantViolation("negative jump rate")
     cum = np.add.accumulate(rates, axis=1)
-    branch = cum[i, k_max]  # with the lumped tail
+    branch = cum[:, probs.shape[1] - 1]  # with the lumped tail
     bound = ns * cache.bound
     if (branch > bound + 1e-9 * (1.0 + branch)).any():
         raise InvariantViolation("branch rate exceeds the Markov bound")
@@ -142,13 +155,34 @@ def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
     return out
 
 
+def _table(occ: np.ndarray, cells: int) -> np.ndarray:
+    """The flat occupation table ``occ`` if it has ``cells`` cells, else
+    ``occ`` followed by zeros, in max(``cells``, 4 * ``occ.size``,
+    ``OCC_CELLS``) cells, so a run seldom grows its table.  The table is an
+    anonymous map in small pages, so a page costs memory only once a cell
+    on it is written; numpy advises huge pages for its arrays of 4 MiB or
+    more, each of which maps 2 MiB at its first write."""
+    if cells <= occ.size:
+        return occ
+    buf = mmap.mmap(-1, 8 * max(cells, 4 * occ.size, OCC_CELLS))
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    table = np.frombuffer(buf, dtype=np.float64)
+    table[:occ.size] = occ
+    return table
+
+
 class RateCache:
     """Rate rows of the states one call visits, flattened for batch draws.
 
-    Row r, of the r-th state built, holds the entries of r + cum_rates/total
-    that a float draw can reach, in ``cum[indptr[r]:indptr[r+1]]``: those
-    strictly above the entry before them (r before the first), through the
-    first that rounds to r + 1 (no float draw reaches beyond); ``last[r]``
+    Row 0 is the hold row: total rate inf and one entry, 1.0, whose move is
+    0, so a path on it stays where it is.  A state not seen before maps to
+    it and is queued until ``rows`` builds the queue (``HOLD_ROUNDS``).
+    Row r > 0, of the r-th state built, holds the entries of
+    r + cum_rates/total that a float draw can reach, in
+    ``cum[indptr[r]:indptr[r+1]]``: those strictly above the entry before
+    them (r before the first), through the first that rounds to r + 1 (no
+    float draw reaches beyond); ``last[r]``
     is the index of that entry.  A category too narrow to change its entry
     is never the first entry above r + U, so dropping it changes no draw.
     So ``cum`` stays sorted as rows are appended, one ``np.searchsorted`` of
@@ -157,18 +191,20 @@ class RateCache:
     when it is built, row r's buckets in ``guide[gptr[r]:gptr[r+1]]``,
     ``buckets[r]`` of them: the bucket of U gives the search's answer
     without searching whenever its entry lies above r + U, so a draw costs
-    O(1) in expectation.  Next to each entry of ``cum``, ``to``
-    holds the state its category jumps to: n+1+j for the branch j, n-k for a
-    merger of k+1 lineages, 0 for the lumped tail.  ``row_of`` maps a state
-    to its row, -1 before its first visit; its last entry is always -1.  The
-    laws of the rows are taken once per cache: the branch ``SumLaw`` over
-    the environment atoms, which also sizes each row's window, joined with
-    the merger ``LogAtoms`` of y^{-2} Lambda_c, one Binomial(n, y) law per
-    atom, for one ``log_space_pmfs`` pass over both.
+    O(1) in expectation.  Next to each entry of ``cum``, ``move`` holds
+    what its category adds to the state n: 1+j for the branch j, -k for a
+    merger of k+1 lineages, -n for the lumped tail, whose jump then reads as
+    state 0 and is drawn alone.  ``row_of`` maps a state to its row, -1
+    before its first visit and 0 while it is queued; its last entry is
+    always -1.  The laws of the rows are taken once per cache: the branch
+    ``SumLaw`` over the environment atoms, which also sizes each row's
+    window, joined with the merger ``LogAtoms`` of y^{-2} Lambda_c, one
+    Binomial(n, y) law per atom, for one ``log_space_pmfs`` pass over
+    both.
     """
 
     def __init__(self, params: LimitParams):
-        self.params, self.n_rows = params, 0
+        self.params = params
         mu, law = params.mu, params.merger_law
         self.branch = SumLaw(params.kernel, mu.locations, mu.weights)
         merger = log_atoms(-1, np.empty(0), np.empty(0))  # none
@@ -183,47 +219,77 @@ class RateCache:
         self.gptr = np.zeros(64, dtype=np.int64)
         self.cum, self.total, self.buckets = (np.empty(1024), np.empty(64),
                                               np.empty(64))
-        self.to, self.guide = (np.empty(1024, dtype=np.int64),
-                               np.empty(1024, dtype=np.int64))
+        self.move, self.guide = (np.empty(1024, dtype=np.int64),
+                                 np.empty(1024, dtype=np.int64))
+        # row 0, the hold row: one entry 1.0 of move 0, its own guide, at an
+        # infinite total rate
+        self.indptr[1] = self.gptr[1] = self.n_rows = 1
+        self.cum[0], self.move[0], self.guide[0] = 1.0, 0, 0
+        self.total[0], self.buckets[0] = np.inf, 1.0
+        self.queued, self.waited = [], 0
 
     def get(self, n: int) -> int:
         """Row of state n, built on its first visit."""
         return int(self.rows(np.array([n]))[0])
 
     def rows(self, states: np.ndarray) -> np.ndarray:
-        """Row of each state, building the rows of states not seen before.
+        """Row of each state; row 0, the hold row, for a state whose row is
+        not built yet.
 
-        A state past the end of ``row_of`` reads its last entry, -1.  The
-        new states are appended in sorted order, in chunks of at most
-        ``ENTRY_CAP`` (state, category) entries, so a round's memory does
-        not grow with its number of new states.
+        A state not seen before is queued.  Every queued state is built in
+        one pass once ``HOLD_ROUNDS`` calls have passed since the oldest was
+        queued, or once the held states make up at least 1/``HOLD_ROUNDS``
+        of the call's states, so a call whose states are all held builds at
+        once, and so does ``get``.  A state past the end of ``row_of`` reads
+        its last entry, -1.
         """
         rows = self.row_of.take(states, mode="clip")
-        if rows.min() < 0:
-            new = np.sort(states[rows < 0])
-            if new.size > 1:  # drop repeats: np.unique would import numpy.ma
-                new = new[np.concatenate(([True], new[1:] != new[:-1]))]
-            self.row_of = _grown(self.row_of, int(new[-1]) + 2, -1)
-            k_max = self.branch.windows(new)
-            lengths, lo = (k_max + new).tolist(), 0  # row lengths grow with n
-            for hi in range(1, new.size + 1):
-                if hi == new.size or (hi + 1 - lo) * lengths[hi] > ENTRY_CAP:
-                    self._append(new[lo:hi], k_max[lo:hi])
-                    lo = hi
-            rows = self.row_of[states]
+        low = rows.min()
+        if low <= 0:  # held or new states
+            held = rows <= 0
+            if low < 0:
+                new = states[rows < 0]
+                self.row_of = _grown(self.row_of, int(new.max()) + 2, -1)
+                self.row_of[new] = 0
+                self.queued.append(new)
+                rows[held] = 0
+            self.waited += 1
+            n_held = int(np.count_nonzero(held))
+            if self.waited > HOLD_ROUNDS or HOLD_ROUNDS * n_held >= rows.size:
+                self._build()
+                return self.row_of[states]
+            tel = telemetry.current()
+            if tel is not None:
+                tel["z_held_steps"] += n_held
         return rows
+
+    def _build(self):
+        """Build the rows of the queued states, appended in sorted order in
+        chunks of at most ``ENTRY_CAP`` (state, category) entries, so a
+        build's memory does not grow with its number of states."""
+        new = np.sort(np.concatenate(self.queued))
+        if new.size > 1:  # drop repeats: np.unique would import numpy.ma
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+        self.queued, self.waited = [], 0
+        k_max = self.branch.windows(new)
+        lengths, lo = (k_max + new).tolist(), 0  # row lengths grow with n
+        for hi in range(1, new.size + 1):
+            if hi == new.size or (hi + 1 - lo) * lengths[hi] > ENTRY_CAP:
+                self._append(new[lo:hi], k_max[lo:hi])
+                lo = hi
 
     def _append(self, ns: np.ndarray, k_max: np.ndarray):
         """Build the rows of the new states ``ns`` and append the entries a
-        draw can reach.  One pass over the round's (state, category) grid
-        normalises it to r + cum_j/total and marks entry j where it lies
-        strictly above its predecessor (r before the first), which also
-        drops every entry past the first that rounds to r + 1.  The marked
-        entries, and the targets of their categories, n+1+j for the branch
-        j, 0 for the lumped tail and n-k for a merger of k+1 lineages, are
-        gathered at once, and the new rows' guide is built over them."""
+        draw can reach.  One pass over the (state, category) grid of
+        ``_rate_rows`` normalises it to r + cum_j/total and marks entry j
+        where it lies strictly above its predecessor (r before the first),
+        which drops the zero rates and every entry past the first that
+        rounds to r + 1.  The marked entries are gathered at once, with the
+        moves of their columns j: 1+j for the branch j < K, -n for the
+        lumped tail at K and K-j for a merger; the new rows' guide is built
+        over them."""
         _, cum = _rate_rows(self, ns, k_max)
-        (m, width), r0 = cum.shape, self.n_rows
+        (m, width), r0, tail = cum.shape, self.n_rows, int(k_max.max())
         (self.indptr, self.last, self.k_max, self.total, self.gptr,
          self.buckets) = (_grown(a, r0 + m + 1)
                           for a in (self.indptr, self.last, self.k_max,
@@ -238,19 +304,20 @@ class RateCache:
         keep = np.empty(cum.shape, dtype=bool)
         np.greater(cum[:, 0], base, out=keep[:, 0])
         np.greater(cum[:, 1:], cum[:, :-1], out=keep[:, 1:])
-        to = np.empty(cum.shape, dtype=np.int64)  # the target of each cell
-        lo = hi = int(self.indptr[r0])
-        for r, (row, kept, n, k) in enumerate(
-                zip(to, keep, ns.tolist(), k_max.tolist()), r0):
-            row[:k] = np.arange(n + 1, n + 1 + k)
-            row[k] = 0
-            row[k + 1:] = np.arange(n - 1, n + k - width, -1)
-            hi += np.count_nonzero(kept)
-            self.indptr[r + 1], self.last[r] = hi, hi - 1
         at = np.flatnonzero(keep)
-        self.cum, self.to = _grown(self.cum, hi), _grown(self.to, hi)
+        lo = int(self.indptr[r0])
+        hi = lo + at.size
+        ends = self.indptr[r0 + 1:r0 + m + 1]
+        np.cumsum(np.count_nonzero(keep, axis=1), out=ends)
+        ends += lo
+        np.subtract(ends, 1, out=self.last[r0:r0 + m])
+        self.cum, self.move = _grown(self.cum, hi), _grown(self.move, hi)
         self.cum[lo:hi] = cum.ravel()[at]
-        self.to[lo:hi] = to.ravel()[at]
+        row, j = np.divmod(at, width)
+        move = self.move[lo:hi]
+        np.copyto(move, np.where(j < tail, 1 + j, tail - j))
+        tails = j == tail
+        move[tails] = -ns[row[tails]]
         guide, gptr, self.buckets[r0:r0 + m] = guide_table(
             self.cum[lo:hi], np.diff(self.indptr[r0:r0 + m + 1]), r0)
         g0 = int(self.gptr[r0])
@@ -260,6 +327,10 @@ class RateCache:
         self.k_max[r0:r0 + m] = k_max
         self.row_of[ns] = np.arange(r0, r0 + m)
         self.n_rows = r0 + m
+        tel = telemetry.current()
+        if tel is not None:
+            tel["z_rows"] += m
+            tel["z_row_builds"] += 1
 
 
 def _sample_tail_jump(params: LimitParams, n: int, k_max: int,
@@ -304,8 +375,10 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     other path picks its jump at r + U in the rows (r the row of its state):
     the entry its guide bucket names, or, where that entry does not lie
     above r + U, one ``searchsorted`` of all such keys, clamped to the
-    row's last entry.  It reads its next state from the cache's target
-    table, or draws a rare lumped-tail jump alone.  n0 must lie in
+    row's last entry.  It adds the entry's move from the cache's move
+    table to its state, or draws a rare lumped-tail jump alone.  A path on
+    the hold row draws the holding time Exp(1)/inf = 0 and the move 0: a
+    null step, which adds 0.0 to its occupation cell.  n0 must lie in
     [1, ceiling]; a jump above ``ceiling`` raises StateExplosionGuard, or
     with ``cut`` stops the path at state ``ceiling + 1``.  Returns the
     states at T and the occupation times on [keep_from, T] as a dense table
@@ -318,10 +391,14 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     if not T >= 0.0:
         raise InvalidArgument(f"horizon T={T} must be >= 0")
     finals = np.empty(size, dtype=np.int64)
-    occ = None if keep_from is None else np.zeros(0)  # flat (row, path)
+    occ = None if keep_from is None else _table(np.zeros(0), 1)  # (row, path)
     ids, n, t = np.arange(size), np.full(size, n0, dtype=np.int64), np.zeros(size)
+    tel = telemetry.current()
     with np.errstate(divide="ignore"):  # total 0: no event, ever
         while ids.size:
+            if tel is not None:
+                tel["z_rounds"] += 1
+                tel["z_steps"] += ids.size
             rows = cache.rows(n)
             wait = rng.standard_exponential(ids.size) / cache.total[rows]
             t_prev, t = t, t + wait
@@ -329,7 +406,7 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
             if occ is not None and not latest <= keep_from:
                 # a cell plus 0.0 is the cell, so time outside adds nothing
                 held = np.fmin(t, T) - np.maximum(t_prev, keep_from)
-                occ = _grown(occ, cache.n_rows * size)
+                occ = _table(occ, cache.n_rows * size)
                 np.add.at(occ, rows * size + ids, np.maximum(held, 0.0))
             if not latest <= T:
                 go = t <= T
@@ -346,7 +423,7 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
                     np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
                                     key[miss], side="right"),
                     cache.last[rows[miss]])
-            nxt = cache.to[pos]
+            nxt = n + cache.move[pos]
             if nxt.size and nxt.min() == 0:  # the lumped tail
                 for i in np.flatnonzero(nxt == 0).tolist():
                     nxt[i] = _sample_tail_jump(params, int(n[i]),
@@ -362,8 +439,8 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
     if occ is None:
         return finals, None
     # rows built after the last kept round hold no time
-    occ = _grown(occ, cache.n_rows * size)[:cache.n_rows * size]
-    return finals, occ.reshape(-1, size)
+    occ = _table(occ, cache.n_rows * size)
+    return finals, occ[:cache.n_rows * size].reshape(-1, size)
 
 
 def final_state(params: LimitParams, n0: int, T: float,
@@ -452,7 +529,7 @@ def stationary_estimate(params: LimitParams, n0: int, burn_in: float, T: float,
     K, cache = STATIONARY_CHAINS, RateCache(params)
     _, occ = _paths(params, n0, burn_in + (T - burn_in) / K, K, rng, cache,
                     DEFAULT_CEILING, keep_from=burn_in)
-    states = np.flatnonzero(cache.row_of >= 0)
+    states = np.flatnonzero(cache.row_of > 0)  # row 0 holds no time
     rows = cache.row_of[states]
     del cache  # the pooling reads no rate row
     # the table's nonzero cells, (row, chain) in row order, each row's cells

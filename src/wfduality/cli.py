@@ -4,11 +4,12 @@
 the configured experiment and writes ``result.json`` (deterministic payload:
 config echo, build id, metrics, verdicts) plus data CSVs into the output
 directory.  ``result.json`` is strict JSON: a non-finite float is written
-as the string "Infinity", "-Infinity" or "NaN".  Wall-clock timing and the
-process's peak memory go to ``run_meta.json``, which is excluded from the
-determinism contract.  Exit codes: 0 success, 2 a statistical verdict
-failed, 1 error.  ``--workers`` must be at least 1, as the config key
-``workers`` must, and is otherwise ignored: batches always run in order.
+as the string "Infinity", "-Infinity" or "NaN".  Wall-clock timing, the
+process's peak memory and the engines' counters (``telemetry``) go to
+``run_meta.json``, which is excluded from the determinism contract.  Exit
+codes: 0 success, 2 a statistical verdict failed, 1 error.  ``--workers``
+must be at least 1, as the config key ``workers`` must, and is otherwise
+ignored: batches always run in order.
 
 ``wfduality validate config.json`` dry-runs schema and model validation
 without simulating.
@@ -27,7 +28,7 @@ import time
 import click
 import numpy as np
 
-from . import bcre, bridge, duality, fvwrs, thresholds
+from . import bcre, bridge, duality, fvwrs, telemetry, thresholds
 from .config import (build_finite_params, build_limit_params, load_config)
 from .errors import ConfigError, SigmaNotZero, WfdualityError
 from .rngstreams import batch_mean_se
@@ -293,7 +294,8 @@ def run(config_path, out, workers, seed):
             raise ConfigError(f"--workers must be at least 1, got {workers}")
         cfg = load_config(config_path, seed)
         _semantic_validate(cfg)
-        results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg)
+        with telemetry.recording() as counts:
+            results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg)
     except WfdualityError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
@@ -316,6 +318,7 @@ def run(config_path, out, workers, seed):
     peak = _peak_rss_mb()
     if peak is not None:
         meta["peak_rss_mb"] = peak
+    meta["telemetry"] = dict(sorted(counts.items()))
     with open(os.path.join(out, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import telemetry
 from .errors import InvalidStep, InvariantViolation
 from .measures import pgf_many, segments
 from .params import LimitParams, merge
@@ -117,7 +118,7 @@ def _paths(params: LimitParams, x0: float, ts: np.ndarray, dt: float,
     """
     mu_mass = params.mu_mass
     rate = mu_mass + params.coalescence_rate
-    step = dt if params.sigma > 0 else np.inf  # time between grid stops
+    grid = params.sigma > 0  # every grid time k*dt is a stop
     last = ts.size - 1
     ts_end = np.append(ts, np.inf)  # ts_end[ka] is inf once ka > last
     out = np.empty((ts.size, size))
@@ -127,12 +128,16 @@ def _paths(params: LimitParams, x0: float, ts: np.ndarray, dt: float,
     xa, ta, ka = x[ids], np.zeros(ids.size), nxt[ids]
     t_ev = (rng.exponential(1.0 / rate, ids.size) if rate > 0
             else np.full(ids.size, np.inf))
-    cell = np.ones(ids.size)  # next grid index (integer-valued)
+    cell = np.ones(ids.size) if grid else None  # next grid index
     t_next = ts_end[0]  # least time still to record
+    leave = False  # a path absorbed at its last jump
+    tel = telemetry.current()
     while ids.size:
-        # with rate 0 no path jumps and every stop is a grid stop
-        stop = np.minimum(t_ev, cell * step) if rate > 0 else cell * step
-        leave = xa.min() == 0.0 or xa.max() == 1.0  # absorbed paths
+        if grid:  # with rate 0 no path jumps and every stop is a grid stop
+            stop = np.minimum(t_ev, cell * dt) if rate > 0 else cell * dt
+            leave = xa.min() == 0.0 or xa.max() == 1.0  # absorbed paths
+        else:  # every stop is an event
+            stop = t_ev
         if stop.max() >= t_next:
             rec = np.flatnonzero(ts_end[ka] < stop)
             end = np.searchsorted(ts, stop[rec])  # requested times before it
@@ -147,18 +152,38 @@ def _paths(params: LimitParams, x0: float, ts: np.ndarray, dt: float,
             x[ids[gone]] = xa[gone]
             nxt[ids[gone]] = ka[gone]
             keep = ~gone
-            ids, xa, ta, ka, t_ev, cell, stop = (
-                a[keep] for a in (ids, xa, ta, ka, t_ev, cell, stop))
-        jumps = np.flatnonzero(t_ev == stop) if rate > 0 else ids[:0]
-        np.add(cell, 1.0, out=cell, where=stop < t_ev)  # grid stops move on
-        xa = _move(params, xa, stop - ta, rng)
-        ta = stop
-        if jumps.size:
-            post = _jump(params, xa[jumps],
-                         rng.random(jumps.size) * rate < mu_mass, rng)
-            xa[jumps] = post
-            live = jumps[(post > 0.0) & (post < 1.0)]  # absorbed: no draw
-            t_ev[live] = ta[live] + rng.exponential(1.0 / rate, live.size)
+            ids, xa, ta, ka, t_ev = (a[keep] for a in (ids, xa, ta, ka, t_ev))
+            cell, stop = (cell[keep], stop[keep]) if grid else (None, t_ev)
+        if tel is not None:
+            tel["x_rounds"] += 1
+        if grid:
+            jumps = np.flatnonzero(t_ev == stop) if rate > 0 else ids[:0]
+            np.add(cell, 1.0, out=cell, where=stop < t_ev)  # grid stops
+            xa = _move(params, xa, stop - ta, rng)
+            ta = stop
+            if tel is not None:
+                tel["x_events"] += jumps.size
+            if jumps.size:
+                post = _jump(params, xa[jumps],
+                             rng.random(jumps.size) * rate < mu_mass, rng)
+                xa[jumps] = post
+                live = jumps[(post > 0.0) & (post < 1.0)]  # absorbed: no draw
+                t_ev[live] = ta[live] + rng.exponential(1.0 / rate, live.size)
+        elif ids.size:  # every path jumps, so it absorbs only there
+            if params.w:
+                xa = _move(params, xa, stop - ta, rng)
+            ta = stop
+            if tel is not None:
+                tel["x_events"] += xa.size
+            xa = _jump(params, xa, rng.random(xa.size) * rate < mu_mass, rng)
+            live = (xa > 0.0) & (xa < 1.0)  # absorbed: no draw
+            leave = not live.all()
+            if leave:
+                t_ev = ta.copy()
+                t_ev[live] += rng.exponential(1.0 / rate,
+                                              np.count_nonzero(live))
+            else:
+                t_ev = ta + rng.exponential(1.0 / rate, ta.size)
     return np.where(np.arange(ts.size)[:, None] < nxt, out, x)
 
 

@@ -144,7 +144,7 @@ class TestSimulate:
         cache = RateCache(p)
         with pytest.raises(InvalidArgument):
             final_state(p, 51, 1e-9, rng(0), cache, ceiling=50)
-        assert cache.n_rows == 0
+        assert cache.n_rows == 1  # the hold row alone
         with pytest.raises(InvalidArgument):
             final_states(p, 51, 1e-9, 10, seed=0, ceiling=50)
         assert (final_states(p, 50, 1e-9, 10, seed=0, ceiling=50) == 50).all()
@@ -223,11 +223,12 @@ class TestRateCache:
         cache = RateCache(baseline_params)
         states = np.array([7, 3, 7, 40, 1, 3])
         rows = cache.rows(states)
-        assert rows.tolist() == [2, 1, 2, 3, 0, 1]  # sorted new states
+        # sorted new states, after row 0, the hold row
+        assert rows.tolist() == [3, 2, 3, 4, 1, 2]
         assert cache.rows(states).tolist() == rows.tolist()
         cum = cache.cum[:cache.indptr[cache.n_rows]]
         assert (np.diff(cum) >= 0).all()
-        for r, n in enumerate((1, 3, 7, 40)):
+        for r, n in enumerate((1, 3, 7, 40), 1):
             row = cum[cache.indptr[r]:cache.indptr[r + 1]]
             # every kept entry lies strictly above the one before it
             assert row[-1] == r + 1.0 and row[0] > r
@@ -251,8 +252,94 @@ class TestRateCache:
             raise AssertionError("np.unique on a round without new states")
 
         monkeypatch.setattr(np, "unique", unique)
-        assert cache.rows(states).tolist() == [1, 0, 1]
-        assert cache.get(2) == 0
+        assert cache.rows(states).tolist() == [2, 1, 2]
+        assert cache.get(2) == 1
+
+
+class UnitWaits:
+    """Stands in for the Generator of ``_paths``: every Exp(1) draw is 1.0,
+    so a path's holding time at n is 1/total[n]; uniforms are drawn."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
+class TestHoldRow:
+    """A path on a state whose row is not built waits on row 0, the hold
+    row, where it takes null steps."""
+
+    def test_hold_row_layout(self, baseline_params):
+        cache = RateCache(baseline_params)
+        assert cache.n_rows == 1 and cache.total[0] == np.inf
+        assert cache.cum[0] == 1.0 and cache.move[0] == 0
+        assert cache.last[0] == 0 and cache.indptr[1] == 1
+        assert cache.guide[cache.gptr[0]] == 0 and cache.buckets[0] == 1.0
+
+    def test_a_few_new_states_wait_hold_rounds_calls(self, baseline_params):
+        # one new state among HOLD_ROUNDS + 1 is held; it is built
+        # HOLD_ROUNDS calls after the call that queued it
+        cache = RateCache(baseline_params)
+        cache.rows(np.array([2]))
+        states = np.array([2] * bcre.HOLD_ROUNDS + [5])
+        for _ in range(bcre.HOLD_ROUNDS):
+            assert cache.rows(states).tolist() == [1] * bcre.HOLD_ROUNDS + [0]
+        assert cache.n_rows == 2 and cache.row_of[5] == 0
+        assert cache.rows(states)[-1] == 2 and cache.n_rows == 3
+
+    def test_a_call_of_held_states_builds_at_once(self, baseline_params):
+        cache = RateCache(baseline_params)
+        assert cache.rows(np.array([4, 6, 4])).tolist() == [1, 2, 1]
+        cache.rows(np.array([4] * bcre.HOLD_ROUNDS + [5]))
+        assert cache.row_of[5] == 0
+        assert cache.rows(np.array([5, 5])).tolist() == [3, 3]
+        # held states that make up 1/HOLD_ROUNDS of a call build too
+        cache.rows(np.array([4] * bcre.HOLD_ROUNDS + [9]))
+        rows = cache.rows(np.array([4] * (bcre.HOLD_ROUNDS - 1) + [9]))
+        assert rows[-1] == 4 and cache.n_rows == 5
+
+    def test_get_builds_at_once(self, baseline_params):
+        cache = RateCache(baseline_params)
+        cache.rows(np.array([4]))
+        cache.rows(np.array([4] * bcre.HOLD_ROUNDS + [9]))
+        assert cache.row_of[9] == 0
+        assert cache.get(9) == 2 and cache.get(11) == 3
+
+    def test_a_held_round_is_a_null_step(self):
+        # pairwise deaths from 10, every holding time one mean: every other
+        # path is held in the second round, and afterwards each path has
+        # spent the same time in each state, 1/C(n,2), and none in row 0
+        p, K, T = params_with(sigma=1.0), 16, 50.0
+        log = []
+
+        class Holding(RateCache):
+            def rows(self, states):
+                rows = super().rows(states)
+                if len(log) == 1:
+                    rows[::2] = 0
+                log.append((states.copy(), rows.copy()))
+                return rows
+
+        cache = Holding(p)
+        finals, occ = bcre._paths(p, 10, T, K, UnitWaits(rng(4)), cache,
+                                  bcre.DEFAULT_CEILING, keep_from=0.0)
+        (n1, r1), (n2, r2) = log[1], log[2]
+        assert (n1 == 9).all() and (r1[::2] == 0).all()
+        assert (r1[1::2] > 0).all()
+        assert n2[::2].tolist() == [9] * (K // 2)  # held: the same state
+        assert n2[1::2].tolist() == [8] * (K // 2)
+        assert (finals == 1).all() and (occ[0] == 0.0).all()
+        cells = occ[cache.row_of[np.arange(1, 11)]]
+        assert (cells == cells[:, :1]).all()
+        n = np.arange(2, 11)
+        np.testing.assert_allclose(cells[1:, 0], 2.0 / (n * (n - 1)),
+                                   rtol=1e-12)
+        assert cells[0, 0] == pytest.approx(T - 1.8, rel=1e-12)
 
 
 def guide_arrays(cache):
@@ -319,14 +406,15 @@ class TestGuide:
         assert guide.size < 2 * cum.size
 
     def test_a_row_without_events(self):
-        # one lineage cannot merge: its row is the one entry r + 1, never
-        # drawn from, among rows of one entry or more
+        # one lineage cannot merge: its row (row 1, after the hold row) is
+        # the one entry r + 1, never drawn from, among rows of one entry or
+        # more
         cache = RateCache(params_with(sigma=1.0))
         cache.rows(np.array([1, 2, 5]))
         cache.rows(np.array([9]))
         cum, last, guide, gptr, buckets = guide_arrays(cache)
-        assert cache.total[0] == 0 and cum[0] == 1.0 and last[0] == 0
-        assert guide[0] == 0 and buckets[0] == 1.0
+        assert cache.total[1] == 0 and cum[1] == 2.0 and last[1] == 1
+        assert guide[gptr[1]] == 1 and buckets[1] == 1.0
         r, u = uniforms(3, cache)
         np.testing.assert_array_equal(
             guided_pick(cum, last, guide, gptr, buckets, r, u, r + u),
@@ -336,7 +424,7 @@ class TestGuide:
     @given(params=limit_params(), n0=st.integers(1, 60),
            seed=st.integers(0, 2**32))
     def test_engine_jumps_as_the_search_picks(self, params, n0, seed):
-        # one round of the engine from n0, whose row r = n0 - 1 lies past
+        # one round of the engine from n0, whose row r = n0 lies past
         # others and before others, at every uniform of ``uniforms`` but
         # those of the lumped tail, whose draw has its own test
         cache = RateCache(params)
@@ -344,11 +432,11 @@ class TestGuide:
         r = cache.rows(np.array([n0]))[0]
         at, u = uniforms(seed, cache)
         cum, last, *_ = guide_arrays(cache)
-        to = cache.to[searched_pick(cum, last, at, at + u)]
+        to = n0 + cache.move[searched_pick(cum, last, at, at + u)]
         u, to = u[(at == r) & (to > 0)], to[(at == r) & (to > 0)]
         finals, _ = bcre._paths(params, n0, 1.0, u.size, Draws(u), cache,
                                 bcre.DEFAULT_CEILING)
-        if cache.total[r] == 0:  # no event: the path stays
+        if cache.total[r] < 2.0**-60:  # no event by T = 1: it stays
             to[:] = n0
         np.testing.assert_array_equal(finals, to)
 
@@ -402,9 +490,9 @@ class TestRateRows:
         params = with_kernel(request.getfixturevalue(which), kernel)
         ns = np.arange(1, 513)
         cache = RateCache(params)
-        assert cache.rows(ns).tolist() == list(range(512))
+        assert cache.rows(ns).tolist() == list(range(1, 513))
         bound = ns * (params.alpha_s + params.w)
-        for r, n in enumerate(ns.tolist()):
+        for r, n in enumerate(ns.tolist(), 1):
             table = jump_rates(params, n)
             row = cache.cum[cache.indptr[r]:cache.indptr[r + 1]]
             np.testing.assert_array_equal(row, reachable(table, r)[0])
@@ -412,7 +500,7 @@ class TestRateRows:
             assert cache.k_max[r] == table.k_max
             assert table.branch_tail <= 1e-9 * table.total
             branch = table.branch_rates.sum() + table.branch_tail
-            assert branch <= bound[r] * (1 + 1e-12)
+            assert branch <= bound[r - 1] * (1 + 1e-12)
 
     @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
                                         SelectionKernel.binary(),
@@ -420,20 +508,20 @@ class TestRateRows:
                              ids=["geometric", "binary", "table"])
     @pytest.mark.parametrize("which", ["baseline_params", "survival_params"])
     def test_targets_follow_the_category_rule(self, kernel, which, request):
-        # to[entry] is the state the entry's category jumps to: n+1+j for
-        # the branch j, 0 for the lumped tail, n-k for the merger k
+        # n + move[entry] is the state the entry's category jumps to: n+1+j
+        # for the branch j, 0 for the lumped tail, n-k for the merger k
         params = with_kernel(request.getfixturevalue(which), kernel)
         ns = np.arange(1, 513)
         cache = RateCache(params)
         rows = cache.rows(ns)
-        kept = []
-        for r, n in enumerate(ns.tolist()):
+        kept = [np.zeros(1, dtype=np.int64)]  # the hold row's one entry
+        for r, n in enumerate(ns.tolist(), 1):
             table = jump_rates(params, n)
             lo, hi = cache.indptr[r], cache.indptr[r + 1]
             assert cache.last[r] == hi - 1 and cache.k_max[r] == table.k_max
             kept.append(reachable(table, r)[1])
             np.testing.assert_array_equal(
-                cache.to[lo:hi], category_rule(n, table.k_max, kept[-1]))
+                n + cache.move[lo:hi], category_rule(n, table.k_max, kept[-1]))
         # a pick reads the state of the kept category at its clipped
         # position in the row, also where r + U rounds up to r + 1 (U just
         # below 1)
@@ -447,7 +535,7 @@ class TestRateRows:
         lo, hi = cache.indptr[row], cache.indptr[row + 1]
         j = np.concatenate(kept)[np.clip(pos, lo, hi - 1)]
         old = category_rule(ns[at], cache.k_max[row], j)
-        new = cache.to[np.minimum(pos, cache.last[row])]
+        new = ns[at] + cache.move[np.minimum(pos, cache.last[row])]
         np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
@@ -464,7 +552,7 @@ class TestRateRows:
         ns = np.r_[1:129, 300, 1000]
         cache = RateCache(params)
         cache.rows(ns)
-        for r, n in enumerate(ns.tolist()):
+        for r, n in enumerate(ns.tolist(), 1):
             table = jump_rates(params, n)
             values, states, before = [], [], float(r)
             for j, c in enumerate(table.cum_rates.tolist()):
@@ -479,7 +567,7 @@ class TestRateRows:
                     break
             lo, hi = cache.indptr[r], cache.indptr[r + 1]
             assert cache.cum[lo:hi].tolist() == values
-            assert cache.to[lo:hi].tolist() == states
+            assert (n + cache.move[lo:hi]).tolist() == states
 
     @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
                                         SelectionKernel.binary(),
@@ -495,15 +583,15 @@ class TestRateRows:
         ns = np.arange(1, 513)
         cache = RateCache(params)
         cache.rows(ns)
-        rows, to = [], []
-        for r, n in enumerate(ns.tolist()):
+        rows, to = [np.array([1.0])], [np.array([-1])]  # the hold row
+        for r, n in enumerate(ns.tolist(), 1):
             table = jump_rates(params, n)
             rows.append(full_row(table, r))
             to.append(category_rule(n, table.k_max, np.arange(rows[-1].size)))
         last = np.cumsum([row.size for row in rows]) - 1
         full, to = np.concatenate(rows), np.concatenate(to)
         gen = rng(13)
-        row = gen.integers(0, ns.size, 50_000)
+        row = gen.integers(1, ns.size + 1, 50_000)
         u = np.concatenate([gen.random(row.size - 2000), np.zeros(1000),
                             np.full(1000, 1.0 - 2.0**-53)])
         keys = row + u
@@ -511,7 +599,7 @@ class TestRateRows:
         expected = to[np.minimum(pos, last[row])]
         pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]], keys,
                               side="right")
-        got = cache.to[np.minimum(pos, cache.last[row])]
+        got = ns[row - 1] + cache.move[np.minimum(pos, cache.last[row])]
         np.testing.assert_array_equal(got, expected)
 
     def test_rows_accept_a_state_far_above_every_row(self, baseline_params):
@@ -521,15 +609,15 @@ class TestRateRows:
         cache.rows(np.arange(1, 11))
         assert cache.row_of.size < 5000
         rows = cache.rows(np.array([3, 5000, 3, 5000]))
-        assert rows.tolist() == [2, 10, 2, 10]
+        assert rows.tolist() == [3, 11, 3, 11]
         assert cache.row_of[-1] == -1 and cache.row_of.size > 5001
-        assert cache.get(5000) == 10 and cache.n_rows == 11
+        assert cache.get(5000) == 11 and cache.n_rows == 12
         table = jump_rates(baseline_params, 5000)
-        assert cache.total[10] == table.total
-        row, kept = reachable(table, 10)
-        lo, hi = cache.indptr[10], cache.indptr[11]
+        assert cache.total[11] == table.total
+        row, kept = reachable(table, 11)
+        lo, hi = cache.indptr[11], cache.indptr[12]
         np.testing.assert_array_equal(cache.cum[lo:hi], row)
-        assert cache.to[lo] == 5001 and kept[0] == 0  # n -> n+1 first
+        assert cache.move[lo] == 1 and kept[0] == 0  # n -> n+1 first
 
     def test_fixation_windows_never_widen(self, survival_params):
         # the windows from the moments alone leave at most 1e-9 of each
@@ -619,10 +707,11 @@ class TestRowsAgainstLoader:
                               table.coalesce_rates])
         tol = 1e-10 * ref.sum()
         assert np.abs(got - ref).max() <= tol
-        # the same state as row 1 of a cache, between two other states
+        # the same state as row 2 of a cache (row 0 the hold row), between
+        # two other states
         cache = RateCache(p)
         assert cache.rows(np.array([n, n + 1, max(n - 1, 1)]))[0] == (
-            0 if n == 1 else 1)
+            1 if n == 1 else 2)
         r = int(cache.row_of[n])
         row = cache.cum[cache.indptr[r]:cache.indptr[r + 1]]
         _, kept = reachable(table, r)
@@ -814,8 +903,9 @@ class TestOccupationTable:
 
         class Cache(RateCache):
             def rows(self, states):
-                seen.append(states.copy())
-                return super().rows(states)
+                rows = super().rows(states)
+                seen.append((states.copy(), rows.copy()))
+                return rows
 
         class Draws:
             def __init__(self, gen):
@@ -832,8 +922,9 @@ class TestOccupationTable:
         _, occ = bcre._paths(survival_params, 1, horizon, K, Draws(rng(9)),
                              cache, bcre.DEFAULT_CEILING, keep_from=burn_in)
         ids, t, keys, times = np.arange(K), np.zeros(K), [], []
-        for n, wait in zip(seen, waits):
-            t_next = t + wait / cache.total[cache.row_of[n]]
+        for (n, rows), wait in zip(seen, waits):
+            # a held path (row 0, infinite total) waits 0 and adds nothing
+            t_next = t + wait / cache.total[rows]
             held = np.fmin(t_next, horizon) - np.maximum(t, burn_in)
             keys.append(n[held > 0] * K + ids[held > 0])
             times.append(held[held > 0])
