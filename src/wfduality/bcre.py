@@ -27,13 +27,13 @@ change, so every path keeps its law and only the assignment of random
 numbers to paths changes.
 
 One engine, ``_paths``, runs every path: Gillespie's direct method over a
-batch of paths at once, each round picking every jump from the guide table
-of the flat rate rows of ``RateCache``, with one ``np.searchsorted`` for the
-few draws the guide does not settle, and moving each path by the entry of
-its flat move table.  ``final_states``
-runs M paths through ``rngstreams.run_batches``; ``stationary_estimate``
-pools the occupation times of ``STATIONARY_CHAINS`` independent chains,
-read from the row-ordered table once the rate rows are dropped.
+batch of paths at once, each round picking every jump from the flat rate
+rows of ``RateCache`` by ``measures.guided_draw``, the inverse-CDF draw of
+every flat table, and moving each path by the entry of its flat move
+table.  ``final_states`` runs M paths through ``rngstreams.run_batches``;
+``stationary_estimate`` pools the occupation times of ``STATIONARY_CHAINS``
+independent chains, read from the row-ordered table once the rate rows are
+dropped.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 from . import telemetry
 from .errors import (InvalidArgument, InvariantViolation,
                      NonConvergenceWarning, StateExplosionGuard)
-from .measures import (ENTRY_CAP, SumLaw, guide_table, joined, log_atoms,
-                       log_space_pmfs, segments)
+from .measures import (ENTRY_CAP, SumLaw, guide_table, guided_draw, joined,
+                       log_atoms, log_space_pmfs, segments)
 from .params import LimitParams
 from .rngstreams import batch_mean_se, run_batches
 
@@ -187,24 +187,24 @@ class RateCache:
     r + cum_rates/total that a float draw can reach, in
     ``cum[indptr[r]:indptr[r+1]]``: those strictly above the entry before
     them (r before the first), through the first that rounds to r + 1 (no
-    float draw reaches beyond); ``last[r]``
-    is the index of that entry.  A category too narrow to change its entry
+    float draw reaches beyond).  A category too narrow to change its entry
     is never the first entry above r + U, so dropping it changes no draw.
     So ``cum`` stays sorted as rows are appended, one ``np.searchsorted`` of
     r + U, U ~ U[0, 1), picks a jump per path, and the float resolution is
     r * eps, whatever the state.  Each row also gets a ``measures.guide_table``
     when it is built, row r's buckets in ``guide[gptr[r]:gptr[r+1]]``,
-    ``buckets[r]`` of them: the bucket of U gives the search's answer
-    without searching whenever its entry lies above r + U, so a draw costs
-    O(1) in expectation.  Next to each entry of ``cum``, ``move`` holds
-    what its category adds to the state n: 1+j for the branch j, -k for a
-    merger of k+1 lineages, -n for the lumped tail, whose jump then reads as
-    state 0 and is drawn alone.  ``row_of`` maps a state to its row, -1
-    before its first visit and 0 while it is queued; its last entry is
-    always -1.  The laws of the rows are taken once per cache: the branch
-    ``SumLaw`` over the environment atoms, which also sizes each row's
-    window, joined with the merger ``LogAtoms`` of y^{-2} Lambda_c, one
-    Binomial(n, y) law per atom, for one ``log_space_pmfs`` pass over
+    ``buckets[r]`` of them, for ``measures.guided_draw``: the bucket of U
+    gives the search's answer without searching whenever its entry lies
+    above r + U, so a draw costs O(1) in expectation; it reads row r's last
+    entry as ``indptr[r+1] - 1``.  Next to each entry of ``cum``, ``move``
+    holds what its category adds to the state n: 1+j for the branch j, -k
+    for a merger of k+1 lineages, -n for the lumped tail, whose jump then
+    reads as state 0 and is drawn alone.  ``row_of`` maps a state to its
+    row, -1 before its first visit and 0 while it is queued; its last entry
+    is always -1.  The laws of the rows are taken once per cache: the
+    branch ``SumLaw`` over the environment atoms, which also sizes each
+    row's window, joined with the merger ``LogAtoms`` of y^{-2} Lambda_c,
+    one Binomial(n, y) law per atom, for one ``log_space_pmfs`` pass over
     both.
     """
 
@@ -219,7 +219,6 @@ class RateCache:
         self.bound = params.alpha_s + params.w  # Markov bound per lineage
         self.row_of = np.full(64, -1, dtype=np.int64)
         self.indptr = np.zeros(64, dtype=np.int64)
-        self.last = np.zeros(64, dtype=np.int64)
         self.k_max = np.zeros(64, dtype=np.int64)
         self.gptr = np.zeros(64, dtype=np.int64)
         self.cum, self.total, self.buckets = (np.empty(1024), np.empty(64),
@@ -295,10 +294,10 @@ class RateCache:
         over them."""
         _, cum = _rate_rows(self, ns, k_max)
         (m, width), r0, tail = cum.shape, self.n_rows, int(k_max.max())
-        (self.indptr, self.last, self.k_max, self.total, self.gptr,
-         self.buckets) = (_grown(a, r0 + m + 1)
-                          for a in (self.indptr, self.last, self.k_max,
-                                    self.total, self.gptr, self.buckets))
+        self.indptr, self.k_max, self.total, self.gptr, self.buckets = (
+            _grown(a, r0 + m + 1) for a in (self.indptr, self.k_max,
+                                            self.total, self.gptr,
+                                            self.buckets))
         total = self.total[r0:r0 + m]
         total[:] = cum[:, -1]
         if not total.all():  # no event, ever: one entry r + 1, never drawn
@@ -315,7 +314,6 @@ class RateCache:
         ends = self.indptr[r0 + 1:r0 + m + 1]
         np.cumsum(np.count_nonzero(keep, axis=1), out=ends)
         ends += lo
-        np.subtract(ends, 1, out=self.last[r0:r0 + m])
         self.cum, self.move = _grown(self.cum, hi), _grown(self.move, hi)
         self.cum[lo:hi] = cum.ravel()[at]
         row, j = np.divmod(at, width)
@@ -377,15 +375,14 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
 
     Each round every active path draws its holding time Exp(1)/total[n].  A
     path whose next event falls past T records its state and leaves; each
-    other path picks its jump at r + U in the rows (r the row of its state):
-    the entry its guide bucket names, or, where that entry does not lie
-    above r + U, one ``searchsorted`` of all such keys, clamped to the
-    row's last entry.  It adds the entry's move from the cache's move
-    table to its state, or draws a rare lumped-tail jump alone.  A path on
-    the hold row draws the holding time Exp(1)/inf = 0 and the move 0: a
-    null step, which adds 0.0 to its occupation cell.  n0 must lie in
-    [1, ceiling]; a jump above ``ceiling`` raises StateExplosionGuard, or
-    with ``cut`` stops the path at state ``ceiling + 1``.  Returns the
+    other path picks its jump at r + U in the rows (r the row of its state)
+    by ``measures.guided_draw``, and adds the entry's move from the cache's
+    move table to its state, or draws a rare lumped-tail jump alone.  A
+    path on the hold row draws the holding time Exp(1)/inf = 0 and the
+    move 0: a null step, which adds 0.0 to its occupation cell.  n0 must
+    lie in [1, ceiling]; a jump above ``ceiling`` raises
+    StateExplosionGuard, or with ``cut`` stops the path at state
+    ``ceiling + 1``.  Returns the
     states at T and the occupation times on [keep_from, T] as a dense table
     ``occ[r, path]`` over the cache's rows r, or None without
     ``keep_from``; a path adds to one cell per round, so each cell is its
@@ -417,17 +414,9 @@ def _paths(params: LimitParams, n0: int, T: float, size: int,
                 go = t <= T
                 finals[ids[~go]] = n[~go]
                 ids, n, t, rows = ids[go], n[go], t[go], rows[go]
-            u = rng.random(ids.size)
-            key = rows + u
-            pos = cache.guide[cache.gptr[rows]
-                              + (u * cache.buckets[rows]).astype(np.int64)]
-            miss = np.flatnonzero(cache.cum[pos] <= key)
-            if miss.size:
-                # r + U may round up to r + 1, past the row's last entry
-                pos[miss] = np.minimum(
-                    np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]],
-                                    key[miss], side="right"),
-                    cache.last[rows[miss]])
+            pos = guided_draw(cache.cum[:cache.indptr[cache.n_rows]],
+                              cache.indptr, cache.guide, cache.gptr,
+                              cache.buckets, rows, rng.random(ids.size))
             nxt = n + cache.move[pos]
             if nxt.size and nxt.min() == 0:  # the lumped tail
                 for i in np.flatnonzero(nxt == 0).tolist():

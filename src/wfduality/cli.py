@@ -294,12 +294,16 @@ def run(config_path, out, workers, seed):
             raise ConfigError(f"--workers must be at least 1, got {workers}")
         cfg = load_config(config_path, seed)
         _semantic_validate(cfg)
+        try:  # before the run, so an unusable --out costs no simulation
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {out!r}: "
+                              f"{exc.strerror}") from None
         with telemetry.recording() as counts:
             results, verdicts, csvs = _DISPATCH[cfg["experiment"]](cfg)
     except WfdualityError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
-    os.makedirs(out, exist_ok=True)
     envelope = _strict({
         "build": BUILD_ID,
         "config": cfg,

@@ -17,7 +17,8 @@ log-space recurrence over every atom (``log_space_pmfs``), whose per-atom
 terms ``SumLaw`` and ``log_atoms`` take once; ``SumLaw`` also sizes the
 window of each sum from its moments.  ``guide_table`` indexes the flat
 inverse-CDF rows that the dual chain and both directions of the finite graph
-draw from; ``guided_draw`` is the finite graph's draw through them.
+draw from; ``guided_draw`` is the one draw through them, for all three
+tables.
 
 Finite measures are weighted atoms; a density is reduced at construction to
 the nodes of a fixed composite midpoint rule, so every downstream integral
@@ -232,11 +233,12 @@ def guide_table(cum: np.ndarray, lens, base: int = 0
 
     Row i of ``cum`` holds ``lens[i]`` >= 1 sorted entries in (r, r + 1],
     r = base + i, the last one r + 1, laid end to end as in
-    ``bcre.RateCache`` and ``wf_graph.occupancy_rows``.  It gets
-    g = min(``GUIDE_BUCKETS``, 2^ceil(log2 lens[i])) buckets, fewer than
-    twice its entries, and bucket b holds the index in ``cum`` of the first
-    entry above r + b/g.  Returns (guide, gptr, buckets): row i's buckets
-    are ``guide[gptr[i]:gptr[i+1]]``, ``buckets[i]`` of them, as a float.
+    ``bcre.RateCache``, ``wf_graph.occupancy_rows`` and
+    ``wf_graph.binomial_rows``.  It gets g = min(``GUIDE_BUCKETS``,
+    2^ceil(log2 lens[i])) buckets, fewer than twice its entries, and bucket
+    b holds the index in ``cum`` of the first entry above r + b/g.  Returns
+    (guide, gptr, buckets): row i's buckets are ``guide[gptr[i]:gptr[i+1]]``,
+    ``buckets[i]`` of them, as a float.
 
     A draw at r + U, U in [0, 1), reads p = guide[gptr[r] + floor(U g)].
     As g is a power of two, r + floor(U g)/g is a float no larger than the
@@ -261,7 +263,8 @@ def guided_draw(cum: np.ndarray, indptr: np.ndarray, guide: np.ndarray,
     """Index in ``cum`` of the entry each inverse-CDF draw at rows + u picks,
     u in [0, 1), in the flat rows ``cum[indptr[r]:indptr[r+1]]`` with their
     ``guide_table`` (guide, gptr, buckets): the first entry above the key,
-    clamped to the row's last entry.
+    clamped to the row's last entry.  ``cum`` ends with the last row, as
+    the search reads all of it; the other arrays may run past it.
 
     The entry a draw's bucket names is its answer wherever it lies above
     the key; the other keys take one ``searchsorted``, whose clamp catches

@@ -33,11 +33,11 @@ individual with probability V, the rest pick uniform labels.  The distinct
 uniform labels D among s picks follow the classical occupancy law, drawn
 with one uniform per replicate from rows built once per N up to the largest
 pick count seen (``occupancy_rows``), within an entry budget, through their
-guide table (``occupancy_guide``); past a table cut at the budget, D is
-drawn exactly from coupon-collector gaps.  So a step costs O(replicates +
-lineages under selection), not O(picks log picks), while pick counts fit
-the table; the central label is uniform, so it adds a new label with
-probability 1 - D/N.
+guide table by ``measures.guided_draw``, the draw of the forward step's
+binomial rows too; past a table cut at the budget, D is drawn exactly from
+coupon-collector gaps.  So a step costs O(replicates + lineages under
+selection), not O(picks log picks), while pick counts fit the table; the
+central label is uniform, so it adds a new label with probability 1 - D/N.
 """
 
 from __future__ import annotations
@@ -171,15 +171,14 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
     """Distinct labels among ``picks[i]`` uniform draws from N, per row,
     by inverting the occupancy law at the uniform ``u[i]`` in [0, 1).
 
-    Row s of ``occupancy_rows`` is read at s + u through
-    ``occupancy_guide`` by ``measures.guided_draw``, so each count is the
-    one a search of every row gives, in [min(s, 1), min(s, N)].  A pick
-    count past the table's last row has every label occupied, unless the
-    table was cut at its entry budget
-    ``OCCUPANCY_ENTRIES``: such a row draws its count from ``rng`` by
-    ``_collected_labels`` instead, and ignores its uniform.  When every
-    pick count lies at or past the budget and N above it, no table is
-    built at all.
+    Row s of ``occupancy_rows`` is read at s + u through its guide table
+    by ``measures.guided_draw``, so each count is the one a search of every
+    row gives, in [min(s, 1), min(s, N)].  A pick count past the table's
+    last row has every label occupied, unless the table was cut at its
+    entry budget ``OCCUPANCY_ENTRIES``: such a row draws its count from
+    ``rng`` by ``_collected_labels`` instead, and ignores its uniform.
+    When every pick count lies at or past the budget and N above it, no
+    table is built at all.
     """
     top, budget = int(picks.max(initial=0)), OCCUPANCY_ENTRIES
     if N > budget and picks.size and picks.min() >= budget:
@@ -188,9 +187,9 @@ def _occupied_labels(picks: np.ndarray, N: int, u: np.ndarray,
         return _collected_labels(picks, N, rng)
     # a row holds at least one entry, so no table has more rows than entries
     rows = min(max(64, 1 << top.bit_length()), budget)
-    cum, indptr, first = occupancy_rows(N, rows, budget)
+    cum, indptr, first, guide, gptr, buckets = occupancy_rows(N, rows, budget)
     s = np.minimum(picks, first.size - 1)
-    at = guided_draw(cum, indptr, *occupancy_guide(N, rows, budget), s, u)
+    at = guided_draw(cum, indptr, guide, gptr, buckets, s, u)
     out = first[s] + at - indptr[s]
     if top >= first.size and first[-1] < N:  # a table cut at the budget
         far = np.flatnonzero(picks >= first.size)
@@ -235,8 +234,7 @@ OCCUPANCY_TINY = 1e-30
 
 
 @lru_cache(maxsize=16)
-def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES):
     """The classical occupancy law of the distinct labels D among s uniform
     picks from N, for s < ``rows``, as flat rows to search.
 
@@ -249,8 +247,9 @@ def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
     whose probability is at least ``OCCUPANCY_TINY``; d never exceeds
     min(s, N).  The table ends early at the first row that holds d = N
     alone, as every later row would, or before the first row that would
-    take it past ``entries`` entries.  The arrays are read-only; their
-    guide table, which draws read first, is ``occupancy_guide``.
+    take it past ``entries`` entries.  Returns (cum, indptr, first) and
+    their ``measures.guide_table`` (guide, gptr, buckets), at most twice
+    their entries, all read-only.
     """
     repeat = np.arange(min(rows, N) + 1) / N  # P(a pick is old | d labels)
     p, lo = np.ones(1), 0  # P(D = d | s) for d in [lo, lo + p.size)
@@ -274,20 +273,9 @@ def occupancy_rows(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
         p, lo = nxt[keep[0]:keep[-1] + 1], lo + int(keep[0])
     indptr = np.zeros(len(cums) + 1, dtype=np.int64)
     np.cumsum([row.size for row in cums], out=indptr[1:])
-    out = np.concatenate(cums), indptr, np.array(firsts, dtype=np.int64)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=16)
-def occupancy_guide(N: int, rows: int, entries: int = OCCUPANCY_ENTRIES
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``measures.guide_table`` (guide, gptr, buckets) of the rows of
-    ``occupancy_rows(N, rows, entries)``, cached beside them; at most twice
-    their entries.  The arrays are read-only."""
-    cum, indptr, _ = occupancy_rows(N, rows, entries)
-    out = guide_table(cum, np.diff(indptr))
+    cum = np.concatenate(cums)
+    out = (cum, indptr, np.array(firsts, dtype=np.int64),
+           *guide_table(cum, np.diff(indptr)))
     for arr in out:
         arr.flags.writeable = False
     return out

@@ -134,18 +134,6 @@ def searched_pick(cum: np.ndarray, last: np.ndarray, i: np.ndarray,
     return np.minimum(np.searchsorted(cum, key, side="right"), last[i])
 
 
-def guided_pick(cum: np.ndarray, last: np.ndarray, guide: np.ndarray,
-                gptr: np.ndarray, buckets: np.ndarray, i: np.ndarray,
-                u: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """The same draw through a ``measures.guide_table``: the entry bucket
-    floor(u g) of row i names wherever it lies above the key, r + u, and
-    ``searched_pick`` elsewhere."""
-    pos = guide[gptr[i] + (u * buckets[i]).astype(np.int64)]
-    miss = cum[pos] <= key
-    pos[miss] = searched_pick(cum, last, i[miss], key[miss])
-    return pos
-
-
 #: Uniforms at both ends of [0, 1): r + (1 - 2^-53) rounds to r + 1 for
 #: every r >= 1.
 EDGE_UNIFORMS = (0.0, 1.0 - 2.0**-53)

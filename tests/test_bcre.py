@@ -19,12 +19,12 @@ from wfduality import (
 )
 from wfduality import bcre, rngstreams
 from wfduality.bcre import RateCache, final_state, final_states
-from wfduality.measures import SumLaw
+from wfduality.measures import SumLaw, guided_draw
 from wfduality.rngstreams import batch_mean_se
 
 from conftest import limit_params, rng
-from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, guided_pick,
-                       nbinom_pmf, searched_pick)
+from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, nbinom_pmf,
+                       searched_pick)
 
 EMPTY = FiniteMeasure(np.empty(0), np.empty(0))
 
@@ -278,7 +278,7 @@ class TestHoldRow:
         cache = RateCache(baseline_params)
         assert cache.n_rows == 1 and cache.total[0] == np.inf
         assert cache.cum[0] == 1.0 and cache.move[0] == 0
-        assert cache.last[0] == 0 and cache.indptr[1] == 1
+        assert cache.indptr[0] == 0 and cache.indptr[1] - 1 == 0
         assert cache.guide[cache.gptr[0]] == 0 and cache.buckets[0] == 1.0
 
     def test_a_few_new_states_wait_hold_rounds_calls(self, baseline_params):
@@ -343,9 +343,10 @@ class TestHoldRow:
 
 
 def guide_arrays(cache):
-    """A cache's flat rows, last entries and guide, cut to its rows."""
+    """A cache's flat rows, row pointers and guide, cut to its rows; row r's
+    last entry is indptr[r + 1] - 1."""
     rows = cache.n_rows
-    return (cache.cum[:cache.indptr[rows]], cache.last[:rows],
+    return (cache.cum[:cache.indptr[rows]], cache.indptr[:rows + 1],
             cache.guide[:cache.gptr[rows]], cache.gptr[:rows + 1],
             cache.buckets[:rows])
 
@@ -396,12 +397,11 @@ class TestGuide:
         cache.rows(np.array(batch))
         for n in singles:
             cache.rows(np.array([n]))
-        cum, last, guide, gptr, buckets = guide_arrays(cache)
+        cum, indptr, guide, gptr, buckets = guide_arrays(cache)
         r, u = uniforms(seed, cache)
-        key = r + u
         np.testing.assert_array_equal(
-            guided_pick(cum, last, guide, gptr, buckets, r, u, key),
-            searched_pick(cum, last, r, key))
+            guided_draw(cum, indptr, guide, gptr, buckets, r, u),
+            searched_pick(cum, indptr[1:] - 1, r, r + u))
         assert (buckets < 2 * np.diff(cache.indptr[:cache.n_rows + 1])).all()
         assert guide.size < 2 * cum.size
 
@@ -412,13 +412,13 @@ class TestGuide:
         cache = RateCache(params_with(sigma=1.0))
         cache.rows(np.array([1, 2, 5]))
         cache.rows(np.array([9]))
-        cum, last, guide, gptr, buckets = guide_arrays(cache)
-        assert cache.total[1] == 0 and cum[1] == 2.0 and last[1] == 1
+        cum, indptr, guide, gptr, buckets = guide_arrays(cache)
+        assert cache.total[1] == 0 and cum[1] == 2.0 and indptr[2] - 1 == 1
         assert guide[gptr[1]] == 1 and buckets[1] == 1.0
         r, u = uniforms(3, cache)
         np.testing.assert_array_equal(
-            guided_pick(cum, last, guide, gptr, buckets, r, u, r + u),
-            searched_pick(cum, last, r, r + u))
+            guided_draw(cum, indptr, guide, gptr, buckets, r, u),
+            searched_pick(cum, indptr[1:] - 1, r, r + u))
 
     @settings(max_examples=40, deadline=None)
     @given(params=limit_params(), n0=st.integers(1, 60),
@@ -431,8 +431,8 @@ class TestGuide:
         cache.rows(np.arange(1, n0 + 3))
         r = cache.rows(np.array([n0]))[0]
         at, u = uniforms(seed, cache)
-        cum, last, *_ = guide_arrays(cache)
-        to = n0 + cache.move[searched_pick(cum, last, at, at + u)]
+        cum, indptr, *_ = guide_arrays(cache)
+        to = n0 + cache.move[searched_pick(cum, indptr[1:] - 1, at, at + u)]
         u, to = u[(at == r) & (to > 0)], to[(at == r) & (to > 0)]
         finals, _ = bcre._paths(params, n0, 1.0, u.size, Draws(u), cache,
                                 bcre.DEFAULT_CEILING)
@@ -518,7 +518,7 @@ class TestRateRows:
         for r, n in enumerate(ns.tolist(), 1):
             table = jump_rates(params, n)
             lo, hi = cache.indptr[r], cache.indptr[r + 1]
-            assert cache.last[r] == hi - 1 and cache.k_max[r] == table.k_max
+            assert cache.k_max[r] == table.k_max
             kept.append(reachable(table, r)[1])
             np.testing.assert_array_equal(
                 n + cache.move[lo:hi], category_rule(n, table.k_max, kept[-1]))
@@ -535,7 +535,7 @@ class TestRateRows:
         lo, hi = cache.indptr[row], cache.indptr[row + 1]
         j = np.concatenate(kept)[np.clip(pos, lo, hi - 1)]
         old = category_rule(ns[at], cache.k_max[row], j)
-        new = ns[at] + cache.move[np.minimum(pos, cache.last[row])]
+        new = ns[at] + cache.move[np.minimum(pos, cache.indptr[row + 1] - 1)]
         np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("kernel", [SelectionKernel.geometric(),
@@ -599,7 +599,8 @@ class TestRateRows:
         expected = to[np.minimum(pos, last[row])]
         pos = np.searchsorted(cache.cum[:cache.indptr[cache.n_rows]], keys,
                               side="right")
-        got = ns[row - 1] + cache.move[np.minimum(pos, cache.last[row])]
+        got = ns[row - 1] + cache.move[np.minimum(pos,
+                                                   cache.indptr[row + 1] - 1)]
         np.testing.assert_array_equal(got, expected)
 
     def test_rows_accept_a_state_far_above_every_row(self, baseline_params):

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfduality import ConfigError, InvalidArgument, InvariantViolation
+from wfduality import ConfigError, InvalidArgument, InvariantViolation, cli
 from wfduality.bcre import DEFAULT_CEILING
 from wfduality.cli import _strict, main
 from wfduality.config import (
@@ -251,6 +252,27 @@ class TestRunCommand:
         assert _strict(value) == {"a": ["NaN", [1.5, "-Infinity"]],
                                   "b": {"c": "Infinity"},
                                   "d": [2, True, None, "x"]}
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["at-a-file", "under-a-file"])
+    def test_out_at_a_file_is_a_config_error(self, tmp_path, monkeypatch,
+                                             under):
+        # os.makedirs raised FileExistsError or NotADirectoryError, as a
+        # traceback, once the whole experiment had run
+        out = tmp_path / "taken"
+        out.write_text("")
+
+        def experiment(_cfg):
+            raise AssertionError("ran with an unusable --out")
+
+        monkeypatch.setitem(cli._DISPATCH, "thresholds", experiment)
+        res = CliRunner().invoke(main, [
+            "run", write_cfg(tmp_path, THRESHOLDS_CFG),
+            "--out", str(out / "o" if under else out)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "error: ConfigError: cannot create the output directory" \
+            in res.output
+        assert out.read_text() == ""
 
     def test_seed_override(self, tmp_path):
         path = write_cfg(tmp_path, THRESHOLDS_CFG)
@@ -510,7 +532,7 @@ class TestNonFiniteConstants:
                                         command):
         cfg = dict(keys, experiment=kind, seed=3, replicates=100)
         path = write_cfg(tmp_path, cfg)
-        assert constant in open(path).read()
+        assert constant in Path(path).read_text()
         args = [command, path]
         if command == "run":
             args += ["--out", str(tmp_path / "o")]

@@ -19,12 +19,12 @@ from wfduality import (
     pgf,
 )
 from wfduality.measures import (GUIDE_BUCKETS, INF_K, SumLaw, excess_moments,
-                                guide_table, joined, log_atoms,
+                                guide_table, guided_draw, joined, log_atoms,
                                 log_space_pmfs, pgf_many)
 
 from conftest import KERNELS, rng
-from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, guided_pick,
-                       nbinom_pmf, pgf_geometric, searched_pick)
+from reference import (EDGE_UNIFORMS, binom_pmf, entry_uniforms, nbinom_pmf,
+                       pgf_geometric, searched_pick)
 
 
 class TestPgf:
@@ -440,23 +440,35 @@ def flat_rows(draw):
     return base, np.concatenate(rows), lens
 
 
+class AtBase:
+    """A table's per-row array read at the rows' numbers base + i, as
+    ``guided_draw`` reads the rows of a table built at a base."""
+
+    def __init__(self, a, base):
+        self.a, self.base = a, base
+
+    def __getitem__(self, rows):
+        return self.a[rows - self.base]
+
+
 class TestGuideTable:
     @settings(max_examples=150, deadline=None)
     @given(table=flat_rows(), seed=st.integers(0, 2**32))
     def test_guided_pick_is_the_searched_pick(self, table, seed):
         base, cum, lens = table
         guide, gptr, buckets = guide_table(cum, lens, base)
-        last = np.cumsum(lens) - 1
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        last = indptr[1:] - 1
         i = np.repeat(np.arange(lens.size), len(EDGE_UNIFORMS) + 16)
         u = rng(seed).random(i.size)
         u[::len(EDGE_UNIFORMS) + 16] = EDGE_UNIFORMS[0]
         u[1::len(EDGE_UNIFORMS) + 16] = EDGE_UNIFORMS[1]
         i, u = (np.concatenate(pair)
                 for pair in zip((i, u), entry_uniforms(cum, lens, base)))
-        key = (base + i) + u
         np.testing.assert_array_equal(
-            guided_pick(cum, last, guide, gptr, buckets, i, u, key),
-            searched_pick(cum, last, i, key))
+            guided_draw(cum, AtBase(indptr, base), guide, AtBase(gptr, base),
+                        AtBase(buckets, base), base + i, u),
+            searched_pick(cum, last, i, (base + i) + u))
 
     @settings(max_examples=50, deadline=None)
     @given(table=flat_rows())

@@ -156,10 +156,12 @@ def test_dual_engine_sorts_nothing():
     # (row, chain) table; a sort of the occupation keys every 16 rounds cost
     # the fixation run about 15% of its stationary time
     # (RateCache.rows sorts a round's new states, a method left out here)
-    path = SRC / "wfduality" / "bcre.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    functions = {fn.name: fn for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef)}
+    functions = {}
+    for name in ("measures", "bcre"):
+        path = SRC / "wfduality" / f"{name}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions.update((fn.name, fn) for fn in tree.body
+                         if isinstance(fn, ast.FunctionDef))
     todo, seen, found = ["_paths"], set(), []
     while todo:  # _paths and the module functions it calls, transitively
         name = todo.pop()
@@ -172,7 +174,7 @@ def test_dual_engine_sorts_nothing():
             if (isinstance(node.func, ast.Name) and node.func.id in functions
                     and node.func.id not in seen):
                 todo.append(node.func.id)
-    assert "_sample_tail_jump" in seen
+    assert {"_sample_tail_jump", "guided_draw"} <= seen
     assert found == []
 
 
@@ -189,18 +191,48 @@ def test_finite_graph_sorts_nothing():
     assert found == []
 
 
-def test_dual_round_searches_once():
-    # a round picks every jump with one searchsorted in the flat rate rows
-    # and reads the next state from the cache's target table, so neither
-    # a clip of the position into its row nor a where over the jump kinds
-    path = SRC / "wfduality" / "bcre.py"
+def _module_function(module: str, name: str) -> ast.FunctionDef:
+    path = SRC / "wfduality" / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    paths = next(fn for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "_paths")
-    calls = [_called_name(node) for node in ast.walk(paths)
-             if isinstance(node, ast.Call)]
-    assert calls.count("searchsorted") == 1
-    assert not {"clip", "where"} & set(calls)
+    return next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
+def test_dual_round_searches_once():
+    # a round picks every jump by the one guided draw, whose one
+    # searchsorted in the flat rate rows settles the guide's misses, and
+    # reads the next state from the cache's target table, so neither a clip
+    # of the position into its row nor a where over the jump kinds
+    calls = {fn: [_called_name(node)
+                  for node in ast.walk(_module_function(module, fn))
+                  if isinstance(node, ast.Call)]
+             for module, fn in (("bcre", "_paths"),
+                                ("measures", "guided_draw"))}
+    assert calls["_paths"].count("guided_draw") == 1
+    assert "searchsorted" not in calls["_paths"]
+    assert calls["guided_draw"].count("searchsorted") == 1
+    for names in calls.values():
+        assert not {"clip", "where"} & set(names)
+
+
+def test_one_guide_lookup():
+    # every flat inverse-CDF table is read through measures.guided_draw: no
+    # other function reads a bucket of a guide, guide[gptr[r] + ...]
+    def named(node, name):
+        return getattr(node, "id", getattr(node, "attr", None)) == name
+
+    found = set()
+    for path in sorted((SRC / "wfduality").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Subscript)
+                  and named(node.value, "guide")
+                  and any(isinstance(sub, ast.Subscript)
+                          and named(sub.value, "gptr")
+                          for sub in ast.walk(node.slice))}
+    assert found == {"measures.guided_draw"}
 
 
 def test_cli_import_leaves_out_scipy():

@@ -29,8 +29,7 @@ from wfduality.measures import guided_draw, pgf, pgf_many
 from wfduality.params import N_MAX
 
 from conftest import KERNELS, rng
-from reference import (EDGE_UNIFORMS, entry_uniforms, guided_pick,
-                       searched_pick)
+from reference import EDGE_UNIFORMS, entry_uniforms, searched_pick
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -159,9 +158,6 @@ class TestBinomialRows:
             rand[j::len(EDGE_UNIFORMS) + 16] = edge
         rows, u = np.concatenate((rows, more)), np.concatenate((u, rand))
         want = searched_pick(cum, last, rows, rows + u)
-        np.testing.assert_array_equal(
-            guided_pick(cum, last, guide, gptr, buckets, rows, u, rows + u),
-            want)
         np.testing.assert_array_equal(
             guided_draw(cum, indptr, guide, gptr, buckets, rows, u), want)
         # and a step's interior lattice counts are those of the search at
@@ -524,7 +520,7 @@ class TestOccupiedLabels:
         # so these counts come from the coupon-collector gaps
         monkeypatch.setattr(wf_graph, "OCCUPANCY_ENTRIES", 16)
         N, s, M = 10, 30, 40000
-        _, _, first = wf_graph.occupancy_rows(N, 16, 16)
+        first = wf_graph.occupancy_rows(N, 16, 16)[2]
         assert first.size < s and first[-1] < N
         gen = rng(18)
         d = wf_graph._occupied_labels(np.full(M, s), N, gen.random(M), gen)
@@ -590,7 +586,7 @@ class TestOccupiedLabels:
         assert int(rss_kb) / 1024 <= 1.1 * SORTED_PICKS_RSS_MB
 
     def test_rows_are_sorted_and_read_only(self):
-        cum, indptr, first = wf_graph.occupancy_rows(100, 4096)
+        cum, indptr, first = wf_graph.occupancy_rows(100, 4096)[:3]
         assert (np.diff(cum) >= 0).all()
         assert indptr[-1] == cum.size and (np.diff(indptr) >= 1).all()
         # the table stops at the first row holding d = N alone
@@ -607,7 +603,8 @@ class TestOccupancyGuide:
     @pytest.mark.parametrize("rows", [64, 1024])
     def test_labels_are_the_searched_labels(self, N, rows):
         # the largest pick count, rows - 1, asks for a table of ``rows`` rows
-        cum, indptr, first = wf_graph.occupancy_rows(N, rows)
+        cum, indptr, first, guide, gptr, buckets = wf_graph.occupancy_rows(
+            N, rows)
         picks = np.arange(rows)
         if first[-1] < N:  # a cut table: compare the rows it holds
             picks = picks[picks < first.size]
@@ -623,15 +620,13 @@ class TestOccupancyGuide:
         s = np.minimum(picks, first.size - 1)[:-1]
         at = searched_pick(cum, indptr[1:] - 1, s, s + u[:-1])
         np.testing.assert_array_equal(d[:-1], first[s] + at - indptr[s])
-        guide, gptr, buckets = wf_graph.occupancy_guide(N, rows)
         np.testing.assert_array_equal(
-            guided_pick(cum, indptr[1:] - 1, guide, gptr, buckets, s,
-                        u[:-1], s + u[:-1]), at)
+            guided_draw(cum, indptr, guide, gptr, buckets, s, u[:-1]), at)
 
     @pytest.mark.parametrize("N", [2, 10, 1000, 10**6])
     def test_guide_holds_fewer_than_twice_the_entries(self, N):
-        cum, indptr, _ = wf_graph.occupancy_rows(N, 4096)
-        guide, gptr, buckets = wf_graph.occupancy_guide(N, 4096)
+        cum, indptr, _, guide, gptr, buckets = wf_graph.occupancy_rows(
+            N, 4096)
         assert (buckets < 2 * np.diff(indptr)).all()
         assert guide.size == gptr[-1] < 2 * cum.size
         with pytest.raises(ValueError):
